@@ -51,6 +51,6 @@ for label, fn, exact in cases:
     print(f"  integral of {label:<18} = {got:.14f}   (exact {exact:.14f}, "
           f"error {abs(got - exact):.1e})")
 
-print("\nComposite Simpson with one Richardson refinement is exact on trig")
-print("polynomials of degree <= N/4; smooth periodic integrands converge")
-print("to machine precision long before the refinement cap.")
+print("\nThe periodic trapezoid sum is exact on trig polynomials of degree < N;")
+print("smooth periodic integrands converge exponentially, and T_N agreeing")
+print("with T_N/2 (the even-index subset of the same samples) certifies it.")

@@ -18,8 +18,9 @@ density is asserted, never presumed: the complex constants must cancel to
 a real number, and a residual imaginary part signals a convention bug.
 
 cs_density is a pure function of (metric, config, alpha) and vectorizes
-over alpha grids; the quadrature driver exploits that instead of fanning
-out sample points across workers.
+over alpha grids.  cs_class evaluates it once on the report grid and hands
+those samples to the trapezoid ladder of :mod:`loopcs.quadrature` as its
+first level, so the reported density and the integral share one pass.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .forms import evaluate3, trace, wedge
 from .geometry import BergerMetric, builtin_family
-from .quadrature import TWO_PI, QuadratureSpec, integrate_circle
+from .quadrature import QuadratureSpec, circle_grid, trapezoid_ladder
 from .symbols import (ORDER_SIGMA0, ORDER_SIGMA_MINUS1, curvature_form_beta,
                       require_residue_extractable, sigma0_connection,
                       sigma_minus1_connection_beta)
@@ -58,6 +59,10 @@ IMAG_TOLERANCE = 1e-10
 
 class ResidueConventionError(ArithmeticError):
     """The density came out non-real: a sign/factor convention is broken."""
+
+
+class NonFiniteDensityError(ArithmeticError):
+    """The density overflowed or hit a pole at some sample."""
 
 
 @dataclass(frozen=True)
@@ -113,14 +118,21 @@ def density_traces(m: BergerMetric, alpha):
 
 
 def _density_complex(m: BergerMetric, s: float, alpha) -> np.ndarray:
-    t_conn, t_curv = density_traces(m, alpha)
-    prefactor = RESIDUE_CONVENTION * (2j * s)
-    d = prefactor * (CURVATURE_TRACE_CONSTANT * t_curv
-                     + CONNECTION_TRACE_CONSTANT * CONNECTION_MULTIPLICITY * t_conn)
-    return (2.0 * math.pi ** 2 / s) * d
+    # overflow shows up as non-finite samples, which _require_real reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_conn, t_curv = density_traces(m, alpha)
+        prefactor = RESIDUE_CONVENTION * (2j * s)
+        d = prefactor * (CURVATURE_TRACE_CONSTANT * t_curv
+                         + CONNECTION_TRACE_CONSTANT * CONNECTION_MULTIPLICITY * t_conn)
+        return (2.0 * math.pi ** 2 / s) * d
 
 
 def _require_real(values: np.ndarray, tol: float = IMAG_TOLERANCE) -> np.ndarray:
+    finite = np.isfinite(values)
+    if not np.all(finite):
+        raise NonFiniteDensityError(
+            f"density is not finite at {np.size(finite) - np.count_nonzero(finite)} "
+            f"of {np.size(finite)} samples; the metric overflows or hits a pole")
     worst = float(np.max(np.abs(np.imag(np.atleast_1d(values)))))
     if worst >= tol:
         raise ResidueConventionError(
@@ -139,21 +151,33 @@ def cs_density(m: BergerMetric, cfg: CSConfig, alpha):
     return _require_real(_density_complex(m, cfg.s, alpha))
 
 
+def reduce_mod_z(value: float) -> float:
+    """value mod 1 in [0, 1).
+
+    value - floor(value) rounds to exactly 1.0 for tiny negative values;
+    that representative of the class 0 is mapped to 0.0.
+    """
+    frac = value - math.floor(value)
+    return 0.0 if frac == 1.0 else frac
+
+
 def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
     """Integrate the density, form (s/4)*integral, reduce mod Z, decide.
 
-    The verdict is "nontrivial" when the reduced value keeps at least the
-    integrality tolerance away from the integers, and "indeterminate"
-    otherwise (never coerced to a trivial/nontrivial claim the numerics
-    cannot support).
+    The density is evaluated once on the report grid; those samples are
+    the first level of the trapezoid ladder, which evaluates more only if
+    T_N and T_{N/2} disagree.  The verdict is "nontrivial" when the reduced
+    value keeps at least the integrality tolerance away from the integers,
+    and "indeterminate" otherwise (never coerced to a trivial/nontrivial
+    claim the numerics cannot support).
     """
-    integral = integrate_circle(lambda x: cs_density(m, cfg, x), cfg.quadrature)
-    grid = np.linspace(0.0, TWO_PI, cfg.quadrature.n + 1)
+    grid = circle_grid(cfg.quadrature.n)
     complex_samples = _density_complex(m, cfg.s, grid)
     max_imag = float(np.max(np.abs(np.imag(complex_samples))))
     densities = _require_real(complex_samples)
+    integral = trapezoid_ladder(lambda x: cs_density(m, cfg, x), densities, cfg.quadrature)
     value = cfg.s / 4.0 * integral
-    mod_z = value - math.floor(value)
+    mod_z = reduce_mod_z(value)
     distance = min(mod_z, 1.0 - mod_z)
     nontrivial = distance > cfg.integrality_tol
     return CSReport(

@@ -1,7 +1,9 @@
 """Command-line front end: compute, sweep and verify.
 
-Exit codes: 0 success, 1 configuration error, 2 expression parse error,
-3 numerical non-convergence, 4 invariant-suite failure.
+Exit codes: 0 success, 1 configuration error (bad flags or config file,
+or a metric that is not positive, not periodic or has a pole), 2 expression
+parse error, 3 numerical error (quadrature non-convergence, a non-finite
+density, or a density with an imaginary residue), 4 invariant-suite failure.
 """
 from __future__ import annotations
 
@@ -11,8 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from .chern_simons import CSConfig, CSReport, cs_class, sweep
-from .expressions import ParseError, parse_expression
+from .chern_simons import (CSConfig, CSReport, NonFiniteDensityError,
+                           ResidueConventionError, cs_class, sweep)
+from .expressions import EvalDomainError, ParseError, parse_expression
 from .geometry import BergerMetric, builtin_family
 from .quadrature import QuadratureConvergenceError, QuadratureSpec
 from .verify import run_all
@@ -33,7 +36,8 @@ class ConfigError(ValueError):
 
 def parse_metric_exprs(lam_src: str, mu_src: str, nu_src: str, a: int = 1) -> BergerMetric:
     """Build a metric from three expression strings (grammar of
-    loopcs.expressions); positivity is pre-checked on a dense sample."""
+    loopcs.expressions); positivity and periodicity are checked by
+    BergerMetric."""
     return BergerMetric(parse_expression(lam_src), parse_expression(mu_src),
                         parse_expression(nu_src), a=a)
 
@@ -43,7 +47,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--samples", type=int, default=None,
                    help="quadrature sample count N (default 4096)")
     p.add_argument("--tol", type=float, default=None,
-                   help="quadrature absolute tolerance (default 1e-8)")
+                   help="absolute tolerance on |T_N - T_N/2| of the trapezoid "
+                        "ladder (default 1e-8)")
     p.add_argument("--int-tol", dest="int_tol", type=float, default=None,
                    help="integrality tolerance for the verdict (default 1e-3)")
     p.add_argument("--density-out", dest="density_out", default=None,
@@ -228,10 +233,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except QuadratureConvergenceError as exc:
+    except (QuadratureConvergenceError, NonFiniteDensityError,
+            ResidueConventionError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

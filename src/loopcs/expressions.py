@@ -1,10 +1,13 @@
 """Expression trees over the circle coordinate alpha and an integer parameter a.
 
-Node kinds: number, alpha, a, +, -, *, /, integer power, sin, cos.  Every
-expression is 2*pi-periodic in alpha for integer a.  Trees are immutable;
-operators on nodes build new trees (with light constant folding), so metric
-families like ``2 + (1/a)*cos(a*alpha)*sin(a*alpha)`` can be written once
-and evaluated for any a.
+Node kinds: number, alpha, a, +, -, *, /, integer power, sin, cos.  The
+grammar does not force 2*pi-periodicity in alpha (``alpha`` may appear
+outside a trig function, or as ``sin(0.5*alpha)``);
+:class:`~loopcs.geometry.BergerMetric` rejects scale functions whose jets
+at 0 and 2*pi disagree.  Trees are immutable; operators on nodes build new
+trees (with light constant folding), so metric families like
+``2 + (1/a)*cos(a*alpha)*sin(a*alpha)`` can be written once and evaluated
+for any a.
 
 Evaluation returns a :class:`~loopcs.jets.Jet2`, i.e. the value and the
 first two alpha-derivatives, exactly.  ``derivative`` differentiates

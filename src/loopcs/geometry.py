@@ -40,6 +40,9 @@ from .expressions import (Alpha, Cos, Div, Expr, Mul, Num, ParamA, Sin, Sub,
                           derivative, evaluate)
 from .jets import Jet2, Number
 
+# relative agreement demanded of the scale jets at alpha = 0 and 2*pi
+PERIODICITY_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class BergerMetric:
@@ -52,13 +55,28 @@ class BergerMetric:
 
     def __post_init__(self):
         grid = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-        for name, e in (("lam", self.lam), ("mu", self.mu), ("nu", self.nu)):
+        ends = np.array([0.0, 2.0 * np.pi])
+        names = ("lam", "mu", "nu")
+        end_jets = []
+        for name, e in zip(names, (self.lam, self.mu, self.nu)):
             values = np.asarray(evaluate(e, grid, self.a).v)
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} is not finite on [0, 2*pi)")
             if np.any(values <= 0.0):
                 bad = grid[np.argmin(values)]
                 raise ValueError(f"{name} is not positive at alpha={bad:.6f}")
+            jet = evaluate(e, ends, self.a)
+            end_jets.append(np.array([np.broadcast_to(x, ends.shape)
+                                      for x in (jet.v, jet.d1, jet.d2)]))
+        # the circle quadrature is spectral only for periodic integrands: the
+        # (v, d1, d2) jets at 0 and 2*pi must agree, relative to the largest
+        # jet entry of the metric (rounding in 2*pi grows with the frequency)
+        allowed = PERIODICITY_TOLERANCE * max(1.0, max(np.max(np.abs(j)) for j in end_jets))
+        for name, j in zip(names, end_jets):
+            gap = float(np.max(np.abs(j[:, 1] - j[:, 0])))
+            if not gap <= allowed:
+                raise ValueError(f"{name} is not 2*pi-periodic: its jets at 0 and "
+                                 f"2*pi differ by {gap:.3e}")
 
     @cached_property
     def _dotted(self):

@@ -1,15 +1,21 @@
 """Quadrature of smooth 2*pi-periodic functions on the circle.
 
-The default rule is composite Simpson on a uniform grid with one Richardson
-refinement; a Romberg ladder is available as an alternative.  For the
-periodic, analytic integrands produced by this package both rules converge
-extremely fast, so the refinement loop mostly serves as a convergence
-certificate.
+One method: the periodic trapezoid sum on the uniform grid of n + 1 points
+from 0 to 2*pi, refined along a nested ladder.  For smooth periodic
+integrands it converges exponentially in n (Trefethen & Weideman, SIAM
+Rev. 56, 2014) and it is exact on trigonometric polynomials of degree
+below n.
+
+The first level costs no extra samples beyond the n + 1 grid values: T_n
+uses all of them and T_{n/2} the even-index subset, and T_n is returned
+once |T_n - T_{n/2}| < tol.  Otherwise each doubling evaluates only the n
+new midpoints.  Because the first level is exactly the grid a report
+shows, a caller that already holds those samples (cs_class) hands them to
+trapezoid_ladder and the density is evaluated once per class value.
 
 Integrands are called on a full ndarray grid when they support it (the
 densities in this package do), falling back to pointwise evaluation
-otherwise.  All evaluation is pure, so sample points could equally be
-fanned out across workers.
+otherwise.
 """
 from __future__ import annotations
 
@@ -17,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 TWO_PI = 2.0 * np.pi
 
@@ -33,11 +38,10 @@ class QuadratureConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Sample count, absolute tolerance and rule for circle integrals."""
+    """Sample count, absolute tolerance and doubling cap for circle integrals."""
 
     n: int = 4096
     tol: float = 1e-8
-    rule: str = "simpson"
     max_refinements: int = 8
 
     def __post_init__(self):
@@ -45,68 +49,55 @@ class QuadratureSpec:
             raise ValueError("sample count must be an even integer >= 16")
         if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
-        if self.rule not in ("simpson", "romberg"):
-            raise ValueError(f"unknown rule {self.rule!r}")
         if self.max_refinements < 1:
             raise ValueError("need at least one refinement")
 
 
-def _sample(f: Callable, n: int) -> np.ndarray:
-    grid = np.linspace(0.0, TWO_PI, n + 1)
+def circle_grid(n: int) -> np.ndarray:
+    """The n + 1 uniform points 0, 2*pi/n, ..., 2*pi."""
+    return np.linspace(0.0, TWO_PI, n + 1)
+
+
+def _sample(f: Callable, alpha: np.ndarray) -> np.ndarray:
     try:
-        y = np.asarray(f(grid), dtype=float)
-        if y.shape == grid.shape:
+        y = np.asarray(f(alpha), dtype=float)
+        if y.shape == alpha.shape:
             return y
     except (TypeError, ValueError):
         pass
-    return np.asarray([float(f(x)) for x in grid])
+    return np.asarray([float(f(x)) for x in alpha])
 
 
-def _simpson(f: Callable, n: int) -> float:
-    return float(simpson(_sample(f, n), dx=TWO_PI / n))
+def trapezoid_ladder(f: Callable, samples: np.ndarray, spec: QuadratureSpec) -> float:
+    """Integral over [0, 2*pi] from samples of f on circle_grid(spec.n).
+
+    Returns T_n when it agrees with T_{n/2} to spec.tol; otherwise doubles
+    n, evaluating f only at the new midpoints, up to spec.max_refinements
+    times.  Raises QuadratureConvergenceError (carrying the last two
+    estimates) if the cap is reached first.
+    """
+    n = spec.n
+    h = TWO_PI / n
+    # the two endpoint samples are one periodic point and share its weight
+    ends = 0.5 * (samples[0] + samples[-1])
+    total = ends + samples[1:-1].sum()
+    previous = 2.0 * h * (ends + samples[2:-1:2].sum())
+    last = h * total
+    doublings = 0
+    while not abs(last - previous) < spec.tol:   # a NaN estimate never passes
+        if doublings == spec.max_refinements:
+            raise QuadratureConvergenceError("trapezoid refinement did not converge",
+                                             last=float(last), previous=float(previous))
+        total += _sample(f, h * (np.arange(n) + 0.5)).sum()
+        n, h = 2 * n, 0.5 * h
+        previous, last = last, h * total
+        doublings += 1
+    return float(last)
 
 
 def integrate_circle(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Approximate the integral of f over [0, 2*pi].
 
-    Refines until two successive estimates differ by less than spec.tol,
-    then returns the Richardson extrapolation of the final pair.  Raises
-    QuadratureConvergenceError (carrying the last two estimates) if the
-    refinement cap is reached first.
+    Samples f on circle_grid(spec.n) and runs trapezoid_ladder on it.
     """
-    if spec.rule == "romberg":
-        return _romberg(f, spec)
-    n = spec.n
-    estimates = [_simpson(f, n)]
-    for _ in range(spec.max_refinements):
-        n *= 2
-        estimates.append(_simpson(f, n))
-        if abs(estimates[-1] - estimates[-2]) < spec.tol:
-            # one Richardson step on the h^4 Simpson error
-            return estimates[-1] + (estimates[-1] - estimates[-2]) / 15.0
-    raise QuadratureConvergenceError("Simpson refinement did not converge",
-                                     last=estimates[-1], previous=estimates[-2])
-
-
-def _romberg(f: Callable, spec: QuadratureSpec) -> float:
-    # trapezoid ladder with full resampling; grids are cheap here
-    n = spec.n
-    h = TWO_PI / n
-    y = _sample(f, n)
-    row = [h * (0.5 * y[0] + y[1:-1].sum() + 0.5 * y[-1])]
-    estimates = [row[0]]
-    for _ in range(spec.max_refinements):
-        n *= 2
-        h = TWO_PI / n
-        y = _sample(f, n)
-        new_row = [h * (0.5 * y[0] + y[1:-1].sum() + 0.5 * y[-1])]
-        factor = 1.0
-        for r in row:
-            factor *= 4.0
-            new_row.append(new_row[-1] + (new_row[-1] - r) / (factor - 1.0))
-        estimates.append(new_row[-1])
-        if abs(estimates[-1] - estimates[-2]) < spec.tol:
-            return estimates[-1]
-        row = new_row
-    raise QuadratureConvergenceError("Romberg refinement did not converge",
-                                     last=estimates[-1], previous=estimates[-2])
+    return trapezoid_ladder(f, _sample(f, circle_grid(spec.n)), spec)

@@ -20,6 +20,7 @@ component k of the derivative of frame vector j in direction i, with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,7 +171,7 @@ def sigma_minus1_connection_dot(m: BergerMetric, alpha: float, direction: int,
 
 @dataclass(frozen=True)
 class CurvatureSymbol:
-    """Order-(-1) symbol of the curvature at fixed alpha (of 2 i s / xi).
+    """Order-(-1) symbol of the curvature (coefficient of 2 i s / xi).
 
     Only mixed circle/space second derivatives of Christoffel symbols can
     enter along constant loops; they sit in the bilinear form
@@ -181,23 +182,30 @@ class CurvatureSymbol:
     where dd_p is d^2/dalpha^2 for p = 4 and zero otherwise (spatial
     derivatives vanish).  On the constant-loop S^3 every tangent has zero
     fourth component, so the form vanishes; evaluating it is the check.
+    Leading batch axes of ``second`` (an alpha grid) carry through.
     """
 
-    second: np.ndarray  # gamma second alpha-derivatives, shape (4,4,4)
+    second: np.ndarray  # gamma second alpha-derivatives, shape (...,4,4,4)
+
+    @cached_property
+    def _bracket(self) -> np.ndarray:
+        # bracket[k,l,r] = dd(gamma[k,r,l] + gamma[l,k,r]), built once per
+        # symbol: curvature_form_beta evaluates three frame pairs on it
+        gpp = self.second
+        return np.einsum("...krl->...klr", gpp) + np.einsum("...lkr->...klr", gpp)
 
     def __call__(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.shape != (4,) or y.shape != (4,):
             raise ValueError("curvature symbol takes two 4-vectors")
-        gpp = self.second
-        # bracket[k,l,r] = dd(gamma[k,r,l] + gamma[l,k,r]); the dd_{.4}
-        # selector is the 4-component of whichever vector hits that slot
-        bracket = (np.einsum("krl->klr", gpp)
-                   + np.einsum("lkr->klr", gpp))
-        out = x[3] * np.einsum("klr,r->kl", bracket, y)
-        out -= y[3] * np.einsum("klr,r->kl", bracket, x)
-        return out
+        # the dd_{.4} selector is the 4-component of whichever vector hits
+        # that slot
+        return (x[3] * np.einsum("...klr,r->...kl", self._bracket, y)
+                - y[3] * np.einsum("...klr,r->...kl", self._bracket, x))
+
+
+_FRAME = np.eye(4)
 
 
 def sigma_minus1_curvature_beta(m: BergerMetric, alpha: float, x_index: int,
@@ -210,17 +218,11 @@ def sigma_minus1_curvature_beta(m: BergerMetric, alpha: float, x_index: int,
     """
     if x_index not in (1, 2, 3) or y_index not in (1, 2, 3):
         raise ValueError("curvature check takes S^3 frame labels in 1..3")
-    sym = curvature_symbol(m, alpha)
-    x = np.zeros(4)
-    y = np.zeros(4)
-    x[x_index - 1] = 1.0
-    y[y_index - 1] = 1.0
-    return sym(x, y)
+    return curvature_symbol(m, alpha)(_FRAME[x_index - 1], _FRAME[y_index - 1])
 
 
-def curvature_symbol(m: BergerMetric, alpha: float) -> CurvatureSymbol:
-    table = christoffel_table(m, float(alpha))
-    return CurvatureSymbol(second=table.gamma.d2)
+def curvature_symbol(m: BergerMetric, alpha: Number) -> CurvatureSymbol:
+    return CurvatureSymbol(second=christoffel_table(m, alpha).gamma.d2)
 
 
 def curvature_form_beta(m: BergerMetric, alpha: Number) -> MatrixForm:
@@ -231,20 +233,10 @@ def curvature_form_beta(m: BergerMetric, alpha: Number) -> MatrixForm:
     in the pipeline so the curvature term of the secondary class is
     computed rather than asserted away.
     """
-    table = christoffel_table(m, alpha)
-    gpp = table.gamma.d2
-    batch = gpp.shape[:-3]
-    bracket = (np.einsum("...krl->...klr", gpp) + np.einsum("...lkr->...klr", gpp))
-    coeffs = {}
-    for p, q in ((1, 2), (1, 3), (2, 3)):
-        x = np.zeros(4)
-        y = np.zeros(4)
-        x[p - 1] = 1.0
-        y[q - 1] = 1.0
-        mat = (x[3] * np.einsum("...klr,r->...kl", bracket, y)
-               - y[3] * np.einsum("...klr,r->...kl", bracket, x))
-        coeffs[(p, q)] = mat
-    return MatrixForm(2, coeffs, batch)
+    sym = curvature_symbol(m, alpha)
+    coeffs = {(p, q): sym(_FRAME[p - 1], _FRAME[q - 1])
+              for p, q in ((1, 2), (1, 3), (2, 3))}
+    return MatrixForm(2, coeffs, sym.second.shape[:-3])
 
 
 @dataclass(frozen=True)

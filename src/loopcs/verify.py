@@ -15,7 +15,8 @@ from typing import Callable, List
 
 import numpy as np
 
-from .chern_simons import CSConfig, cs_class, cs_density, density_traces, leading_order_density
+from .chern_simons import (CSConfig, cs_class, cs_density, density_traces,
+                           leading_order_density, reduce_mod_z)
 from .expressions import Alpha, Cos, Expr, Num, Sin, evaluate
 from .forms import MatrixForm, trace, wedge
 from .geometry import (BergerMetric, builtin_family, christoffel_koszul,
@@ -98,7 +99,7 @@ def check_jet_finite_differences(rng: np.random.Generator) -> CheckResult:
 
 
 def check_quadrature_exactness(rng: np.random.Generator) -> CheckResult:
-    """Composite Simpson is exact on trig polynomials of degree <= n/4."""
+    """The periodic trapezoid sum is exact on trig polynomials of degree < n."""
     spec = QuadratureSpec(n=64, tol=1e-10)
     worst = 0.0
     for _ in range(20):
@@ -355,7 +356,7 @@ def check_normalization_robustness(_: np.random.Generator) -> CheckResult:
     for a in (2, 8):
         report = cs_class(builtin_family(a), CSConfig())
         for value in (report.class_value, report.s * report.integral):
-            frac = value - np.floor(value)
+            frac = reduce_mod_z(value)
             worst = min(worst, min(frac, 1.0 - frac))
     return CheckResult("verdict robust to class normalization", worst > tol,
                        f"min distance to integers {worst:.2e} "

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from loopcs.chern_simons import (CSConfig, ResidueConventionError,
-                                 _require_real, cs_class, cs_density,
-                                 density_traces, leading_order_density, sweep)
+import loopcs.chern_simons
+from loopcs.chern_simons import (CSConfig, NonFiniteDensityError,
+                                 ResidueConventionError, _require_real,
+                                 cs_class, cs_density, density_traces,
+                                 leading_order_density, reduce_mod_z, sweep)
 from loopcs.expressions import parse_expression
 from loopcs.geometry import BergerMetric, builtin_family, round_metric
 from loopcs.quadrature import QuadratureSpec
@@ -51,7 +53,7 @@ def test_integral_a2():
 
 
 def test_integral_a3_regression():
-    # pinned by the high-resolution Simpson self-oracle (N = 2^16) and the
+    # pinned by the high-resolution self-oracle (N = 2^16) and the
     # independent symbolic route; guards against silent convention drift
     spec = QuadratureSpec(n=2 ** 16)
     report = cs_class(builtin_family(3), CSConfig(quadrature=spec))
@@ -121,6 +123,50 @@ def test_reality_guard():
     with pytest.raises(ResidueConventionError):
         _require_real(np.array([1.0 + 1e-6j]))
     assert _require_real(np.array([1.0 + 0.0j]))[0] == 1.0
+
+
+def _count_density_samples(monkeypatch):
+    # every density evaluation, on the report grid or on a refinement,
+    # passes through _density_complex
+    counted = [0]
+    original = loopcs.chern_simons._density_complex
+
+    def counting(m, s, alpha):
+        counted[0] += np.size(alpha)
+        return original(m, s, alpha)
+
+    monkeypatch.setattr(loopcs.chern_simons, "_density_complex", counting)
+    return counted
+
+
+@pytest.mark.parametrize("a", [2, 8, 32])
+def test_density_evaluated_once_per_class(a, monkeypatch):
+    counted = _count_density_samples(monkeypatch)
+    report = cs_class(builtin_family(a), CFG)
+    assert counted[0] == CFG.quadrature.n + 1 == report.densities.size
+
+
+def test_non_finite_density_rejected(monkeypatch):
+    with pytest.raises(NonFiniteDensityError):
+        _require_real(np.array([complex(1.0, np.nan)]))
+    with pytest.raises(NonFiniteDensityError):
+        _require_real(np.array([np.inf]))
+    counted = _count_density_samples(monkeypatch)
+    m = BergerMetric(parse_expression("(2+sin(alpha))^300"),
+                     parse_expression("1"), parse_expression("1"))
+    with pytest.raises(NonFiniteDensityError):
+        cs_class(m, CFG)
+    assert counted[0] == CFG.quadrature.n + 1  # fails on the first pass
+
+
+def test_mod_z_in_unit_interval():
+    assert reduce_mod_z(-5e-17) == 0.0
+    assert reduce_mod_z(-0.25) == 0.75
+    assert reduce_mod_z(3.0) == 0.0
+    scale = parse_expression("2+sin(alpha)")
+    report = cs_class(BergerMetric(scale, scale, scale), CFG)
+    assert 0.0 <= report.mod_z < 1.0
+    assert not report.nontrivial
 
 
 def test_quadrature_doubling_stability():

@@ -1,6 +1,8 @@
 import json
 
+from loopcs.chern_simons import ResidueConventionError
 from loopcs.cli import main
+from loopcs.quadrature import QuadratureConvergenceError
 
 A2_INTEGRAL = -26.0686813921976406
 
@@ -72,6 +74,21 @@ def test_config_errors():
     assert run(["compute", "--lambda", "1", "--mu", "1", "--nu", "cos(alpha)"]) == 1
 
 
+def test_bad_metrics_exit_codes(capsys):
+    cases = [
+        (["--lambda", "1+0.1*alpha", "--mu", "1", "--nu", "2-cos(alpha)"], 1, "error:"),
+        (["--lambda", "1", "--mu", "2+sin(alpha)/a", "--nu", "1", "--a", "0"], 1, "error:"),
+        (["--lambda", "1", "--mu", "2+sin(alpha)/(1-cos(alpha))^2", "--nu", "1"],
+         1, "error:"),
+        (["--lambda", "(2+sin(alpha))^300", "--mu", "1", "--nu", "1"],
+         3, "numerical error:"),
+    ]
+    for metric_args, code, prefix in cases:
+        assert run(["compute", *metric_args]) == code, metric_args
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(prefix), err
+
+
 def test_distinct_output_paths(tmp_path):
     same = str(tmp_path / "out.txt")
     code = run(["compute", "--family", "paper", "--a", "2",
@@ -97,15 +114,16 @@ def test_sweep(tmp_path, capsys):
 
 def test_numerical_nonconvergence_exit_code(capsys, monkeypatch):
     import loopcs.cli
-    from loopcs.quadrature import QuadratureConvergenceError
 
-    def explode(*args, **kwargs):
-        raise QuadratureConvergenceError("did not converge", last=1.0, previous=2.0)
+    for error in (QuadratureConvergenceError("did not converge", last=1.0, previous=2.0),
+                  ResidueConventionError("density has imaginary residue")):
+        def explode(*args, **kwargs):
+            raise error
 
-    monkeypatch.setattr(loopcs.cli, "cs_class", explode)
-    code = run(["compute", "--family", "paper", "--a", "2"])
-    assert code == 3
-    assert "numerical error" in capsys.readouterr().err
+        monkeypatch.setattr(loopcs.cli, "cs_class", explode)
+        code = run(["compute", "--family", "paper", "--a", "2"])
+        assert code == 3
+        assert "numerical error" in capsys.readouterr().err
 
 
 def test_config_file_merging(tmp_path):

@@ -7,7 +7,7 @@ from loopcs.geometry import (BergerMetric, builtin_family, christoffel_koszul,
                              structure_constants)
 from loopcs.verify import (check_christoffel_oracle, check_jacobi_identity,
                            check_metric_compatibility, check_round_degeneracy,
-                           check_torsion_freedom)
+                           check_torsion_freedom, random_metric)
 
 
 def metric(lam="1", mu="1", nu="1"):
@@ -132,6 +132,19 @@ def test_positivity_enforced():
     with pytest.raises(ValueError) as err:
         metric("1", "cos(alpha)", "1")
     assert "alpha" in str(err.value)
+
+
+def test_periodicity_enforced():
+    for scale in ("1+0.1*alpha", "2+sin(0.5*alpha)"):
+        with pytest.raises(ValueError) as err:
+            metric(scale, "1", "2-cos(alpha)")
+        assert "periodic" in str(err.value)
+    for a in range(1, 65):
+        builtin_family(a)
+    round_metric()
+    rng = np.random.default_rng(20240)
+    for _ in range(50):
+        random_metric(rng)
 
 
 def test_family_parameter_zero_rejected():

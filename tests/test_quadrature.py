@@ -33,10 +33,23 @@ def test_scalar_only_integrand():
     assert abs(got - np.pi) < 1e-12
 
 
-def test_romberg_rule():
-    spec = QuadratureSpec(n=32, tol=1e-12, rule="romberg")
-    assert abs(integrate_circle(lambda x: np.sin(x) ** 2, spec) - np.pi) < 1e-10
-    assert abs(integrate_circle(lambda x: np.ones_like(x), spec) - TWO_PI) < 1e-12
+def test_refinement_samples_only_new_midpoints():
+    # T_N integrates cos(kx) to 2*pi when N divides k, else exactly to 0:
+    # T_16, T_32 and T_64 all differ, T_64 and T_128 are exact, so the
+    # ladder doubles twice and stops
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x, dtype=float))
+        return 1.0 + np.cos(48.0 * x) + 0.5 * np.cos(96.0 * x)
+
+    got = integrate_circle(f, QuadratureSpec(n=32, tol=1e-10))
+    assert abs(got - TWO_PI) < 1e-12
+    assert [c.size for c in calls] == [33, 32, 64]
+    seen = np.concatenate(calls)
+    assert np.unique(np.round(seen, 12)).size == seen.size  # no point twice
+    assert np.allclose(calls[1], TWO_PI / 32 * (np.arange(32) + 0.5))
+    assert np.allclose(calls[2], TWO_PI / 64 * (np.arange(64) + 0.5))
 
 
 def test_non_convergence_carries_estimates():
@@ -56,5 +69,3 @@ def test_spec_validation():
         QuadratureSpec(n=17)
     with pytest.raises(ValueError):
         QuadratureSpec(tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rule="midpoint")
