@@ -8,8 +8,8 @@ constant-loop S^3.  Both facts are computed here, not assumed.
 """
 import numpy as np
 
-from loopcs import (builtin_family, leading_order_density, round_metric,
-                    sigma0_connection, sigma_minus1_connection_beta,
+from loopcs import (builtin_family, christoffel_table, leading_order_density,
+                    round_metric, sigma0_connection, sigma_minus1_connection_beta,
                     sigma_minus1_connection_dot, sigma_minus1_curvature_beta)
 from loopcs.verify import random_metric
 
@@ -32,7 +32,7 @@ print()
 print("=" * 72)
 print("Order-(-1) symbol on the constant-loop S^3 (coefficient of 2is/xi)")
 print("=" * 72)
-sm1 = sigma_minus1_connection_beta(m, alpha)
+sm1 = sigma_minus1_connection_beta(christoffel_table(m, alpha))
 for l in (1, 2, 3):
     print(f"direction {l}: max |entry| = {np.max(np.abs(sm1.coeff((l,)))):.5f}")
 print("\nvectorized route vs naive loop route (direction 1):")

@@ -18,11 +18,9 @@ from .geometry import (BergerMetric, ChristoffelTable, CoefficientSet,
                        christoffel_table, coefficient_set, round_metric,
                        structure_constants)
 from .forms import MatrixForm, ScalarForm, evaluate3, trace, wedge
-from .symbols import (CurvatureSymbol, SymbolPair, curvature_symbol,
-                      sigma0_connection, sigma0_from_christoffel,
-                      sigma_minus1_connection_beta,
-                      sigma_minus1_connection_dot,
-                      sigma_minus1_curvature_beta, symbol_pair)
+from .symbols import (CurvatureSymbol, curvature_symbol, sigma0_connection,
+                      sigma0_from_christoffel, sigma_minus1_connection_beta,
+                      sigma_minus1_connection_dot, sigma_minus1_curvature_beta)
 from .chern_simons import (CSConfig, CSReport, RESIDUE_CONVENTION,
                            ResidueConventionError, cs_class, cs_density,
                            density_traces, leading_order_density, sweep)
@@ -38,9 +36,9 @@ __all__ = [
     "builtin_family", "christoffel_koszul", "christoffel_table",
     "coefficient_set", "round_metric", "structure_constants",
     "MatrixForm", "ScalarForm", "evaluate3", "trace", "wedge",
-    "CurvatureSymbol", "SymbolPair", "curvature_symbol", "sigma0_connection",
+    "CurvatureSymbol", "curvature_symbol", "sigma0_connection",
     "sigma0_from_christoffel", "sigma_minus1_connection_beta",
-    "sigma_minus1_connection_dot", "sigma_minus1_curvature_beta", "symbol_pair",
+    "sigma_minus1_connection_dot", "sigma_minus1_curvature_beta",
     "CSConfig", "CSReport", "RESIDUE_CONVENTION", "ResidueConventionError",
     "cs_class", "cs_density", "density_traces", "leading_order_density",
     "sweep",

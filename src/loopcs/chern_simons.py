@@ -6,16 +6,20 @@ integral: a density f(alpha) built from the connection symbols, with
 
     class value v = (s/4) * integral of f over the circle,
 
-taken mod Z.  The density combines two trace terms,
+taken mod Z.  The density combines two trace terms, each evaluated on the
+S^3 frame triple, where only the psi^1^psi^2^psi^3 coefficient survives:
 
-    T_conn(alpha) = Tr[ sigma_-1(theta) ^ sigma_0(theta) ^ sigma_0(theta) ]
-    T_curv(alpha) = Tr[ sigma_0(theta) ^ sigma_-1(Omega) ]
+    T_conn = Tr[ sigma_-1(theta) ^ sigma_0 ^ sigma_0 ] = sum Tr(M_i [S_j, S_k])
+    T_curv = Tr[ sigma_0 ^ sigma_-1(Omega) ]           = sum Tr(S_i O_jk)
 
-each evaluated on the S^3 frame and each carrying exactly one factor of
-the order-(-1) prefactor 2 i s / xi.  The curvature term is computed, not
-assumed: it vanishes identically on constant loops.  Reality of the final
-density is asserted, never presumed: the complex constants must cancel to
-a real number, and a residual imaginary part signals a convention bug.
+summed over the cyclic triples (i,j,k) of (1,2,3), with S_p, M_p the psi^p
+coefficients of sigma_0, sigma_-1(theta), O_pq the psi^p^psi^q ones of
+sigma_-1(Omega) and O_31 = -O_13, all built from one Christoffel table per
+grid.  Each term carries exactly one factor of the order-(-1) prefactor
+2 i s / xi.  The curvature term is computed, not assumed: it vanishes
+identically on constant loops.  Reality of the final density is asserted,
+never presumed: the complex constants must cancel to a real number, and a
+residual imaginary part signals a convention bug.
 
 cs_density is a pure function of (metric, config, alpha) and vectorizes
 over alpha grids.  cs_class evaluates it once on the report grid and hands
@@ -30,11 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forms import evaluate3, trace, wedge
-from .geometry import BergerMetric, builtin_family
+from .geometry import BergerMetric, builtin_family, christoffel_table
 from .quadrature import QuadratureSpec, circle_grid, trapezoid_ladder
 from .symbols import (ORDER_SIGMA0, ORDER_SIGMA_MINUS1, curvature_form_beta,
                       require_residue_extractable, sigma0_connection,
-                      sigma_minus1_connection_beta)
+                      sigma0_from_christoffel, sigma_minus1_connection_beta)
 
 # Constants of the transgression expansion for the first (l=2) class:
 # TP = 2 * int_0^1 P(theta ^ phi_t) dt splits into a curvature trace and a
@@ -107,13 +111,20 @@ def density_traces(m: BergerMetric, alpha):
     Both are coefficients of the order-(-1) prefactor; T_curv is the
     curvature term, identically zero along constant loops.
     """
-    s0 = sigma0_connection(m, alpha)
-    sm1 = sigma_minus1_connection_beta(m, alpha)
-    omega = curvature_form_beta(m, alpha)
+    table = christoffel_table(m, alpha)
+    omega = curvature_form_beta(table)  # first: its bracket temporaries are the largest
+    s0 = sigma0_from_christoffel(table)
+    sm1 = sigma_minus1_connection_beta(table)
     require_residue_extractable((ORDER_SIGMA_MINUS1, ORDER_SIGMA0, ORDER_SIGMA0))
     require_residue_extractable((ORDER_SIGMA0, ORDER_SIGMA_MINUS1))
-    t_conn = evaluate3(trace(wedge(wedge(sm1, s0), s0)))
-    t_curv = evaluate3(trace(wedge(s0, omega)))
+    cyclic = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+    trace_of_product = "...ab,...ba->..."
+    S = {p: s0.coeff((p,)) for p in (1, 2, 3)}
+    O = {(1, 2): omega.coeff((1, 2)), (2, 3): omega.coeff((2, 3)),
+         (3, 1): -omega.coeff((1, 3))}
+    t_conn = sum(np.einsum(trace_of_product, sm1.coeff((i,)), S[j] @ S[k] - S[k] @ S[j])
+                 for i, j, k in cyclic)
+    t_curv = sum(np.einsum(trace_of_product, S[i], O[j, k]) for i, j, k in cyclic)
     return t_conn, t_curv
 
 

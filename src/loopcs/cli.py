@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .chern_simons import (CSConfig, CSReport, NonFiniteDensityError,
-                           ResidueConventionError, cs_class, sweep)
+                           ResidueConventionError, cs_class, reduce_mod_z, sweep)
 from .expressions import EvalDomainError, ParseError, parse_expression
 from .geometry import BergerMetric, builtin_family
 from .quadrature import QuadratureConvergenceError, QuadratureSpec
@@ -166,10 +166,15 @@ def _check_out_paths(opts: dict) -> None:
         raise ConfigError("density and report output paths must be distinct")
 
 
+def _shown_mod_z(report: CSReport) -> float:
+    # mod_z just below 1 rounds to "1.000000" at six digits; show that as 0
+    return reduce_mod_z(round(report.mod_z, 6))
+
+
 def _summary_line(report: CSReport, a: int | None) -> str:
     label = f"a={a}" if a is not None else "custom"
     return (f"{label}: integral {report.integral:.6f}, class {report.class_value:.6f}, "
-            f"mod Z {report.mod_z:.6f}, {report.verdict}")
+            f"mod Z {_shown_mod_z(report):.6f}, {report.verdict}")
 
 
 def _run_compute(opts: dict) -> int:
@@ -203,7 +208,7 @@ def _run_sweep(opts: dict) -> int:
     print(f"{'a':>4}  {'integral':>14}  {'class':>12}  {'mod Z':>10}  verdict")
     for a, report in zip(a_values, reports):
         print(f"{a:>4}  {report.integral:>14.6f}  {report.class_value:>12.6f}  "
-              f"{report.mod_z:>10.6f}  {report.verdict}")
+              f"{_shown_mod_z(report):>10.6f}  {report.verdict}")
         if opts.get("report_out"):
             _write_report(_suffixed(opts["report_out"], a), _report_json(report, a))
         if opts.get("density_out"):

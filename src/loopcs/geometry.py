@@ -83,10 +83,15 @@ class BergerMetric:
         return (derivative(self.lam), derivative(self.mu), derivative(self.nu))
 
     def scale_jets(self, alpha: Number):
-        """Jets of (lam, mu, nu) at alpha."""
-        return (evaluate(self.lam, alpha, self.a),
-                evaluate(self.mu, alpha, self.a),
-                evaluate(self.nu, alpha, self.a))
+        """Jets of (lam, mu, nu) at alpha, each checked positive there: the
+        constructor's fixed grid can miss a fast oscillation."""
+        jets = tuple(evaluate(e, alpha, self.a) for e in (self.lam, self.mu, self.nu))
+        for name, jet in zip(("lam", "mu", "nu"), jets):
+            alphas, values = np.broadcast_arrays(alpha, jet.v)
+            if np.any(values <= 0.0):
+                bad = float(alphas[values <= 0.0].flat[0])
+                raise ValueError(f"{name} is not positive at alpha={bad:.6f}")
+        return jets
 
     def log_rate_jets(self, alpha: Number):
         """Jets of (lam'/lam, mu'/mu, nu'/nu): dotted expressions over jets,
@@ -163,20 +168,12 @@ class StructureConstants:
 
     c: Jet2
 
-    def entry(self, k: int, i: int, j: int) -> Jet2:
-        return Jet2(self.c.v[..., k, i, j], self.c.d1[..., k, i, j],
-                    self.c.d2[..., k, i, j])
-
 
 @dataclass(frozen=True)
 class ChristoffelTable:
     """gamma[k,i,j] = <nabla_{F_i} F_j, F_k> with exact alpha-derivatives."""
 
     gamma: Jet2
-
-    def entry(self, k: int, i: int, j: int) -> Jet2:
-        return Jet2(self.gamma.v[..., k, i, j], self.gamma.d1[..., k, i, j],
-                    self.gamma.d2[..., k, i, j])
 
 
 def structure_constants(m: BergerMetric, alpha: Number) -> StructureConstants:

@@ -63,10 +63,10 @@ def sigma0_connection(m: BergerMetric, alpha: Number) -> MatrixForm:
         [ -V psi2    W psi1   -C psi4   C/2 psi3 ]
         [ A/2 psi1  B/2 psi2  C/2 psi3     0     ]
 
-    The same matrix arises entrywise as (gamma[k,l,p] + gamma[l,k,p])/2 on
-    psi^p from the Christoffel table (see sigma0_from_christoffel, the
-    cross-check route); it is symmetric, which is what kills the
-    leading-order trace Tr[sigma0^3].
+    This is the display and oracle route; the pipeline builds the same
+    matrix, (gamma[k,l,p] + gamma[l,k,p])/2 on psi^p, from the Christoffel
+    table (sigma0_from_christoffel).  It is symmetric, which is what kills
+    the leading-order trace Tr[sigma0^3].
     """
     cs = coefficient_set(m, alpha)
     batch = np.shape(np.asarray(alpha))
@@ -85,48 +85,47 @@ def sigma0_connection(m: BergerMetric, alpha: Number) -> MatrixForm:
     return MatrixForm(1, {(p,): mats[p] for p in (1, 2, 3, 4)}, batch)
 
 
+def _transpose(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def sigma0_from_christoffel(table: ChristoffelTable) -> MatrixForm:
     """Order-0 symbol assembled directly from a Christoffel table.
 
-    Entry (k,l) is (gamma^k_{l p} + gamma^l_{k p})/2 psi^p.  Used as the
-    independent oracle for sigma0_connection.
+    Entry (k,l) is (gamma^k_{l p} + gamma^l_{k p})/2 psi^p.  This is the
+    pipeline route; sigma0_connection is its independent oracle.
     """
     g = table.gamma.v
-    sym = 0.5 * (g + np.einsum("...klp->...lkp", g))
-    batch = g.shape[:-3]
-    return MatrixForm(1, {(p + 1,): sym[..., p] for p in range(4)}, batch)
+    return MatrixForm(1, {(p + 1,): 0.5 * (g[..., p] + _transpose(g[..., p]))
+                          for p in range(4)}, g.shape[:-3])
 
 
-def sigma_minus1_connection_beta(m: BergerMetric, alpha: Number) -> MatrixForm:
+def sigma_minus1_connection_beta(table: ChristoffelTable) -> MatrixForm:
     """Order-(-1) symbol of the connection along constant loops.
 
     For tangents of the constant-loop S^3 (whose components are constant in
     alpha, so their alpha-derivative terms drop), the coefficient of
-    2 i s / xi in direction l is the matrix
+    2 i s / xi in direction l = 1..3 is the matrix
 
-        M_l[a,b] = d_l gamma[a,b,4]                        (== 0 here)
-                 + sum_k gamma[a,l,k] gamma[k,b,4]
+        M_l[a,b] = sum_k gamma[a,l,k] gamma[k,b,4]
                  - sum_k gamma[a,k,4] gamma[k,l,b]
                  - sum_q gamma[b,q,4] gamma[q,a,l]
                  - sum_p gamma[a,p,4] gamma[b,p,l]
                  + d_alpha( gamma[a,l,b] + gamma[b,a,l] ).
 
-    The spatial-derivative slot is kept explicitly and wired to zero: every
-    Christoffel symbol is a function of alpha alone in this frame.
+    The spatial term d_l gamma[a,b,4] of the general symbol is absent:
+    every Christoffel symbol of the left-invariant frame is a function of
+    alpha alone.
     """
-    table = christoffel_table(m, alpha)
     g, gd = table.gamma.v, table.gamma.d1
-    g4 = g[..., :, :, 3]  # g4[x,y] = gamma^x_{y 4}
-    spatial = np.zeros(g.shape[:-3] + (4, 4, 3))  # d_l gamma[a,b,4] slot
-    assert not spatial.any()
-    quad = (np.einsum("...alk,...kb->...abl", g, g4)
-            - np.einsum("...ak,...klb->...abl", g4, g)
-            - np.einsum("...bq,...qal->...abl", g4, g)
-            - np.einsum("...ap,...bpl->...abl", g4, g))
-    dot = (np.einsum("...alb->...abl", gd) + np.einsum("...bal->...abl", gd))
-    full = spatial + quad[..., :3] + dot[..., :3]
-    batch = g.shape[:-3]
-    return MatrixForm(1, {(l + 1,): full[..., l] for l in range(3)}, batch)
+    g4 = g[..., 3]  # g4[x,y] = gamma^x_{y 4}
+    coeffs = {}
+    for l in range(3):
+        row, col = g[..., l, :], g[..., l]  # gamma[a,l,b] and gamma[a,b,l]
+        coeffs[(l + 1,)] = (row @ g4 - g4 @ row - _transpose(g4 @ col)
+                            - g4 @ _transpose(col)
+                            + gd[..., l, :] + _transpose(gd[..., l]))
+    return MatrixForm(1, coeffs, g.shape[:-3])
 
 
 def sigma_minus1_connection_dot(m: BergerMetric, alpha: float, direction: int,
@@ -225,7 +224,7 @@ def curvature_symbol(m: BergerMetric, alpha: Number) -> CurvatureSymbol:
     return CurvatureSymbol(second=christoffel_table(m, alpha).gamma.d2)
 
 
-def curvature_form_beta(m: BergerMetric, alpha: Number) -> MatrixForm:
+def curvature_form_beta(table: ChristoffelTable) -> MatrixForm:
     """The curvature order-(-1) coefficient as a degree-2 form on S^3.
 
     Components on psi^p ^ psi^q (p < q in 1..3) are the bilinear-map values
@@ -233,20 +232,7 @@ def curvature_form_beta(m: BergerMetric, alpha: Number) -> MatrixForm:
     in the pipeline so the curvature term of the secondary class is
     computed rather than asserted away.
     """
-    sym = curvature_symbol(m, alpha)
+    sym = CurvatureSymbol(second=table.gamma.d2)
     coeffs = {(p, q): sym(_FRAME[p - 1], _FRAME[q - 1])
               for p, q in ((1, 2), (1, 3), (2, 3))}
     return MatrixForm(2, coeffs, sym.second.shape[:-3])
-
-
-@dataclass(frozen=True)
-class SymbolPair:
-    """Order-0 and order-(-1) connection symbols at fixed alpha."""
-
-    sigma0: MatrixForm
-    sigma_minus1: MatrixForm  # coefficient of 2 i s / xi
-
-
-def symbol_pair(m: BergerMetric, alpha: Number) -> SymbolPair:
-    return SymbolPair(sigma0=sigma0_connection(m, alpha),
-                      sigma_minus1=sigma_minus1_connection_beta(m, alpha))

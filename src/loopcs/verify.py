@@ -6,7 +6,8 @@ these) is reproducible.  Checks compare independent computational routes
 wherever one exists: closed-form Christoffel table against the Koszul
 formula, vectorized symbol assembly against naive loops, jets against
 finite differences, displayed symbol matrix against its Christoffel
-definition.
+definition, cyclic trace sums of the density against the generic wedge
+algebra.
 """
 from __future__ import annotations
 
@@ -18,14 +19,15 @@ import numpy as np
 from .chern_simons import (CSConfig, cs_class, cs_density, density_traces,
                            leading_order_density, reduce_mod_z)
 from .expressions import Alpha, Cos, Expr, Num, Sin, evaluate
-from .forms import MatrixForm, trace, wedge
+from .forms import MatrixForm, evaluate3, trace, wedge
 from .geometry import (BergerMetric, builtin_family, christoffel_koszul,
                        christoffel_table, coefficient_set,
                        structure_constants)
 from .quadrature import TWO_PI, QuadratureSpec, integrate_circle
-from .symbols import (require_residue_extractable, sigma0_connection,
-                      sigma0_from_christoffel, sigma_minus1_connection_beta,
-                      sigma_minus1_connection_dot, sigma_minus1_curvature_beta)
+from .symbols import (curvature_form_beta, require_residue_extractable,
+                      sigma0_connection, sigma0_from_christoffel,
+                      sigma_minus1_connection_beta, sigma_minus1_connection_dot,
+                      sigma_minus1_curvature_beta)
 
 
 @dataclass(frozen=True)
@@ -252,12 +254,36 @@ def check_sigma_minus1_routes(rng: np.random.Generator) -> CheckResult:
     for _ in range(200):
         m = random_metric(rng)
         alpha = float(rng.uniform(0.0, TWO_PI))
-        beta_form = sigma_minus1_connection_beta(m, alpha)
+        beta_form = sigma_minus1_connection_beta(christoffel_table(m, alpha))
         for direction in (1, 2, 3):
             loops = sigma_minus1_connection_dot(m, alpha, direction, None)
             worst = max(worst, float(np.max(np.abs(beta_form.coeff((direction,)) - loops))))
     return CheckResult("sigma_-1 vectorized route equals loop route", worst < 1e-12,
                        f"max entry diff {worst:.2e} over 200 samples (tol 1e-12)")
+
+
+def check_density_traces_oracle(rng: np.random.Generator) -> CheckResult:
+    """Cyclic trace sums of density_traces vs the generic MatrixForm wedge.
+
+    The wedge route takes sigma_0 from the coefficient-set display route,
+    so it shares no sigma_0 code with the table route it checks.  Errors are
+    relative to max(1, max |T|) over the sample grid of each metric.
+    """
+    worst = 0.0
+    alphas = rng.uniform(0.0, TWO_PI, 50)
+    metrics = [random_metric(rng) for _ in range(10)] + [builtin_family(2), builtin_family(8)]
+    for m in metrics:
+        table = christoffel_table(m, alphas)
+        s0 = sigma0_connection(m, alphas)
+        sm1 = sigma_minus1_connection_beta(table)
+        omega = curvature_form_beta(table)
+        wedged = (evaluate3(trace(wedge(wedge(sm1, s0), s0))),
+                  evaluate3(trace(wedge(s0, omega))))
+        for want, got in zip(wedged, density_traces(m, alphas)):
+            scale = max(1.0, float(np.max(np.abs(want))))
+            worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+    return CheckResult("density traces match the wedge-algebra route", worst < 1e-12,
+                       f"max rel diff {worst:.2e} over 12 metrics (tol 1e-12)")
 
 
 def check_curvature_vanishing(rng: np.random.Generator) -> CheckResult:
@@ -377,6 +403,7 @@ ALL_CHECKS: List[Callable[[np.random.Generator], CheckResult]] = [
     check_wedge_bilinearity,
     check_sigma0_routes,
     check_sigma_minus1_routes,
+    check_density_traces_oracle,
     check_curvature_vanishing,
     check_residue_order_guard,
     check_leading_order_vanishing,

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 import loopcs.chern_simons
+import loopcs.geometry
+import loopcs.symbols
 from loopcs.chern_simons import (CSConfig, NonFiniteDensityError,
                                  ResidueConventionError, _require_real,
                                  cs_class, cs_density, density_traces,
                                  leading_order_density, reduce_mod_z, sweep)
 from loopcs.expressions import parse_expression
+from loopcs.forms import MatrixForm
 from loopcs.geometry import BergerMetric, builtin_family, round_metric
 from loopcs.quadrature import QuadratureSpec
 from loopcs.verify import random_metric
@@ -144,6 +147,27 @@ def test_density_evaluated_once_per_class(a, monkeypatch):
     counted = _count_density_samples(monkeypatch)
     report = cs_class(builtin_family(a), CFG)
     assert counted[0] == CFG.quadrature.n + 1 == report.densities.size
+
+
+@pytest.mark.parametrize("a", [2, 8, 32])
+def test_one_table_and_no_wedge_per_class(a, monkeypatch):
+    calls = {"christoffel_table": 0, "scale_jets": 0, "wedge": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    table = counting("christoffel_table", loopcs.geometry.christoffel_table)
+    for module in (loopcs.geometry, loopcs.symbols, loopcs.chern_simons):
+        if hasattr(module, "christoffel_table"):
+            monkeypatch.setattr(module, "christoffel_table", table)
+    monkeypatch.setattr(BergerMetric, "scale_jets",
+                        counting("scale_jets", BergerMetric.scale_jets))
+    monkeypatch.setattr(MatrixForm, "wedge", counting("wedge", MatrixForm.wedge))
+    cs_class(builtin_family(a), CFG)
+    assert calls == {"christoffel_table": 1, "scale_jets": 1, "wedge": 0}
 
 
 def test_non_finite_density_rejected(monkeypatch):

@@ -60,6 +60,14 @@ def test_compute_custom_round_metric(tmp_path):
     assert report["a"] is None
 
 
+def test_summary_mod_z_stays_below_one(capsys):
+    # the class is -8.7e-17 and mod_z 0.9999999999999999, which rounds up
+    # to 1.000000 at six digits
+    scale = "2+sin(alpha)"
+    assert run(["compute", "--lambda", scale, "--mu", scale, "--nu", scale]) == 0
+    assert "mod Z 0.000000" in capsys.readouterr().out
+
+
 def test_parse_error_exit_code(capsys):
     assert run(["compute", "--lambda", "1", "--mu", "sin(alpha", "--nu", "1"]) == 2
     err = capsys.readouterr().err
@@ -82,6 +90,9 @@ def test_bad_metrics_exit_codes(capsys):
          1, "error:"),
         (["--lambda", "(2+sin(alpha))^300", "--mu", "1", "--nu", "1"],
          3, "numerical error:"),
+        # lam = cos(1024 alpha): 1 on the constructor's 1024-point grid, but
+        # not positive at about half of the 4097 report-grid samples
+        (["--lambda", "1-2*sin(512*alpha)^2", "--mu", "1", "--nu", "1"], 1, "error:"),
     ]
     for metric_args, code, prefix in cases:
         assert run(["compute", *metric_args]) == code, metric_args

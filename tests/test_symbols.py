@@ -8,7 +8,7 @@ from loopcs.symbols import (curvature_symbol,
                             require_residue_extractable, sigma0_connection,
                             sigma_minus1_connection_beta,
                             sigma_minus1_connection_dot,
-                            sigma_minus1_curvature_beta, symbol_pair)
+                            sigma_minus1_curvature_beta)
 from loopcs.verify import (check_curvature_vanishing, check_sigma0_routes,
                            check_sigma_minus1_routes, random_metric)
 
@@ -57,7 +57,8 @@ def test_sigma0_coefficients_are_real():
 
 def test_constant_scales_sigma_minus1_vanishes():
     # every term carries either a gamma^._{.4} factor or an alpha-derivative
-    assert sigma_minus1_connection_beta(metric("1", "2", "3"), 0.8).max_abs() == 0.0
+    assert sigma_minus1_connection_beta(
+        christoffel_table(metric("1", "2", "3"), 0.8)).max_abs() == 0.0
 
 
 def test_hand_expanded_entry():
@@ -67,13 +68,13 @@ def test_hand_expanded_entry():
     # with mu = 2 - cos(alpha) at alpha = pi/3: mu = 3/2, B = (sqrt3/2)/(3/2),
     # so M_3[1,2] = 2 * sqrt(3)/3 * 5/4 = 5 sqrt(3) / 6
     m = metric("1", "2-cos(alpha)", "2-cos(alpha)")
-    got = sigma_minus1_connection_beta(m, np.pi / 3.0).coeff((3,))[0, 1]
+    got = sigma_minus1_connection_beta(christoffel_table(m, np.pi / 3.0)).coeff((3,))[0, 1]
     assert abs(got - 5.0 * np.sqrt(3.0) / 6.0) < 1e-13
 
 
 def test_builtin_family_sigma_minus1_finite_and_consistent():
     m = builtin_family(2)
-    form = sigma_minus1_connection_beta(m, 0.0)
+    form = sigma_minus1_connection_beta(christoffel_table(m, 0.0))
     assert np.all(np.isfinite(form.coeff((1,))))
     assert form.max_abs() > 0.0
     for direction in (1, 2, 3):
@@ -164,13 +165,6 @@ def test_curvature_index_validation():
 
 
 # ------------------------------------------------------------- housekeeping
-
-def test_symbol_pair_shape():
-    pair = symbol_pair(builtin_family(2), 0.3)
-    assert pair.sigma0.degree == 1
-    assert pair.sigma_minus1.degree == 1
-    assert all(idx[0] in (1, 2, 3) for idx in pair.sigma_minus1.indices())
-
 
 def test_residue_order_bookkeeping():
     require_residue_extractable((-1, 0, 0))
