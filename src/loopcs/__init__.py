@@ -13,8 +13,9 @@ from .expressions import (Expr, EvalDomainError, ParseError, derivative,
                           evaluate, parse_expression)
 from .quadrature import (QuadratureConvergenceError, QuadratureSpec,
                          integrate_circle)
-from .geometry import (BergerMetric, ChristoffelTable, CoefficientSet,
-                       StructureConstants, builtin_family, christoffel_koszul,
+from .geometry import (BergerMetric, ChristoffelCoefficients, ChristoffelTable,
+                       CoefficientSet, StructureConstants, builtin_family,
+                       christoffel_coefficients, christoffel_koszul,
                        christoffel_table, coefficient_set, round_metric,
                        structure_constants)
 from .forms import MatrixForm, ScalarForm, evaluate3, trace, wedge
@@ -22,8 +23,9 @@ from .symbols import (CurvatureSymbol, curvature_symbol, sigma0_connection,
                       sigma0_from_christoffel, sigma_minus1_connection_beta,
                       sigma_minus1_connection_dot, sigma_minus1_curvature_beta)
 from .chern_simons import (CSConfig, CSReport, RESIDUE_CONVENTION,
-                           ResidueConventionError, cs_class, cs_density,
-                           density_traces, leading_order_density, sweep)
+                           ResidueConventionError, connection_trace, cs_class,
+                           cs_density, density_traces, leading_order_density,
+                           sweep)
 
 __version__ = "0.1.0"
 
@@ -32,14 +34,16 @@ __all__ = [
     "Expr", "EvalDomainError", "ParseError", "derivative", "evaluate",
     "parse_expression",
     "QuadratureConvergenceError", "QuadratureSpec", "integrate_circle",
-    "BergerMetric", "ChristoffelTable", "CoefficientSet", "StructureConstants",
-    "builtin_family", "christoffel_koszul", "christoffel_table",
+    "BergerMetric", "ChristoffelCoefficients", "ChristoffelTable",
+    "CoefficientSet", "StructureConstants", "builtin_family",
+    "christoffel_coefficients", "christoffel_koszul", "christoffel_table",
     "coefficient_set", "round_metric", "structure_constants",
     "MatrixForm", "ScalarForm", "evaluate3", "trace", "wedge",
     "CurvatureSymbol", "curvature_symbol", "sigma0_connection",
     "sigma0_from_christoffel", "sigma_minus1_connection_beta",
     "sigma_minus1_connection_dot", "sigma_minus1_curvature_beta",
     "CSConfig", "CSReport", "RESIDUE_CONVENTION", "ResidueConventionError",
-    "cs_class", "cs_density", "density_traces", "leading_order_density",
+    "connection_trace", "cs_class", "cs_density", "density_traces",
+    "leading_order_density",
     "sweep",
 ]

@@ -14,12 +14,19 @@ S^3 frame triple, where only the psi^1^psi^2^psi^3 coefficient survives:
 
 summed over the cyclic triples (i,j,k) of (1,2,3), with S_p, M_p the psi^p
 coefficients of sigma_0, sigma_-1(theta), O_pq the psi^p^psi^q ones of
-sigma_-1(Omega) and O_31 = -O_13, all built from one Christoffel table per
-grid.  Each term carries exactly one factor of the order-(-1) prefactor
-2 i s / xi.  The curvature term is computed, not assumed: it vanishes
-identically on constant loops.  Reality of the final density is asserted,
-never presumed: the complex constants must cancel to a real number, and a
-residual imaginary part signals a convention bug.
+sigma_-1(Omega) and O_31 = -O_13.  Each term carries exactly one factor of
+the order-(-1) prefactor 2 i s / xi.
+
+The class path forms T_conn alone, in connection_trace, straight from the
+six Christoffel coefficient functions: S_p has four nonzero entries and M_l
+three, so each cyclic term is three scalar products.  T_curv vanishes
+identically on constant loops (the curvature symbol needs a fourth frame
+component, absent on S^3); density_traces still computes it through the
+dense table, symbol and trace route, and the verify suite measures that
+nullity on random metrics and checks connection_trace against the generic
+wedge algebra.  Reality is asserted, never presumed: the complex constant
+chain multiplying T_conn must collapse to a real scalar, and a residual
+imaginary part signals a convention bug.
 
 cs_density is a pure function of (metric, config, alpha) and vectorizes
 over alpha grids.  cs_class evaluates it once on the report grid and hands
@@ -34,17 +41,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forms import evaluate3, trace, wedge
-from .geometry import BergerMetric, builtin_family, christoffel_table
+from .geometry import (BergerMetric, ChristoffelCoefficients, builtin_family,
+                       christoffel_coefficients, christoffel_table)
 from .quadrature import QuadratureSpec, circle_grid, trapezoid_ladder
 from .symbols import (ORDER_SIGMA0, ORDER_SIGMA_MINUS1, curvature_form_beta,
                       require_residue_extractable, sigma0_connection,
-                      sigma0_from_christoffel, sigma_minus1_connection_beta)
+                      sigma0_from_christoffel)
 
 # Constants of the transgression expansion for the first (l=2) class:
 # TP = 2 * int_0^1 P(theta ^ phi_t) dt splits into a curvature trace and a
 # triple-connection trace; the symbol calculus turns the latter into three
-# equal copies of the single-sigma_-1 product.
-CURVATURE_TRACE_CONSTANT = -1j / (8.0 * math.pi ** 3)
+# equal copies of the single-sigma_-1 product.  The curvature trace's
+# constant, -i / (8 pi^3), multiplies T_curv, which vanishes on constant
+# loops, so only the connection chain enters the density.
 CONNECTION_TRACE_CONSTANT = 1j / (48.0 * math.pi ** 3)
 CONNECTION_MULTIPLICITY = 3
 
@@ -53,12 +62,15 @@ CONNECTION_MULTIPLICITY = 3
 # by two requirements: (i) the reported density must be the alternating
 # symbol trace itself, the normalization under which the class arithmetic
 # v = (s/4) * integral(f) is consistent, and (ii) the full complex constant
-# chain below must then collapse to exactly that real density.  With
+# chain (_constant_chain) must then collapse to a real scalar.  With
 # R = -4*pi the connection term's prefactor chain is
 #     (2 pi^2 / s) * R * (2 i s) * (i / 48 pi^3) * 3 = +1.
 RESIDUE_CONVENTION = -4.0 * math.pi
 
 IMAG_TOLERANCE = 1e-10
+
+# the cyclic triples (i, j, k) of (1, 2, 3) summed by both trace terms
+_CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
 class ResidueConventionError(ArithmeticError):
@@ -105,37 +117,87 @@ class CSReport:
         return min(self.mod_z, 1.0 - self.mod_z)
 
 
+def connection_trace(c: ChristoffelCoefficients):
+    """T_conn = sum over cyclic (i,j,k) of Tr(M_i [S_j, S_k]), sparse.
+
+    With frame labels 1..4 and primes for d/dalpha, the order-0
+    coefficients are the symmetric matrices
+
+        S_1: A/2 at (1,4),(4,1);  (q+r)/2 at (2,3),(3,2)
+        S_2: (p-r)/2 at (1,3),(3,1);  B/2 at (2,4),(4,2)
+        S_3: -(p+q)/2 at (1,2),(2,1);  C/2 at (3,4),(4,3)
+
+    and the order-(-1) coefficients M_l (sigma_minus1_connection_beta on
+    the sparse table) have three nonzero entries each.  Only + - * act on
+    the jets' values and first derivatives, so symbolic coefficients pass
+    through unchanged.
+    """
+    p, q, r, A, B, C = c.p.v, c.q.v, c.r.v, c.A.v, c.B.v, c.C.v
+    dp, dq, dr, dA, dB, dC = c.p.d1, c.q.d1, c.r.d1, c.A.d1, c.B.d1, c.C.d1
+    S = {}
+    for l, entries in ((1, {(1, 4): 0.5 * A, (2, 3): 0.5 * (q + r)}),
+                       (2, {(1, 3): 0.5 * (p - r), (2, 4): 0.5 * B}),
+                       (3, {(1, 2): -0.5 * (p + q), (3, 4): 0.5 * C})):
+        S[l] = {**entries, **{(b, a): x for (a, b), x in entries.items()}}
+    M = {
+        1: {(2, 3): (C - B) * p + (B + C) * q - dp + dq,
+            (3, 2): (C - B) * p + (B + C) * r + dp + dr,
+            (4, 1): dA - A * A},
+        2: {(1, 3): (A + C) * p + (C - A) * q + dp - dq,
+            (3, 1): (C - A) * q - (A + C) * r + dq - dr,
+            (4, 2): dB - B * B},
+        3: {(1, 2): -(A + B) * p + (B - A) * r - dp - dr,
+            (2, 1): -(A + B) * q + (B - A) * r - dq + dr,
+            (4, 3): dC - C * C},
+    }
+
+    def product_entry(x, y, a, b):
+        # (x @ y)[a, b] of two matrices held as {(row, col): entry}
+        return sum(xv * y[k, b] for (row, k), xv in x.items()
+                   if row == a and (k, b) in y)
+
+    return sum(m_ab * (product_entry(S[j], S[k], b, a) - product_entry(S[k], S[j], b, a))
+               for i, j, k in _CYCLIC for (a, b), m_ab in M[i].items())
+
+
 def density_traces(m: BergerMetric, alpha):
     """The two trace densities (T_conn, T_curv) on the S^3 frame.
 
-    Both are coefficients of the order-(-1) prefactor; T_curv is the
-    curvature term, identically zero along constant loops.
+    T_conn comes from connection_trace, as on the class path.  T_curv, the
+    curvature term, identically zero along constant loops, is formed
+    through the dense route: Christoffel table, sigma_0 and the curvature
+    form, then sum Tr(S_i O_jk).
     """
-    table = christoffel_table(m, alpha)
-    omega = curvature_form_beta(table)  # first: its bracket temporaries are the largest
-    s0 = sigma0_from_christoffel(table)
-    sm1 = sigma_minus1_connection_beta(table)
-    require_residue_extractable((ORDER_SIGMA_MINUS1, ORDER_SIGMA0, ORDER_SIGMA0))
     require_residue_extractable((ORDER_SIGMA0, ORDER_SIGMA_MINUS1))
-    cyclic = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
-    trace_of_product = "...ab,...ba->..."
-    S = {p: s0.coeff((p,)) for p in (1, 2, 3)}
+    table = christoffel_table(m, alpha)
+    omega = curvature_form_beta(table)
+    s0 = sigma0_from_christoffel(table)
     O = {(1, 2): omega.coeff((1, 2)), (2, 3): omega.coeff((2, 3)),
          (3, 1): -omega.coeff((1, 3))}
-    t_conn = sum(np.einsum(trace_of_product, sm1.coeff((i,)), S[j] @ S[k] - S[k] @ S[j])
-                 for i, j, k in cyclic)
-    t_curv = sum(np.einsum(trace_of_product, S[i], O[j, k]) for i, j, k in cyclic)
-    return t_conn, t_curv
+    t_curv = sum(np.einsum("...ab,...ba->...", s0.coeff((i,)), O[j, k])
+                 for i, j, k in _CYCLIC)
+    return connection_trace(christoffel_coefficients(m, alpha)), t_curv
+
+
+def _constant_chain(s: float) -> complex:
+    """kappa(s) = (2 pi^2 / s) R (2 i s) * 3 * C_conn, the complex constant
+    chain multiplying T_conn; it must collapse to a real number."""
+    return ((2.0 * math.pi ** 2 / s) * RESIDUE_CONVENTION * (2j * s)
+            * CONNECTION_MULTIPLICITY * CONNECTION_TRACE_CONSTANT)
 
 
 def _density_complex(m: BergerMetric, s: float, alpha) -> np.ndarray:
+    """f = Re kappa(s) * T_conn on alpha; every density sample passes here."""
+    require_residue_extractable((ORDER_SIGMA_MINUS1, ORDER_SIGMA0, ORDER_SIGMA0))
+    kappa = _constant_chain(s)
+    if not abs(kappa.imag) < IMAG_TOLERANCE:
+        raise ResidueConventionError(
+            f"the density's constant chain has imaginary part {kappa.imag:.3e}, "
+            f"not below {IMAG_TOLERANCE:.0e}; the constant conventions are inconsistent")
     # overflow shows up as non-finite samples, which _require_real reports
     with np.errstate(over="ignore", invalid="ignore"):
-        t_conn, t_curv = density_traces(m, alpha)
-        prefactor = RESIDUE_CONVENTION * (2j * s)
-        d = prefactor * (CURVATURE_TRACE_CONSTANT * t_curv
-                         + CONNECTION_TRACE_CONSTANT * CONNECTION_MULTIPLICITY * t_conn)
-        return (2.0 * math.pi ** 2 / s) * d
+        t_conn = connection_trace(christoffel_coefficients(m, alpha))
+        return kappa.real * np.broadcast_to(t_conn, np.shape(alpha))
 
 
 def _require_real(values: np.ndarray, tol: float = IMAG_TOLERANCE) -> np.ndarray:
@@ -183,9 +245,9 @@ def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
     claim the numerics cannot support).
     """
     grid = circle_grid(cfg.quadrature.n)
-    complex_samples = _density_complex(m, cfg.s, grid)
-    max_imag = float(np.max(np.abs(np.imag(complex_samples))))
-    densities = _require_real(complex_samples)
+    densities = _require_real(_density_complex(m, cfg.s, grid))
+    # the imaginary part the density would carry: |Im kappa| max |f|
+    max_imag = abs(_constant_chain(cfg.s).imag) * float(np.max(np.abs(densities)))
     integral = trapezoid_ladder(lambda x: cs_density(m, cfg, x), densities, cfg.quadrature)
     value = cfg.s / 4.0 * integral
     mod_z = reduce_mod_z(value)

@@ -93,13 +93,12 @@ class BergerMetric:
                 raise ValueError(f"{name} is not positive at alpha={bad:.6f}")
         return jets
 
-    def log_rate_jets(self, alpha: Number):
-        """Jets of (lam'/lam, mu'/mu, nu'/nu): dotted expressions over jets,
-        so even the second derivatives are exact."""
-        dl, dm, dn = self._dotted
-        return (evaluate(dl, alpha, self.a) / evaluate(self.lam, alpha, self.a),
-                evaluate(dm, alpha, self.a) / evaluate(self.mu, alpha, self.a),
-                evaluate(dn, alpha, self.a) / evaluate(self.nu, alpha, self.a))
+    def log_rate_jets(self, alpha: Number, scales):
+        """Jets of (lam'/lam, mu'/mu, nu'/nu): dotted expressions over the
+        scale jets the caller holds (from scale_jets at the same alpha), so
+        even the second derivatives are exact."""
+        return tuple(evaluate(dotted, alpha, self.a) / scale
+                     for dotted, scale in zip(self._dotted, scales))
 
 
 # the built-in one-parameter family: lam = 1, mu = 2 + (1/a) cos(a alpha)
@@ -140,8 +139,9 @@ class CoefficientSet:
 
 
 def coefficient_set(m: BergerMetric, alpha: Number) -> CoefficientSet:
-    lam, mu, nu = m.scale_jets(alpha)
-    A, B, C = m.log_rate_jets(alpha)
+    scales = m.scale_jets(alpha)
+    lam, mu, nu = scales
+    A, B, C = m.log_rate_jets(alpha, scales)
     lmn = lam * mu * nu
     return CoefficientSet(
         U=nu ** 2 * (mu ** 2 - lam ** 2) / lmn,
@@ -183,8 +183,9 @@ def structure_constants(m: BergerMetric, alpha: Number) -> StructureConstants:
     brackets with F4 = d/drho pick up the scale rates, e.g.
     [F4, F1] = (lam'/lam) F1.
     """
-    lam, mu, nu = m.scale_jets(alpha)
-    A, B, C = m.log_rate_jets(alpha)
+    scales = m.scale_jets(alpha)
+    lam, mu, nu = scales
+    A, B, C = m.log_rate_jets(alpha, scales)
     c = _jet_tensor(np.shape(np.asarray(alpha)))
     pairs = [
         (2, 0, 1, 2.0 * lam * mu / nu),   # c^3_12
@@ -220,27 +221,54 @@ def christoffel_koszul(m: BergerMetric, alpha: Number) -> ChristoffelTable:
     return ChristoffelTable(Jet2(koszul(c.v), koszul(c.d1), koszul(c.d2)))
 
 
+@dataclass(frozen=True)
+class ChristoffelCoefficients:
+    """The six functions of alpha behind the twelve nonzero Christoffel
+    symbols (frame labels 1..4):
+
+        p = gamma^3_12 = -gamma^2_13,   q = gamma^3_21 = -gamma^1_23,
+        r = gamma^2_31 = -gamma^1_32,
+        A = gamma^4_11 = -gamma^1_14 = lam'/lam,  B, C likewise for mu, nu.
+    """
+
+    p: Jet2
+    q: Jet2
+    r: Jet2
+    A: Jet2
+    B: Jet2
+    C: Jet2
+
+
+def christoffel_coefficients(m: BergerMetric, alpha: Number) -> ChristoffelCoefficients:
+    """p, q, r and the log-rates A, B, C from one scale_jets call:
+
+        p = ( lam^2 mu^2 - mu^2 nu^2 + nu^2 lam^2) / (lam mu nu)
+        q = (-lam^2 mu^2 - mu^2 nu^2 + nu^2 lam^2) / (lam mu nu)
+        r = ( nu^2 lam^2 - lam^2 mu^2 + mu^2 nu^2) / (lam mu nu)
+    """
+    scales = m.scale_jets(alpha)
+    lam, mu, nu = scales
+    A, B, C = m.log_rate_jets(alpha, scales)
+    lmn = lam * mu * nu
+    l2, m2, n2 = lam ** 2, mu ** 2, nu ** 2
+    return ChristoffelCoefficients(
+        p=(l2 * m2 - m2 * n2 + n2 * l2) / lmn,
+        q=(-l2 * m2 - m2 * n2 + n2 * l2) / lmn,
+        r=(n2 * l2 - l2 * m2 + m2 * n2) / lmn,
+        A=A, B=B, C=C,
+    )
+
+
 def christoffel_table(m: BergerMetric, alpha: Number) -> ChristoffelTable:
-    """The closed-form Christoffel table of the scaled orthonormal frame.
-
-    Nonzero entries (gamma[k,i,j], frame labels 1..4):
-
-        gamma^3_12 = ( lam^2 mu^2 - mu^2 nu^2 + nu^2 lam^2) / (lam mu nu) = -gamma^2_13
-        gamma^3_21 = (-lam^2 mu^2 - mu^2 nu^2 + nu^2 lam^2) / (lam mu nu) = -gamma^1_23
-        gamma^2_31 = ( nu^2 lam^2 - lam^2 mu^2 + mu^2 nu^2) / (lam mu nu) = -gamma^1_32
-        gamma^1_14 = -gamma^4_11 = -lam'/lam, and likewise for (2, mu), (3, nu).
+    """The closed-form Christoffel table of the scaled orthonormal frame:
+    the dense placement of christoffel_coefficients.
 
     Every gamma^i_4j, gamma^i_44 and gamma^4_4j vanishes: F4-directed
     derivatives of the orthonormal frame are zero, i.e. the frame is
     parallel along the circle fibers.
     """
-    lam, mu, nu = m.scale_jets(alpha)
-    A, B, C = m.log_rate_jets(alpha)
-    lmn = lam * mu * nu
-    l2, m2, n2 = lam ** 2, mu ** 2, nu ** 2
-    p = (l2 * m2 - m2 * n2 + n2 * l2) / lmn
-    q = (-l2 * m2 - m2 * n2 + n2 * l2) / lmn
-    r = (n2 * l2 - l2 * m2 + m2 * n2) / lmn
+    c = christoffel_coefficients(m, alpha)
+    p, q, r, A, B, C = c.p, c.q, c.r, c.A, c.B, c.C
     g = _jet_tensor(np.shape(np.asarray(alpha)))
     for k, i, j, value in [
         (2, 0, 1, p), (1, 0, 2, -p),

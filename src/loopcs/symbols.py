@@ -63,9 +63,10 @@ def sigma0_connection(m: BergerMetric, alpha: Number) -> MatrixForm:
         [ -V psi2    W psi1   -C psi4   C/2 psi3 ]
         [ A/2 psi1  B/2 psi2  C/2 psi3     0     ]
 
-    This is the display and oracle route; the pipeline builds the same
-    matrix, (gamma[k,l,p] + gamma[l,k,p])/2 on psi^p, from the Christoffel
-    table (sigma0_from_christoffel).  It is symmetric, which is what kills
+    This is the display and oracle route; sigma0_from_christoffel builds
+    the same matrix, (gamma[k,l,p] + gamma[l,k,p])/2 on psi^p, from the
+    Christoffel table, and the class path's kernel (connection_trace) holds
+    only its nonzero entries.  It is symmetric, which is what kills
     the leading-order trace Tr[sigma0^3].
     """
     cs = coefficient_set(m, alpha)
@@ -93,7 +94,8 @@ def sigma0_from_christoffel(table: ChristoffelTable) -> MatrixForm:
     """Order-0 symbol assembled directly from a Christoffel table.
 
     Entry (k,l) is (gamma^k_{l p} + gamma^l_{k p})/2 psi^p.  This is the
-    pipeline route; sigma0_connection is its independent oracle.
+    dense route behind the curvature trace of density_traces;
+    sigma0_connection is its independent oracle.
     """
     g = table.gamma.v
     return MatrixForm(1, {(p + 1,): 0.5 * (g[..., p] + _transpose(g[..., p]))
@@ -228,9 +230,9 @@ def curvature_form_beta(table: ChristoffelTable) -> MatrixForm:
     """The curvature order-(-1) coefficient as a degree-2 form on S^3.
 
     Components on psi^p ^ psi^q (p < q in 1..3) are the bilinear-map values
-    on the corresponding frame pair: identically zero matrices here, kept
-    in the pipeline so the curvature term of the secondary class is
-    computed rather than asserted away.
+    on the corresponding frame pair: identically zero matrices here.
+    density_traces and the verify suite evaluate it, so the curvature
+    term's nullity is measured rather than asserted away.
     """
     sym = CurvatureSymbol(second=table.gamma.d2)
     coeffs = {(p, q): sym(_FRAME[p - 1], _FRAME[q - 1])

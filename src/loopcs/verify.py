@@ -6,8 +6,8 @@ these) is reproducible.  Checks compare independent computational routes
 wherever one exists: closed-form Christoffel table against the Koszul
 formula, vectorized symbol assembly against naive loops, jets against
 finite differences, displayed symbol matrix against its Christoffel
-definition, cyclic trace sums of the density against the generic wedge
-algebra.
+definition, the sparse connection-trace kernel of the density against the
+generic wedge algebra.
 """
 from __future__ import annotations
 
@@ -263,11 +263,13 @@ def check_sigma_minus1_routes(rng: np.random.Generator) -> CheckResult:
 
 
 def check_density_traces_oracle(rng: np.random.Generator) -> CheckResult:
-    """Cyclic trace sums of density_traces vs the generic MatrixForm wedge.
+    """density_traces vs the generic MatrixForm wedge.
 
-    The wedge route takes sigma_0 from the coefficient-set display route,
-    so it shares no sigma_0 code with the table route it checks.  Errors are
-    relative to max(1, max |T|) over the sample grid of each metric.
+    T_conn is the class path's sparse kernel, connection_trace; T_curv is
+    the dense cyclic sum.  The wedge route takes sigma_0 from the
+    coefficient-set display route and sigma_-1 from the dense table, so it
+    shares no symbol or trace code with the kernel it checks.  Errors are relative to
+    max(1, max |T|) over the sample grid of each metric.
     """
     worst = 0.0
     alphas = rng.uniform(0.0, TWO_PI, 50)

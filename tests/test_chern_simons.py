@@ -128,6 +128,13 @@ def test_reality_guard():
     assert _require_real(np.array([1.0 + 0.0j]))[0] == 1.0
 
 
+def test_real_connection_constant_trips_reality_guard(monkeypatch):
+    # a real constant leaves the chain (2 pi^2/s) R (2 i s) 3 C purely imaginary
+    monkeypatch.setattr(loopcs.chern_simons, "CONNECTION_TRACE_CONSTANT", 1.0)
+    with pytest.raises(ResidueConventionError):
+        cs_density(builtin_family(2), CFG, np.linspace(0.0, 2 * np.pi, 9))
+
+
 def _count_density_samples(monkeypatch):
     # every density evaluation, on the report grid or on a refinement,
     # passes through _density_complex
@@ -150,8 +157,9 @@ def test_density_evaluated_once_per_class(a, monkeypatch):
 
 
 @pytest.mark.parametrize("a", [2, 8, 32])
-def test_one_table_and_no_wedge_per_class(a, monkeypatch):
-    calls = {"christoffel_table": 0, "scale_jets": 0, "wedge": 0}
+def test_no_table_no_wedge_six_evaluates_per_class(a, monkeypatch):
+    m = builtin_family(a)  # the constructor's own evaluations are not counted
+    calls = {"christoffel_table": 0, "scale_jets": 0, "wedge": 0, "evaluate": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -166,8 +174,11 @@ def test_one_table_and_no_wedge_per_class(a, monkeypatch):
     monkeypatch.setattr(BergerMetric, "scale_jets",
                         counting("scale_jets", BergerMetric.scale_jets))
     monkeypatch.setattr(MatrixForm, "wedge", counting("wedge", MatrixForm.wedge))
-    cs_class(builtin_family(a), CFG)
-    assert calls == {"christoffel_table": 1, "scale_jets": 1, "wedge": 0}
+    # top-level evaluations of the scale trees and their derivatives
+    monkeypatch.setattr(loopcs.geometry, "evaluate",
+                        counting("evaluate", loopcs.geometry.evaluate))
+    cs_class(m, CFG)
+    assert calls == {"christoffel_table": 0, "scale_jets": 1, "wedge": 0, "evaluate": 6}
 
 
 def test_non_finite_density_rejected(monkeypatch):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from loopcs.chern_simons import ResidueConventionError
 from loopcs.cli import main
@@ -135,6 +139,26 @@ def test_numerical_nonconvergence_exit_code(capsys, monkeypatch):
         code = run(["compute", "--family", "paper", "--a", "2"])
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
+
+
+def test_real_connection_constant_exits_numerical(capsys, monkeypatch):
+    import loopcs.chern_simons
+
+    monkeypatch.setattr(loopcs.chern_simons, "CONNECTION_TRACE_CONSTANT", 1.0)
+    code = run(["compute", "--family", "paper", "--a", "2"])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error:")
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "loopcs", "compute", "--family", "paper",
+                           "--a", "2"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "nontrivial" in proc.stdout
 
 
 def test_config_file_merging(tmp_path):
