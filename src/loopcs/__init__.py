@@ -8,7 +8,7 @@ of Berger-type metrics -> connection symbols -> matrix-valued exterior
 algebra -> circle integral, (s/4)-normalized class value, mod-Z reduction
 and a nontriviality verdict.
 """
-from .jets import Jet2
+from .jets import Jet1, Jet2
 from .expressions import (Expr, EvalDomainError, ParseError, derivative,
                           evaluate, parse_expression)
 from .quadrature import (QuadratureConvergenceError, QuadratureSpec,
@@ -16,7 +16,8 @@ from .quadrature import (QuadratureConvergenceError, QuadratureSpec,
 from .geometry import (BergerMetric, ChristoffelCoefficients, ChristoffelTable,
                        CoefficientSet, StructureConstants, builtin_family,
                        christoffel_coefficients, christoffel_koszul,
-                       christoffel_table, coefficient_set, round_metric,
+                       christoffel_table, coefficient_set,
+                       first_order_coefficients, round_metric,
                        structure_constants)
 from .forms import MatrixForm, ScalarForm, evaluate3, trace, wedge
 from .symbols import (CurvatureSymbol, curvature_symbol, sigma0_connection,
@@ -30,14 +31,15 @@ from .chern_simons import (CSConfig, CSReport, RESIDUE_CONVENTION,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Jet2",
+    "Jet1", "Jet2",
     "Expr", "EvalDomainError", "ParseError", "derivative", "evaluate",
     "parse_expression",
     "QuadratureConvergenceError", "QuadratureSpec", "integrate_circle",
     "BergerMetric", "ChristoffelCoefficients", "ChristoffelTable",
     "CoefficientSet", "StructureConstants", "builtin_family",
     "christoffel_coefficients", "christoffel_koszul", "christoffel_table",
-    "coefficient_set", "round_metric", "structure_constants",
+    "coefficient_set", "first_order_coefficients", "round_metric",
+    "structure_constants",
     "MatrixForm", "ScalarForm", "evaluate3", "trace", "wedge",
     "CurvatureSymbol", "curvature_symbol", "sigma0_connection",
     "sigma0_from_christoffel", "sigma_minus1_connection_beta",

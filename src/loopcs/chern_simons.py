@@ -18,15 +18,17 @@ sigma_-1(Omega) and O_31 = -O_13.  Each term carries exactly one factor of
 the order-(-1) prefactor 2 i s / xi.
 
 The class path forms T_conn alone, in connection_trace, straight from the
-six Christoffel coefficient functions: S_p has four nonzero entries and M_l
-three, so each cyclic term is three scalar products.  T_curv vanishes
-identically on constant loops (the curvature symbol needs a fourth frame
-component, absent on S^3); density_traces still computes it through the
-dense table, symbol and trace route, and the verify suite measures that
-nullity on random metrics and checks connection_trace against the generic
-wedge algebra.  Reality is asserted, never presumed: the complex constant
-chain multiplying T_conn must collapse to a real scalar, and a residual
-imaginary part signals a convention bug.
+six Christoffel coefficient functions and their first derivatives
+(first_order_coefficients, from one scale_jets call and no derivative
+tree): S_p has four nonzero entries and M_l three, so each cyclic term is
+three scalar products.  T_curv vanishes identically on constant loops (the
+curvature symbol needs a fourth frame component, absent on S^3);
+density_traces still computes it through the dense table, symbol and
+trace route, and the verify suite measures that nullity on random metrics
+and checks connection_trace against the generic wedge algebra.  Reality
+is asserted, never presumed: the complex constant chain multiplying T_conn
+must collapse to a real scalar, and a residual imaginary part signals a
+convention bug.
 
 cs_density is a pure function of (metric, config, alpha) and vectorizes
 over alpha grids.  cs_class evaluates it once on the report grid and hands
@@ -42,7 +44,7 @@ import numpy as np
 
 from .forms import evaluate3, trace, wedge
 from .geometry import (BergerMetric, ChristoffelCoefficients, builtin_family,
-                       christoffel_coefficients, christoffel_table)
+                       christoffel_table, first_order_coefficients)
 from .quadrature import QuadratureSpec, circle_grid, trapezoid_ladder
 from .symbols import (ORDER_SIGMA0, ORDER_SIGMA_MINUS1, curvature_form_beta,
                       require_residue_extractable, sigma0_connection,
@@ -163,10 +165,10 @@ def connection_trace(c: ChristoffelCoefficients):
 def density_traces(m: BergerMetric, alpha):
     """The two trace densities (T_conn, T_curv) on the S^3 frame.
 
-    T_conn comes from connection_trace, as on the class path.  T_curv, the
-    curvature term, identically zero along constant loops, is formed
-    through the dense route: Christoffel table, sigma_0 and the curvature
-    form, then sum Tr(S_i O_jk).
+    T_conn comes from connection_trace over first_order_coefficients, as on
+    the class path.  T_curv, the curvature term, identically zero along
+    constant loops, is formed through the dense route: Christoffel table,
+    sigma_0 and the curvature form, then sum Tr(S_i O_jk).
     """
     require_residue_extractable((ORDER_SIGMA0, ORDER_SIGMA_MINUS1))
     table = christoffel_table(m, alpha)
@@ -176,7 +178,7 @@ def density_traces(m: BergerMetric, alpha):
          (3, 1): -omega.coeff((1, 3))}
     t_curv = sum(np.einsum("...ab,...ba->...", s0.coeff((i,)), O[j, k])
                  for i, j, k in _CYCLIC)
-    return connection_trace(christoffel_coefficients(m, alpha)), t_curv
+    return connection_trace(first_order_coefficients(*m.scale_jets(alpha))), t_curv
 
 
 def _constant_chain(s: float) -> complex:
@@ -196,7 +198,7 @@ def _density_complex(m: BergerMetric, s: float, alpha) -> np.ndarray:
             f"not below {IMAG_TOLERANCE:.0e}; the constant conventions are inconsistent")
     # overflow shows up as non-finite samples, which _require_real reports
     with np.errstate(over="ignore", invalid="ignore"):
-        t_conn = connection_trace(christoffel_coefficients(m, alpha))
+        t_conn = connection_trace(first_order_coefficients(*m.scale_jets(alpha)))
         return kappa.real * np.broadcast_to(t_conn, np.shape(alpha))
 
 

@@ -8,7 +8,6 @@ density, or a density with an imaginary residue), 4 invariant-suite failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -153,11 +152,11 @@ def _write_report(path: str, payload) -> None:
 
 
 def _write_density_csv(path: str, report: CSReport) -> None:
+    # the bytes csv.writer gives: CRLF row endings (RFC 4180), nothing quoted
+    rows = "".join(f"{alpha:.17g},{f:.17g}\r\n" for alpha, f in
+                   zip(report.alphas.tolist(), report.densities.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)  # csv defaults to CRLF row endings (RFC 4180)
-        writer.writerow(["alpha", "f"])
-        for alpha, f in zip(report.alphas, report.densities):
-            writer.writerow([f"{alpha:.17g}", f"{f:.17g}"])
+        fh.write("alpha,f\r\n" + rows)
 
 
 def _check_out_paths(opts: dict) -> None:

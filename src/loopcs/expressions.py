@@ -85,7 +85,9 @@ class Num(Expr):
     value: float
 
     def __str__(self):
-        return repr(self.value)
+        # positional, so the grammar's decimal literals read it back: repr
+        # writes 1e-05, which does not parse
+        return np.format_float_positional(self.value, unique=True, trim="0")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,14 @@ All tables are carried as value / first derivative / second derivative
 arrays; the derivatives are exact (propagated through jets and symbolic
 differentiation of the scale functions, never finite differences).
 
+The class path needs only the six Christoffel coefficient functions and
+their first derivatives: first_order_coefficients forms them from the
+scale jets of one scale_jets call (log-rates A = lam'/lam and their rates
+straight from the (v, d1, d2) jets), evaluating no derivative tree.  The
+dense tables (christoffel_table, structure_constants, coefficient_set)
+take the log-rates from the symbolically differentiated trees instead,
+with second derivatives, and serve as the oracle routes.
+
 Every function here is pure over immutable inputs and accepts either a
 scalar alpha or a grid of alphas (leading batch axes on the tables), so
 evaluation parallelizes trivially.
@@ -38,7 +46,7 @@ import numpy as np
 
 from .expressions import (Alpha, Cos, Div, Expr, Mul, Num, ParamA, Sin, Sub,
                           derivative, evaluate)
-from .jets import Jet2, Number
+from .jets import Jet1, Jet2, Number
 
 # relative agreement demanded of the scale jets at alpha = 0 and 2*pi
 PERIODICITY_TOLERANCE = 1e-9
@@ -54,19 +62,20 @@ class BergerMetric:
     a: int = 1
 
     def __post_init__(self):
-        grid = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-        ends = np.array([0.0, 2.0 * np.pi])
+        # one evaluation per tree: the first 1024 points are the positivity
+        # grid, points 0 and 1024 (alpha = 0 and 2*pi) the periodicity check
+        grid = np.linspace(0.0, 2.0 * np.pi, 1025)
         names = ("lam", "mu", "nu")
         end_jets = []
         for name, e in zip(names, (self.lam, self.mu, self.nu)):
-            values = np.asarray(evaluate(e, grid, self.a).v)
+            jet = evaluate(e, grid, self.a)
+            values = np.broadcast_to(jet.v, grid.shape)[:-1]
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} is not finite on [0, 2*pi)")
             if np.any(values <= 0.0):
                 bad = grid[np.argmin(values)]
                 raise ValueError(f"{name} is not positive at alpha={bad:.6f}")
-            jet = evaluate(e, ends, self.a)
-            end_jets.append(np.array([np.broadcast_to(x, ends.shape)
+            end_jets.append(np.array([np.broadcast_to(x, grid.shape)[[0, -1]]
                                       for x in (jet.v, jet.d1, jet.d2)]))
         # the circle quadrature is spectral only for periodic integrands: the
         # (v, d1, d2) jets at 0 and 2*pi must agree, relative to the largest
@@ -96,7 +105,9 @@ class BergerMetric:
     def log_rate_jets(self, alpha: Number, scales):
         """Jets of (lam'/lam, mu'/mu, nu'/nu): dotted expressions over the
         scale jets the caller holds (from scale_jets at the same alpha), so
-        even the second derivatives are exact."""
+        even the second derivatives are exact.  The oracle tables use it;
+        the class path takes the log-rates from the scale jets alone
+        (first_order_coefficients)."""
         return tuple(evaluate(dotted, alpha, self.a) / scale
                      for dotted, scale in zip(self._dotted, scales))
 
@@ -229,22 +240,30 @@ class ChristoffelCoefficients:
         p = gamma^3_12 = -gamma^2_13,   q = gamma^3_21 = -gamma^1_23,
         r = gamma^2_31 = -gamma^1_32,
         A = gamma^4_11 = -gamma^1_14 = lam'/lam,  B, C likewise for mu, nu.
+
+    2-jets from christoffel_coefficients, (value, first derivative) pairs
+    from first_order_coefficients.
     """
 
-    p: Jet2
-    q: Jet2
-    r: Jet2
-    A: Jet2
-    B: Jet2
-    C: Jet2
+    p: Jet2 | Jet1
+    q: Jet2 | Jet1
+    r: Jet2 | Jet1
+    A: Jet2 | Jet1
+    B: Jet2 | Jet1
+    C: Jet2 | Jet1
 
 
 def christoffel_coefficients(m: BergerMetric, alpha: Number) -> ChristoffelCoefficients:
-    """p, q, r and the log-rates A, B, C from one scale_jets call:
+    """p, q, r and the log-rates A, B, C as full 2-jets, for the dense
+    oracle table (its curvature needs second derivatives):
 
         p = ( lam^2 mu^2 - mu^2 nu^2 + nu^2 lam^2) / (lam mu nu)
         q = (-lam^2 mu^2 - mu^2 nu^2 + nu^2 lam^2) / (lam mu nu)
         r = ( nu^2 lam^2 - lam^2 mu^2 + mu^2 nu^2) / (lam mu nu)
+
+    The log-rates come from the symbolically differentiated trees
+    (log_rate_jets), a derivative route independent of the class path's
+    first_order_coefficients.
     """
     scales = m.scale_jets(alpha)
     lam, mu, nu = scales
@@ -256,6 +275,40 @@ def christoffel_coefficients(m: BergerMetric, alpha: Number) -> ChristoffelCoeff
         q=(-l2 * m2 - m2 * n2 + n2 * l2) / lmn,
         r=(n2 * l2 - l2 * m2 + m2 * n2) / lmn,
         A=A, B=B, C=C,
+    )
+
+
+def first_order_coefficients(lam: Jet2, mu: Jet2, nu: Jet2) -> ChristoffelCoefficients:
+    """p, q, r, A, B, C with values and first alpha-derivatives only, from
+    the scale jets of one scale_jets call: the class path's coefficients.
+
+    p, q, r take the quotient rule over lam mu nu (formulas as in
+    christoffel_coefficients); the log-rates take it over the scale itself,
+    A = lam'/lam and A' = (lam'' - A lam')/lam = lam''/lam - A^2, and B, C
+    likewise.  No derivative tree is evaluated, no second derivative formed.
+    """
+    L, M, N = lam.v, mu.v, nu.v
+    dL, dM, dN = lam.d1, mu.d1, nu.d1
+    l2, m2, n2 = L * L, M * M, N * N
+    dl2, dm2, dn2 = 2.0 * L * dL, 2.0 * M * dM, 2.0 * N * dN
+    lm, mn, nl = l2 * m2, m2 * n2, n2 * l2
+    dlm, dmn, dnl = dl2 * m2 + l2 * dm2, dm2 * n2 + m2 * dn2, dn2 * l2 + n2 * dl2
+    lmn = L * M * N
+    dlmn = (dL * M + L * dM) * N + L * M * dN
+
+    def over_lmn(num, dnum):
+        v = num / lmn
+        return Jet1(v, (dnum - v * dlmn) / lmn)
+
+    def log_rate(scale: Jet2):
+        rate = scale.d1 / scale.v
+        return Jet1(rate, (scale.d2 - rate * scale.d1) / scale.v)
+
+    return ChristoffelCoefficients(
+        p=over_lmn(lm - mn + nl, dlm - dmn + dnl),
+        q=over_lmn(-lm - mn + nl, -dlm - dmn + dnl),
+        r=over_lmn(nl - lm + mn, dnl - dlm + dmn),
+        A=log_rate(lam), B=log_rate(mu), C=log_rate(nu),
     )
 
 

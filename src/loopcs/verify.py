@@ -268,7 +268,9 @@ def check_density_traces_oracle(rng: np.random.Generator) -> CheckResult:
     T_conn is the class path's sparse kernel, connection_trace; T_curv is
     the dense cyclic sum.  The wedge route takes sigma_0 from the
     coefficient-set display route and sigma_-1 from the dense table, so it
-    shares no symbol or trace code with the kernel it checks.  Errors are relative to
+    shares no symbol or trace code with the kernel it checks, nor derivative
+    code: its log-rate derivatives come from symbolically differentiated
+    trees, the kernel's from the scale jets.  Errors are relative to
     max(1, max |T|) over the sample grid of each metric.
     """
     worst = 0.0

@@ -156,29 +156,40 @@ def test_density_evaluated_once_per_class(a, monkeypatch):
     assert counted[0] == CFG.quadrature.n + 1 == report.densities.size
 
 
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 @pytest.mark.parametrize("a", [2, 8, 32])
-def test_no_table_no_wedge_six_evaluates_per_class(a, monkeypatch):
+def test_no_table_no_log_rates_three_evaluates_per_class(a, monkeypatch):
     m = builtin_family(a)  # the constructor's own evaluations are not counted
-    calls = {"christoffel_table": 0, "scale_jets": 0, "wedge": 0, "evaluate": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    table = counting("christoffel_table", loopcs.geometry.christoffel_table)
+    calls = {"christoffel_table": 0, "scale_jets": 0, "log_rate_jets": 0,
+             "wedge": 0, "evaluate": 0}
+    table = _counting(calls, "christoffel_table", loopcs.geometry.christoffel_table)
     for module in (loopcs.geometry, loopcs.symbols, loopcs.chern_simons):
         if hasattr(module, "christoffel_table"):
             monkeypatch.setattr(module, "christoffel_table", table)
-    monkeypatch.setattr(BergerMetric, "scale_jets",
-                        counting("scale_jets", BergerMetric.scale_jets))
-    monkeypatch.setattr(MatrixForm, "wedge", counting("wedge", MatrixForm.wedge))
+    for name in ("scale_jets", "log_rate_jets"):
+        monkeypatch.setattr(BergerMetric, name,
+                            _counting(calls, name, getattr(BergerMetric, name)))
+    monkeypatch.setattr(MatrixForm, "wedge", _counting(calls, "wedge", MatrixForm.wedge))
     # top-level evaluations of the scale trees and their derivatives
     monkeypatch.setattr(loopcs.geometry, "evaluate",
-                        counting("evaluate", loopcs.geometry.evaluate))
+                        _counting(calls, "evaluate", loopcs.geometry.evaluate))
     cs_class(m, CFG)
-    assert calls == {"christoffel_table": 0, "scale_jets": 1, "wedge": 0, "evaluate": 6}
+    assert calls == {"christoffel_table": 0, "scale_jets": 1, "log_rate_jets": 0,
+                     "wedge": 0, "evaluate": 3}
+
+
+def test_metric_constructor_evaluates_each_tree_once(monkeypatch):
+    calls = {"evaluate": 0}
+    monkeypatch.setattr(loopcs.geometry, "evaluate",
+                        _counting(calls, "evaluate", loopcs.geometry.evaluate))
+    builtin_family(8)
+    assert calls == {"evaluate": 3}
 
 
 def test_non_finite_density_rejected(monkeypatch):

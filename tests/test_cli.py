@@ -1,11 +1,15 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from loopcs.chern_simons import ResidueConventionError
+from loopcs.chern_simons import ResidueConventionError, cs_class
 from loopcs.cli import main
+from loopcs.expressions import parse_expression
+from loopcs.geometry import BergerMetric, builtin_family
 from loopcs.quadrature import QuadratureConvergenceError
 
 A2_INTEGRAL = -26.0686813921976406
@@ -51,6 +55,23 @@ def test_outputs_are_byte_stable(tmp_path):
     assert run(args) == 0
     second = ((tmp_path / "r.json").read_bytes(), (tmp_path / "d.csv").read_bytes())
     assert first == second
+
+
+def test_density_csv_bytes_match_csv_writer(tmp_path):
+    custom = ("0.00001*sin(alpha)+2", "1", "3-cos(2*alpha)^2")
+    cases = [(["--family", "paper", "--a", "2"], builtin_family(2)),
+             (["--lambda", custom[0], "--mu", custom[1], "--nu", custom[2]],
+              BergerMetric(*(parse_expression(x) for x in custom)))]
+    for flags, m in cases:
+        path = tmp_path / "d.csv"
+        assert run(["compute", *flags, "--density-out", str(path)]) == 0
+        report = cs_class(m)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["alpha", "f"])
+        for alpha, f in zip(report.alphas, report.densities):
+            writer.writerow([f"{alpha:.17g}", f"{f:.17g}"])
+        assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_compute_custom_round_metric(tmp_path):
