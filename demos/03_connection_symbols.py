@@ -3,14 +3,16 @@
 Along constant loops, the H^s Levi-Civita connection one-form has an
 order-0 symbol (an honest matrix of one-forms) and an order-(-1) symbol
 proportional to 2is/xi.  The order-0 matrix is symmetric, which kills the
-leading-order trace; the curvature's order-(-1) part vanishes on the
-constant-loop S^3.  Both facts are computed here, not assumed.
+leading-order trace; that fact is computed here.  The curvature's
+order-(-1) part vanishes on the constant-loop S^3, because each of its
+terms needs a fourth (circle) frame component; that fact is derived
+symbolically in tests/test_kernel_derivation.py.
 """
 import numpy as np
 
 from loopcs import (builtin_family, christoffel_table, leading_order_density,
                     round_metric, sigma0_connection, sigma_minus1_connection_beta,
-                    sigma_minus1_connection_dot, sigma_minus1_curvature_beta)
+                    sigma_minus1_connection_dot)
 from loopcs.verify import random_metric
 
 m = builtin_family(2)
@@ -51,10 +53,9 @@ print()
 print("=" * 72)
 print("Two structural vanishing facts")
 print("=" * 72)
-worst_curv = max(np.max(np.abs(sigma_minus1_curvature_beta(m, a_, x, y)))
-                 for a_ in np.linspace(0, 2 * np.pi, 25)
-                 for (x, y) in ((1, 2), (1, 3), (2, 3)))
-print(f"curvature order-(-1) symbol on S^3 pairs:  max |entry| = {worst_curv:.2e}")
+print("curvature order-(-1) symbol on S^3 pairs: identically zero, since every")
+print("  surviving term carries a fourth frame component (derived symbolically")
+print("  in tests/test_kernel_derivation.py::test_curvature_symbol_vanishes_on_s3_pairs)")
 
 rng = np.random.default_rng(1)
 grid = np.linspace(0.0, 2 * np.pi, 200)

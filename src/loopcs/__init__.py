@@ -20,13 +20,11 @@ from .geometry import (BergerMetric, ChristoffelCoefficients, ChristoffelTable,
                        first_order_coefficients, round_metric,
                        structure_constants)
 from .forms import MatrixForm, ScalarForm, evaluate3, trace, wedge
-from .symbols import (CurvatureSymbol, curvature_symbol, sigma0_connection,
-                      sigma0_from_christoffel, sigma_minus1_connection_beta,
-                      sigma_minus1_connection_dot, sigma_minus1_curvature_beta)
+from .symbols import (sigma0_connection, sigma0_from_christoffel,
+                      sigma_minus1_connection_beta, sigma_minus1_connection_dot)
 from .chern_simons import (CSConfig, CSReport, RESIDUE_CONVENTION,
                            ResidueConventionError, connection_trace, cs_class,
-                           cs_density, density_traces, leading_order_density,
-                           sweep)
+                           cs_density, leading_order_density, sweep)
 
 __version__ = "0.1.0"
 
@@ -41,11 +39,9 @@ __all__ = [
     "coefficient_set", "first_order_coefficients", "round_metric",
     "structure_constants",
     "MatrixForm", "ScalarForm", "evaluate3", "trace", "wedge",
-    "CurvatureSymbol", "curvature_symbol", "sigma0_connection",
-    "sigma0_from_christoffel", "sigma_minus1_connection_beta",
-    "sigma_minus1_connection_dot", "sigma_minus1_curvature_beta",
+    "sigma0_connection", "sigma0_from_christoffel",
+    "sigma_minus1_connection_beta", "sigma_minus1_connection_dot",
     "CSConfig", "CSReport", "RESIDUE_CONVENTION", "ResidueConventionError",
-    "connection_trace", "cs_class", "cs_density", "density_traces",
-    "leading_order_density",
+    "connection_trace", "cs_class", "cs_density", "leading_order_density",
     "sweep",
 ]

@@ -6,29 +6,26 @@ integral: a density f(alpha) built from the connection symbols, with
 
     class value v = (s/4) * integral of f over the circle,
 
-taken mod Z.  The density combines two trace terms, each evaluated on the
-S^3 frame triple, where only the psi^1^psi^2^psi^3 coefficient survives:
+taken mod Z.  The density is the connection trace, evaluated on the S^3
+frame triple, where only the psi^1^psi^2^psi^3 coefficient survives:
 
     T_conn = Tr[ sigma_-1(theta) ^ sigma_0 ^ sigma_0 ] = sum Tr(M_i [S_j, S_k])
-    T_curv = Tr[ sigma_0 ^ sigma_-1(Omega) ]           = sum Tr(S_i O_jk)
 
 summed over the cyclic triples (i,j,k) of (1,2,3), with S_p, M_p the psi^p
-coefficients of sigma_0, sigma_-1(theta), O_pq the psi^p^psi^q ones of
-sigma_-1(Omega) and O_31 = -O_13.  Each term carries exactly one factor of
-the order-(-1) prefactor 2 i s / xi.
+coefficients of sigma_0, sigma_-1(theta).  It carries exactly one factor
+of the order-(-1) prefactor 2 i s / xi.  The transgression's other term,
+the curvature trace Tr[ sigma_0 ^ sigma_-1(Omega) ], vanishes identically
+on constant loops: every surviving term of the curvature symbol needs a
+fourth (circle) frame component, absent on S^3 tangents, as derived in
+tests/test_kernel_derivation.py.
 
-The class path forms T_conn alone, in connection_trace, straight from the
-six Christoffel coefficient functions and their first derivatives
-(first_order_coefficients, from one scale_jets call and no derivative
-tree): S_p has four nonzero entries and M_l three, so each cyclic term is
-three scalar products.  T_curv vanishes identically on constant loops (the
-curvature symbol needs a fourth frame component, absent on S^3);
-density_traces still computes it through the dense table, symbol and
-trace route, and the verify suite measures that nullity on random metrics
-and checks connection_trace against the generic wedge algebra.  Reality
-is asserted, never presumed: the complex constant chain multiplying T_conn
-must collapse to a real scalar, and a residual imaginary part signals a
-convention bug.
+connection_trace forms T_conn straight from the six Christoffel
+coefficient functions and their first derivatives (first_order_coefficients,
+from one scale_jets call and no derivative tree): S_p has four nonzero
+entries and M_l three, so each cyclic term is three scalar products.  The
+verify suite checks it against the generic wedge algebra.  The complex
+constant chain kappa(s) multiplying T_conn must collapse to a real scalar;
+a residual imaginary part signals a convention bug and is rejected.
 
 cs_density is a pure function of (metric, config, alpha) and vectorizes
 over alpha grids.  cs_class evaluates it once on the report grid and hands
@@ -44,18 +41,16 @@ import numpy as np
 
 from .forms import evaluate3, trace, wedge
 from .geometry import (BergerMetric, ChristoffelCoefficients, builtin_family,
-                       christoffel_table, first_order_coefficients)
+                       first_order_coefficients)
 from .quadrature import QuadratureSpec, circle_grid, trapezoid_ladder
-from .symbols import (ORDER_SIGMA0, ORDER_SIGMA_MINUS1, curvature_form_beta,
-                      require_residue_extractable, sigma0_connection,
-                      sigma0_from_christoffel)
+from .symbols import sigma0_connection
 
 # Constants of the transgression expansion for the first (l=2) class:
 # TP = 2 * int_0^1 P(theta ^ phi_t) dt splits into a curvature trace and a
 # triple-connection trace; the symbol calculus turns the latter into three
 # equal copies of the single-sigma_-1 product.  The curvature trace's
-# constant, -i / (8 pi^3), multiplies T_curv, which vanishes on constant
-# loops, so only the connection chain enters the density.
+# constant, -i / (8 pi^3), multiplies Tr[sigma_0 ^ sigma_-1(Omega)], which
+# vanishes on constant loops, so only the connection chain enters the density.
 CONNECTION_TRACE_CONSTANT = 1j / (48.0 * math.pi ** 3)
 CONNECTION_MULTIPLICITY = 3
 
@@ -71,7 +66,7 @@ RESIDUE_CONVENTION = -4.0 * math.pi
 
 IMAG_TOLERANCE = 1e-10
 
-# the cyclic triples (i, j, k) of (1, 2, 3) summed by both trace terms
+# the cyclic triples (i, j, k) of (1, 2, 3) summed by the trace
 _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
@@ -162,25 +157,6 @@ def connection_trace(c: ChristoffelCoefficients):
                for i, j, k in _CYCLIC for (a, b), m_ab in M[i].items())
 
 
-def density_traces(m: BergerMetric, alpha):
-    """The two trace densities (T_conn, T_curv) on the S^3 frame.
-
-    T_conn comes from connection_trace over first_order_coefficients, as on
-    the class path.  T_curv, the curvature term, identically zero along
-    constant loops, is formed through the dense route: Christoffel table,
-    sigma_0 and the curvature form, then sum Tr(S_i O_jk).
-    """
-    require_residue_extractable((ORDER_SIGMA0, ORDER_SIGMA_MINUS1))
-    table = christoffel_table(m, alpha)
-    omega = curvature_form_beta(table)
-    s0 = sigma0_from_christoffel(table)
-    O = {(1, 2): omega.coeff((1, 2)), (2, 3): omega.coeff((2, 3)),
-         (3, 1): -omega.coeff((1, 3))}
-    t_curv = sum(np.einsum("...ab,...ba->...", s0.coeff((i,)), O[j, k])
-                 for i, j, k in _CYCLIC)
-    return connection_trace(first_order_coefficients(*m.scale_jets(alpha))), t_curv
-
-
 def _constant_chain(s: float) -> complex:
     """kappa(s) = (2 pi^2 / s) R (2 i s) * 3 * C_conn, the complex constant
     chain multiplying T_conn; it must collapse to a real number."""
@@ -189,31 +165,28 @@ def _constant_chain(s: float) -> complex:
 
 
 def _density_complex(m: BergerMetric, s: float, alpha) -> np.ndarray:
-    """f = Re kappa(s) * T_conn on alpha; every density sample passes here."""
-    require_residue_extractable((ORDER_SIGMA_MINUS1, ORDER_SIGMA0, ORDER_SIGMA0))
+    """f = Re kappa(s) * T_conn on alpha; every density sample passes here.
+
+    The density is real; the name is kept because profilers and the
+    sample-count tests hook this function."""
     kappa = _constant_chain(s)
     if not abs(kappa.imag) < IMAG_TOLERANCE:
         raise ResidueConventionError(
             f"the density's constant chain has imaginary part {kappa.imag:.3e}, "
             f"not below {IMAG_TOLERANCE:.0e}; the constant conventions are inconsistent")
-    # overflow shows up as non-finite samples, which _require_real reports
+    # overflow shows up as non-finite samples, which _require_finite reports
     with np.errstate(over="ignore", invalid="ignore"):
         t_conn = connection_trace(first_order_coefficients(*m.scale_jets(alpha)))
         return kappa.real * np.broadcast_to(t_conn, np.shape(alpha))
 
 
-def _require_real(values: np.ndarray, tol: float = IMAG_TOLERANCE) -> np.ndarray:
+def _require_finite(values: np.ndarray) -> np.ndarray:
     finite = np.isfinite(values)
     if not np.all(finite):
         raise NonFiniteDensityError(
             f"density is not finite at {np.size(finite) - np.count_nonzero(finite)} "
             f"of {np.size(finite)} samples; the metric overflows or hits a pole")
-    worst = float(np.max(np.abs(np.imag(np.atleast_1d(values)))))
-    if worst >= tol:
-        raise ResidueConventionError(
-            f"density has imaginary residue {worst:.3e} >= {tol:.0e}; "
-            "the constant conventions are inconsistent")
-    return np.real(values)
+    return values
 
 
 def cs_density(m: BergerMetric, cfg: CSConfig, alpha):
@@ -223,7 +196,7 @@ def cs_density(m: BergerMetric, cfg: CSConfig, alpha):
     across Sobolev exponents; the s-dependence of the class sits entirely
     in the s/4 prefactor of cs_class.
     """
-    return _require_real(_density_complex(m, cfg.s, alpha))
+    return _require_finite(_density_complex(m, cfg.s, alpha))
 
 
 def reduce_mod_z(value: float) -> float:
@@ -247,7 +220,7 @@ def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
     claim the numerics cannot support).
     """
     grid = circle_grid(cfg.quadrature.n)
-    densities = _require_real(_density_complex(m, cfg.s, grid))
+    densities = _require_finite(_density_complex(m, cfg.s, grid))
     # the imaginary part the density would carry: |Im kappa| max |f|
     max_imag = abs(_constant_chain(cfg.s).imag) * float(np.max(np.abs(densities)))
     integral = trapezoid_ladder(lambda x: cs_density(m, cfg, x), densities, cfg.quadrature)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 configuration error (bad flags or config file,
 or a metric that is not positive, not periodic or has a pole), 2 expression
-parse error, 3 numerical error (quadrature non-convergence, a non-finite
-density, or a density with an imaginary residue), 4 invariant-suite failure.
+parse error (including a constant power that overflows a float), 3
+numerical error (quadrature non-convergence, a non-finite density, or a
+constant chain with an imaginary part), 4 invariant-suite failure.
 """
 from __future__ import annotations
 

@@ -413,7 +413,10 @@ class _Parser:
                 raise ParseError("power needs an integer exponent", at,
                                  expected=("integer",))
             self.advance()
-            e = _pow(e, sign * int(text))
+            try:
+                e = _pow(e, sign * int(text))
+            except OverflowError:
+                raise ParseError("constant power overflows a float", at) from None
         return e
 
     def base(self) -> Expr:

@@ -21,8 +21,8 @@ Index conventions for the rank-3 tables, with 0-based array axes
     c[k,i,j]     = <[F_i, F_j], F_k>
     gamma[k,i,j] = <nabla_{F_i} F_j, F_k>
 
-All tables are carried as value / first derivative / second derivative
-arrays; the derivatives are exact (propagated through jets and symbolic
+All tables are carried as value / first derivative arrays; the
+derivatives are exact (propagated through jets and symbolic
 differentiation of the scale functions, never finite differences).
 
 The class path needs only the six Christoffel coefficient functions and
@@ -30,8 +30,8 @@ their first derivatives: first_order_coefficients forms them from the
 scale jets of one scale_jets call (log-rates A = lam'/lam and their rates
 straight from the (v, d1, d2) jets), evaluating no derivative tree.  The
 dense tables (christoffel_table, structure_constants, coefficient_set)
-take the log-rates from the symbolically differentiated trees instead,
-with second derivatives, and serve as the oracle routes.
+take the log-rates from the symbolically differentiated trees instead
+and serve as the oracle routes.
 
 Every function here is pure over immutable inputs and accepts either a
 scalar alpha or a grid of alphas (leading batch axes on the tables), so
@@ -162,29 +162,28 @@ def coefficient_set(m: BergerMetric, alpha: Number) -> CoefficientSet:
     )
 
 
-def _jet_tensor(batch_shape) -> Jet2:
+def _jet_tensor(batch_shape) -> Jet1:
     shape = tuple(batch_shape) + (4, 4, 4)
-    return Jet2(np.zeros(shape), np.zeros(shape), np.zeros(shape))
+    return Jet1(np.zeros(shape), np.zeros(shape))
 
 
-def _set(tensor: Jet2, k: int, i: int, j: int, value: Jet2):
+def _set(tensor: Jet1, k: int, i: int, j: int, value: Jet2):
     tensor.v[..., k, i, j] = value.v
     tensor.d1[..., k, i, j] = value.d1
-    tensor.d2[..., k, i, j] = value.d2
 
 
 @dataclass(frozen=True)
 class StructureConstants:
     """Brackets of the orthonormal frame, c[k,i,j] = <[F_i,F_j], F_k>."""
 
-    c: Jet2
+    c: Jet1
 
 
 @dataclass(frozen=True)
 class ChristoffelTable:
-    """gamma[k,i,j] = <nabla_{F_i} F_j, F_k> with exact alpha-derivatives."""
+    """gamma[k,i,j] = <nabla_{F_i} F_j, F_k> with its exact alpha-derivative."""
 
-    gamma: Jet2
+    gamma: Jet1
 
 
 def structure_constants(m: BergerMetric, alpha: Number) -> StructureConstants:
@@ -229,7 +228,7 @@ def christoffel_koszul(m: BergerMetric, alpha: Number) -> ChristoffelTable:
         t3 = np.einsum("...jki->...kij", x)  # t3[k,i,j] = x[j,k,i]
         return 0.5 * (x - t2 + t3)
 
-    return ChristoffelTable(Jet2(koszul(c.v), koszul(c.d1), koszul(c.d2)))
+    return ChristoffelTable(Jet1(koszul(c.v), koszul(c.d1)))
 
 
 @dataclass(frozen=True)
@@ -254,8 +253,8 @@ class ChristoffelCoefficients:
 
 
 def christoffel_coefficients(m: BergerMetric, alpha: Number) -> ChristoffelCoefficients:
-    """p, q, r and the log-rates A, B, C as full 2-jets, for the dense
-    oracle table (its curvature needs second derivatives):
+    """p, q, r and the log-rates A, B, C as 2-jets, for the dense oracle
+    table:
 
         p = ( lam^2 mu^2 - mu^2 nu^2 + nu^2 lam^2) / (lam mu nu)
         q = (-lam^2 mu^2 - mu^2 nu^2 + nu^2 lam^2) / (lam mu nu)

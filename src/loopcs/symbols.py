@@ -13,14 +13,17 @@ never stored numerically: every order-(-1) quantity in this module is the
 real matrix coefficient multiplying it.  The cosphere integral over xi is
 applied once, downstream, as a single convention constant.
 
+The curvature's order-(-1) symbol is not built here.  Along constant loops
+its only surviving terms, mixed circle/space second derivatives of the
+Christoffel symbols, pair with a fourth (circle) frame component, which
+S^3 tangents lack, so the curvature trace contributes nothing to the
+class; tests/test_kernel_derivation.py derives that symbolically.
+
 Index conventions follow :mod:`loopcs.geometry`: gamma[k,i,j] is the
 component k of the derivative of frame vector j in direction i, with
 0-based array axes for the frame labels 1..4.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,29 +31,6 @@ from .forms import MatrixForm
 from .geometry import (BergerMetric, ChristoffelTable, christoffel_table,
                        coefficient_set)
 from .jets import Number
-
-# xi-homogeneity orders of the symbol factors entering residue extraction
-ORDER_SIGMA0 = 0
-ORDER_SIGMA_MINUS1 = -1
-
-
-def residue_order(factor_orders) -> int:
-    return sum(factor_orders)
-
-
-def require_residue_extractable(factor_orders):
-    """Guard a product entering the order-(-1) trace extraction.
-
-    The Wodzicki residue on the circle reads off the order-(-1) part, so a
-    product contributes only through terms with exactly one order-(-1)
-    factor; anything with two or more is of order <= -2 and is excluded.
-    """
-    total = residue_order(factor_orders)
-    count = sum(1 for o in factor_orders if o == ORDER_SIGMA_MINUS1)
-    if total != -1 or count != 1:
-        raise ValueError(
-            f"product of orders {tuple(factor_orders)} has total order {total}; "
-            "residue extraction needs exactly one order-(-1) factor")
 
 
 def sigma0_connection(m: BergerMetric, alpha: Number) -> MatrixForm:
@@ -94,8 +74,8 @@ def sigma0_from_christoffel(table: ChristoffelTable) -> MatrixForm:
     """Order-0 symbol assembled directly from a Christoffel table.
 
     Entry (k,l) is (gamma^k_{l p} + gamma^l_{k p})/2 psi^p.  This is the
-    dense route behind the curvature trace of density_traces;
-    sigma0_connection is its independent oracle.
+    dense route, checked against its independent oracle sigma0_connection
+    by the verify suite.
     """
     g = table.gamma.v
     return MatrixForm(1, {(p + 1,): 0.5 * (g[..., p] + _transpose(g[..., p]))
@@ -168,73 +148,3 @@ def sigma_minus1_connection_dot(m: BergerMetric, alpha: float, direction: int,
                 for p in range(4):
                     out[a, b] += (g[a, b, p] + g[b, a, p]) * xdot[p]
     return out
-
-
-@dataclass(frozen=True)
-class CurvatureSymbol:
-    """Order-(-1) symbol of the curvature (coefficient of 2 i s / xi).
-
-    Only mixed circle/space second derivatives of Christoffel symbols can
-    enter along constant loops; they sit in the bilinear form
-
-        (X,Y) -> sum_{p,r} X^p Y^r [ dd_{p}(gamma[k,r,l] + gamma[l,k,r])
-                                   - dd_{r}(gamma[k,p,l] + gamma[l,k,p]) ]
-
-    where dd_p is d^2/dalpha^2 for p = 4 and zero otherwise (spatial
-    derivatives vanish).  On the constant-loop S^3 every tangent has zero
-    fourth component, so the form vanishes; evaluating it is the check.
-    Leading batch axes of ``second`` (an alpha grid) carry through.
-    """
-
-    second: np.ndarray  # gamma second alpha-derivatives, shape (...,4,4,4)
-
-    @cached_property
-    def _bracket(self) -> np.ndarray:
-        # bracket[k,l,r] = dd(gamma[k,r,l] + gamma[l,k,r]), built once per
-        # symbol: curvature_form_beta evaluates three frame pairs on it
-        gpp = self.second
-        return np.einsum("...krl->...klr", gpp) + np.einsum("...lkr->...klr", gpp)
-
-    def __call__(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (4,) or y.shape != (4,):
-            raise ValueError("curvature symbol takes two 4-vectors")
-        # the dd_{.4} selector is the 4-component of whichever vector hits
-        # that slot
-        return (x[3] * np.einsum("...klr,r->...kl", self._bracket, y)
-                - y[3] * np.einsum("...klr,r->...kl", self._bracket, x))
-
-
-_FRAME = np.eye(4)
-
-
-def sigma_minus1_curvature_beta(m: BergerMetric, alpha: float, x_index: int,
-                                y_index: int) -> np.ndarray:
-    """Curvature order-(-1) coefficient on a pair of S^3 frame vectors.
-
-    x_index, y_index label frame vectors in 1..3 (tangent to the S^3
-    factor).  The result is the zero matrix: the only surviving terms need
-    a fourth component, absent on the constant-loop embedding.
-    """
-    if x_index not in (1, 2, 3) or y_index not in (1, 2, 3):
-        raise ValueError("curvature check takes S^3 frame labels in 1..3")
-    return curvature_symbol(m, alpha)(_FRAME[x_index - 1], _FRAME[y_index - 1])
-
-
-def curvature_symbol(m: BergerMetric, alpha: Number) -> CurvatureSymbol:
-    return CurvatureSymbol(second=christoffel_table(m, alpha).gamma.d2)
-
-
-def curvature_form_beta(table: ChristoffelTable) -> MatrixForm:
-    """The curvature order-(-1) coefficient as a degree-2 form on S^3.
-
-    Components on psi^p ^ psi^q (p < q in 1..3) are the bilinear-map values
-    on the corresponding frame pair: identically zero matrices here.
-    density_traces and the verify suite evaluate it, so the curvature
-    term's nullity is measured rather than asserted away.
-    """
-    sym = CurvatureSymbol(second=table.gamma.d2)
-    coeffs = {(p, q): sym(_FRAME[p - 1], _FRAME[q - 1])
-              for p, q in ((1, 2), (1, 3), (2, 3))}
-    return MatrixForm(2, coeffs, sym.second.shape[:-3])

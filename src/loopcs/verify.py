@@ -7,7 +7,9 @@ wherever one exists: closed-form Christoffel table against the Koszul
 formula, vectorized symbol assembly against naive loops, jets against
 finite differences, displayed symbol matrix against its Christoffel
 definition, the sparse connection-trace kernel of the density against the
-generic wedge algebra.
+generic wedge algebra, the density's constant chain against its derived
+value +1.  Every check is one that a plausible mutation of the code
+makes fail.
 """
 from __future__ import annotations
 
@@ -16,18 +18,17 @@ from typing import Callable, List
 
 import numpy as np
 
-from .chern_simons import (CSConfig, cs_class, cs_density, density_traces,
-                           leading_order_density, reduce_mod_z)
+from .chern_simons import (CSConfig, _constant_chain, connection_trace,
+                           cs_class, cs_density, leading_order_density,
+                           reduce_mod_z)
 from .expressions import Alpha, Cos, Expr, Num, Sin, evaluate
 from .forms import MatrixForm, evaluate3, trace, wedge
 from .geometry import (BergerMetric, builtin_family, christoffel_koszul,
                        christoffel_table, coefficient_set,
-                       structure_constants)
+                       first_order_coefficients, structure_constants)
 from .quadrature import TWO_PI, QuadratureSpec, integrate_circle
-from .symbols import (curvature_form_beta, require_residue_extractable,
-                      sigma0_connection, sigma0_from_christoffel,
-                      sigma_minus1_connection_beta, sigma_minus1_connection_dot,
-                      sigma_minus1_curvature_beta)
+from .symbols import (sigma0_connection, sigma0_from_christoffel,
+                      sigma_minus1_connection_beta, sigma_minus1_connection_dot)
 
 
 @dataclass(frozen=True)
@@ -263,63 +264,28 @@ def check_sigma_minus1_routes(rng: np.random.Generator) -> CheckResult:
 
 
 def check_density_traces_oracle(rng: np.random.Generator) -> CheckResult:
-    """density_traces vs the generic MatrixForm wedge.
+    """The class path's sparse kernel vs the generic MatrixForm wedge.
 
-    T_conn is the class path's sparse kernel, connection_trace; T_curv is
-    the dense cyclic sum.  The wedge route takes sigma_0 from the
-    coefficient-set display route and sigma_-1 from the dense table, so it
-    shares no symbol or trace code with the kernel it checks, nor derivative
-    code: its log-rate derivatives come from symbolically differentiated
-    trees, the kernel's from the scale jets.  Errors are relative to
-    max(1, max |T|) over the sample grid of each metric.
+    connection_trace over first_order_coefficients is compared with
+    Tr(sigma_-1 ^ sigma_0 ^ sigma_0).  The wedge route takes sigma_0 from
+    the coefficient-set display route and sigma_-1 from the dense table, so
+    it shares no symbol or trace code with the kernel it checks, nor
+    derivative code: its log-rate derivatives come from symbolically
+    differentiated trees, the kernel's from the scale jets.  Errors are
+    relative to max(1, max |T|) over the sample grid of each metric.
     """
     worst = 0.0
     alphas = rng.uniform(0.0, TWO_PI, 50)
     metrics = [random_metric(rng) for _ in range(10)] + [builtin_family(2), builtin_family(8)]
     for m in metrics:
-        table = christoffel_table(m, alphas)
         s0 = sigma0_connection(m, alphas)
-        sm1 = sigma_minus1_connection_beta(table)
-        omega = curvature_form_beta(table)
-        wedged = (evaluate3(trace(wedge(wedge(sm1, s0), s0))),
-                  evaluate3(trace(wedge(s0, omega))))
-        for want, got in zip(wedged, density_traces(m, alphas)):
-            scale = max(1.0, float(np.max(np.abs(want))))
-            worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+        sm1 = sigma_minus1_connection_beta(christoffel_table(m, alphas))
+        want = evaluate3(trace(wedge(wedge(sm1, s0), s0)))
+        got = connection_trace(first_order_coefficients(*m.scale_jets(alphas)))
+        scale = max(1.0, float(np.max(np.abs(want))))
+        worst = max(worst, float(np.max(np.abs(got - want))) / scale)
     return CheckResult("density traces match the wedge-algebra route", worst < 1e-12,
                        f"max rel diff {worst:.2e} over 12 metrics (tol 1e-12)")
-
-
-def check_curvature_vanishing(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(50):
-        m = random_metric(rng)
-        alpha = float(rng.uniform(0.0, TWO_PI))
-        for (x, y) in ((1, 2), (1, 3), (2, 3)):
-            worst = max(worst, float(np.max(np.abs(
-                sigma_minus1_curvature_beta(m, alpha, x, y)))))
-    m8 = builtin_family(8)
-    for alpha in np.linspace(0.0, TWO_PI, 50):
-        worst = max(worst, float(np.max(np.abs(
-            sigma_minus1_curvature_beta(m8, float(alpha), 1, 2)))))
-    return CheckResult("curvature symbol vanishes on constant loops", worst < 1e-12,
-                       f"max entry {worst:.2e} (tol 1e-12)")
-
-
-def check_residue_order_guard(_: np.random.Generator) -> CheckResult:
-    ok = True
-    try:
-        require_residue_extractable((-1, 0, 0))
-    except ValueError:
-        ok = False
-    for bad in ((-1, -1, 0), (0, 0, 0), (-1, -1)):
-        try:
-            require_residue_extractable(bad)
-            ok = False
-        except ValueError:
-            pass
-    return CheckResult("residue order bookkeeping", ok,
-                       "single order-(-1) factor accepted, others excluded")
 
 
 def check_leading_order_vanishing(rng: np.random.Generator) -> CheckResult:
@@ -330,16 +296,6 @@ def check_leading_order_vanishing(rng: np.random.Generator) -> CheckResult:
         worst = max(worst, float(np.max(np.abs(leading_order_density(m, alphas)))))
     return CheckResult("leading-order trace vanishes", worst < 1e-12,
                        f"max |Tr sigma0^3| {worst:.2e} (tol 1e-12)")
-
-
-def check_curvature_term_nullity(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    alphas = rng.uniform(0.0, TWO_PI, 100)
-    for metric in [random_metric(rng) for _ in range(10)] + [builtin_family(2), builtin_family(8)]:
-        _, t_curv = density_traces(metric, alphas)
-        worst = max(worst, float(np.max(np.abs(t_curv))))
-    return CheckResult("curvature trace term contributes nothing", worst < 1e-12,
-                       f"max |Tr sigma0 ^ sigma_-1(curvature)| {worst:.2e} (tol 1e-12)")
 
 
 def check_constant_metric_vanishing(rng: np.random.Generator) -> CheckResult:
@@ -365,9 +321,15 @@ def check_s_linearity(_: np.random.Generator) -> CheckResult:
 
 
 def check_density_reality(_: np.random.Generator) -> CheckResult:
-    worst = max(cs_class(builtin_family(a), CSConfig()).max_imag for a in (2, 8))
-    return CheckResult("density reality", worst < 1e-10,
-                       f"max imaginary residue {worst:.2e} (tol 1e-10)")
+    """The constant chain multiplying T_conn is the real number +1.
+
+    kappa(s) = (2 pi^2 / s) R (2 i s) * 3 * C_conn collapses to +1 for
+    every s (see chern_simons); a flipped sign or a lost factor of i in
+    any of its constants moves it off 1.
+    """
+    worst = max(abs(_constant_chain(s) - 1.0) for s in (0.6, 1.0, 2.0, 3.5))
+    return CheckResult("density constant chain is +1", worst < 1e-12,
+                       f"max |kappa(s) - 1| {worst:.2e} over 4 exponents (tol 1e-12)")
 
 
 def check_quadrature_stability(_: np.random.Generator) -> CheckResult:
@@ -408,10 +370,7 @@ ALL_CHECKS: List[Callable[[np.random.Generator], CheckResult]] = [
     check_sigma0_routes,
     check_sigma_minus1_routes,
     check_density_traces_oracle,
-    check_curvature_vanishing,
-    check_residue_order_guard,
     check_leading_order_vanishing,
-    check_curvature_term_nullity,
     check_constant_metric_vanishing,
     check_s_linearity,
     check_density_reality,

@@ -5,14 +5,14 @@ import loopcs.chern_simons
 import loopcs.geometry
 import loopcs.symbols
 from loopcs.chern_simons import (CSConfig, NonFiniteDensityError,
-                                 ResidueConventionError, _require_real,
-                                 cs_class, cs_density, density_traces,
-                                 leading_order_density, reduce_mod_z, sweep)
+                                 ResidueConventionError, _require_finite,
+                                 cs_class, cs_density, leading_order_density,
+                                 reduce_mod_z, sweep)
 from loopcs.expressions import parse_expression
 from loopcs.forms import MatrixForm
 from loopcs.geometry import BergerMetric, builtin_family, round_metric
 from loopcs.quadrature import QuadratureSpec
-from loopcs.verify import random_metric
+from loopcs.verify import check_density_reality, random_metric
 
 CFG = CSConfig()
 
@@ -102,15 +102,6 @@ def test_density_is_s_independent():
     assert np.allclose(f1, f2, atol=1e-12)
 
 
-def test_curvature_term_contributes_nothing():
-    grid = np.linspace(0.0, 2 * np.pi, 200)
-    rng = np.random.default_rng(41)
-    metrics = [builtin_family(2), builtin_family(8)] + [random_metric(rng) for _ in range(5)]
-    for m in metrics:
-        _, t_curv = density_traces(m, grid)
-        assert np.max(np.abs(t_curv)) < 1e-12
-
-
 def test_leading_order_density_vanishes():
     grid = np.linspace(0.0, 2 * np.pi, 100)
     assert np.max(np.abs(leading_order_density(builtin_family(2), grid))) < 1e-12
@@ -123,9 +114,13 @@ def test_leading_order_density_vanishes():
 def test_reality_guard():
     report = cs_class(builtin_family(2), CFG)
     assert report.max_imag < 1e-10
-    with pytest.raises(ResidueConventionError):
-        _require_real(np.array([1.0 + 1e-6j]))
-    assert _require_real(np.array([1.0 + 0.0j]))[0] == 1.0
+
+
+def test_density_reality_check_catches_a_flipped_convention(monkeypatch):
+    assert check_density_reality(np.random.default_rng(0)).passed
+    # R = +4 pi leaves the chain real but equal to -1: the density flips sign
+    monkeypatch.setattr(loopcs.chern_simons, "RESIDUE_CONVENTION", 4.0 * np.pi)
+    assert not check_density_reality(np.random.default_rng(0)).passed
 
 
 def test_real_connection_constant_trips_reality_guard(monkeypatch):
@@ -194,9 +189,9 @@ def test_metric_constructor_evaluates_each_tree_once(monkeypatch):
 
 def test_non_finite_density_rejected(monkeypatch):
     with pytest.raises(NonFiniteDensityError):
-        _require_real(np.array([complex(1.0, np.nan)]))
+        _require_finite(np.array([complex(1.0, np.nan)]))
     with pytest.raises(NonFiniteDensityError):
-        _require_real(np.array([np.inf]))
+        _require_finite(np.array([np.inf]))
     counted = _count_density_samples(monkeypatch)
     m = BergerMetric(parse_expression("(2+sin(alpha))^300"),
                      parse_expression("1"), parse_expression("1"))

@@ -97,6 +97,12 @@ def test_parse_error_exit_code(capsys):
     assert run(["compute", "--lambda", "1", "--mu", "sin(alpha", "--nu", "1"]) == 2
     err = capsys.readouterr().err
     assert "offset 9" in err and "')'" in err
+    # a constant power that overflows a float fails at its exponent
+    for scale, offset in (("10^400", 3), ("(10^200)^2", 9)):
+        assert run(["compute", "--lambda", scale, "--mu", "1", "--nu", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("parse error:")
+        assert f"offset {offset}" in err[0]
 
 
 def test_config_errors():

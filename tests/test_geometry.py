@@ -181,4 +181,3 @@ def test_batched_tables_match_pointwise():
         single = christoffel_table(m, float(alpha)).gamma
         assert np.allclose(batched.v[i], single.v, atol=1e-15)
         assert np.allclose(batched.d1[i], single.d1, atol=1e-15)
-        assert np.allclose(batched.d2[i], single.d2, atol=1e-15)

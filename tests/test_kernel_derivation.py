@@ -1,10 +1,13 @@
-"""Symbolic derivation of the sparse connection-trace kernel.
+"""Symbolic derivations behind the density kernel.
 
 From the twelve nonzero Christoffel symbols (six coefficient functions and
 their alpha-derivatives as free symbols), form sigma_0 and sigma_-1 with
 their generic dense formulas as sympy matrices, expand the cyclic sum
 Tr(M_i [S_j, S_k]) and compare it with connection_trace fed the same
-symbols.  Skipped when sympy, which loopcs does not depend on, is absent.
+symbols.  Then derive why the curvature trace Tr[sigma_0 ^ sigma_-1(Omega)]
+is left out of the density: the order-(-1) curvature symbol vanishes on
+every pair of S^3 tangents.  Skipped when sympy, which loopcs does not
+depend on, is absent.
 """
 import numpy as np
 import pytest
@@ -67,3 +70,47 @@ def test_sparse_kernel_matches_dense_symbolic_traces():
         *(Jet2(v, d, 0) for v, d in zip(values, rates))))
     assert sp.expand(dense) != 0
     assert sp.expand(dense - sparse) == 0
+
+
+def curvature_bilinear_map():
+    """The order-(-1) curvature symbol (coefficient of 2 i s / xi) along
+    constant loops, as a bilinear map of two frame vectors X, Y:
+
+        O(X,Y)[k,l] = sum_{p,r} X^p Y^r [ dd_p(gamma[k,r,l] + gamma[l,k,r])
+                                        - dd_r(gamma[k,p,l] + gamma[l,k,p]) ]
+
+    with dd_p = D_p D_alpha, D_p the derivative along x_p for p = 1..3 and
+    along alpha for p = 4.  The gamma entries are the placement of six
+    generic functions of alpha.  Returns (O, X, Y) with X, Y symbol lists.
+    """
+    alpha = sp.Symbol("alpha")
+    x = sp.symbols("x1:4")
+    g = placed(*(sp.Function(n)(alpha) for n in ("p", "q", "r", "A", "B", "C")))
+    coords = (*x, alpha)
+
+    def dd(p, e):
+        return sp.diff(e, coords[p], alpha)
+
+    X, Y = sp.symbols("X1:5"), sp.symbols("Y1:5")
+    O = sp.Matrix(4, 4, lambda k, l: sum(
+        X[p] * Y[r] * (dd(p, g[k][r][l] + g[l][k][r]) - dd(r, g[k][p][l] + g[l][k][p]))
+        for p in range(4) for r in range(4)))
+    return O, X, Y
+
+
+def curvature_vanishes_on_s3_pairs():
+    """Nonzero for generic X, Y, antisymmetric, and identically zero once
+    X4 = Y4 = 0: every surviving term carries a fourth (circle) component."""
+    O, X, Y = curvature_bilinear_map()
+    swapped = O.subs({**dict(zip(X, Y)), **dict(zip(Y, X))}, simultaneous=True)
+    on_s3 = O.subs({X[3]: 0, Y[3]: 0})
+    return (O.expand() != sp.zeros(4, 4),
+            (O + swapped).expand() == sp.zeros(4, 4),
+            on_s3.expand() == sp.zeros(4, 4))
+
+
+def test_curvature_symbol_vanishes_on_s3_pairs():
+    nonzero, antisymmetric, vanishes = curvature_vanishes_on_s3_pairs()
+    assert nonzero
+    assert antisymmetric
+    assert vanishes

@@ -4,13 +4,10 @@ import pytest
 from loopcs.expressions import parse_expression
 from loopcs.geometry import (BergerMetric, builtin_family, christoffel_table,
                              round_metric)
-from loopcs.symbols import (curvature_symbol,
-                            require_residue_extractable, sigma0_connection,
-                            sigma_minus1_connection_beta,
-                            sigma_minus1_connection_dot,
-                            sigma_minus1_curvature_beta)
-from loopcs.verify import (check_curvature_vanishing, check_sigma0_routes,
-                           check_sigma_minus1_routes, random_metric)
+from loopcs.symbols import (sigma0_connection, sigma_minus1_connection_beta,
+                            sigma_minus1_connection_dot)
+from loopcs.verify import (check_sigma0_routes, check_sigma_minus1_routes,
+                           random_metric)
 
 
 def metric(lam, mu, nu):
@@ -123,53 +120,3 @@ def test_dot_rejects_bad_input():
         sigma_minus1_connection_dot(m, 0.0, 5, None)
     with pytest.raises(ValueError):
         sigma_minus1_connection_dot(m, 0.0, 1, np.zeros(3))
-
-
-# ---------------------------------------------------------------- curvature
-
-def test_curvature_vanishes_on_constant_loops():
-    m = builtin_family(8)
-    rng = np.random.default_rng(31)
-    for alpha in rng.uniform(0.0, 2 * np.pi, 50):
-        out = sigma_minus1_curvature_beta(m, float(alpha), 1, 2)
-        assert np.max(np.abs(out)) < 1e-12
-    assert check_curvature_vanishing(np.random.default_rng(20240)).passed
-
-
-def test_curvature_antisymmetry():
-    m = builtin_family(3)
-    a = sigma_minus1_curvature_beta(m, 0.7, 1, 2)
-    b = sigma_minus1_curvature_beta(m, 0.7, 2, 1)
-    assert np.allclose(a, -b, atol=1e-15)
-
-
-def test_curvature_bilinear_map_uses_second_derivatives():
-    # with a fourth component in play the middle-bracket terms survive and
-    # carry second alpha-derivatives of the scale-rate entries
-    m = metric("1", "1", "2-cos(alpha)")
-    sym = curvature_symbol(m, 0.4)
-    x = np.array([0.0, 0.0, 1.0, 0.0])
-    y = np.array([0.0, 0.0, 0.0, 1.0])
-    out = sym(x, y)
-    assert np.max(np.abs(out)) > 1e-3
-    assert np.allclose(sym(y, x), -out, atol=1e-15)
-    table = christoffel_table(m, 0.4)
-    # entry check: bracket[k,l,r=3] = dd(gamma[k,3,l] + gamma[l,k,3])
-    expect = -(table.gamma.d2[:, 2, :] + table.gamma.d2[:, :, 2].T)
-    assert np.allclose(out, expect, atol=1e-14)
-
-
-def test_curvature_index_validation():
-    with pytest.raises(ValueError):
-        sigma_minus1_curvature_beta(round_metric(), 0.0, 1, 4)
-
-
-# ------------------------------------------------------------- housekeeping
-
-def test_residue_order_bookkeeping():
-    require_residue_extractable((-1, 0, 0))
-    require_residue_extractable((0, -1))
-    with pytest.raises(ValueError):
-        require_residue_extractable((-1, -1, 0))
-    with pytest.raises(ValueError):
-        require_residue_extractable((0, 0, 0))
