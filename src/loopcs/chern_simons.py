@@ -28,21 +28,31 @@ constant chain kappa(s) multiplying T_conn must collapse to a real scalar;
 a residual imaginary part signals a convention bug and is rejected.
 
 cs_density is a pure function of (metric, config, alpha) and vectorizes
-over alpha grids.  cs_class evaluates it once on the report grid and hands
-those samples to the trapezoid ladder of :mod:`loopcs.quadrature` as its
-first level, so the reported density and the integral share one pass.
+over alpha grids.  When the metric carries a frequency certificate (g, K)
+(BergerMetric.certificate: scales 2*pi/g periodic, sin/cos arguments of
+alpha-frequency at most K), cs_class integrates one period with the
+trapezoid ladder of :mod:`loopcs.quadrature`, starting at
+SAMPLES_PER_PERIOD samples per period of the K-th harmonic, and multiplies
+by g; a default class value of the built-in family costs 65 density
+samples.  Without a certificate (or when that first level would exceed
+the report grid's N) it evaluates the density on the report grid and
+hands those samples to the ladder as its first level.  The report
+grid itself (CSReport.alphas, .densities) is evaluated the first time it
+is read, unless the integral already sampled it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .forms import evaluate3, trace, wedge
 from .geometry import (BergerMetric, ChristoffelCoefficients, builtin_family,
                        first_order_coefficients)
-from .quadrature import QuadratureSpec, circle_grid, trapezoid_ladder
+from .quadrature import (QuadratureSpec, circle_grid, integrate_circle,
+                         trapezoid_ladder)
 from .symbols import sigma0_connection
 
 # Constants of the transgression expansion for the first (l=2) class:
@@ -65,6 +75,15 @@ CONNECTION_MULTIPLICITY = 3
 RESIDUE_CONVENTION = -4.0 * math.pi
 
 IMAG_TOLERANCE = 1e-10
+
+# First ladder level of a certified metric, in samples per period of its
+# highest harmonic K.  The density's harmonics decay exponentially past K,
+# so T_64 and T_32 of one period both resolve it (for the built-in family
+# T_32 is within 4e-15 relative of a 40-digit value, a up to 4096), and
+# their difference is a true error estimate.  A grid over the whole circle
+# has no such guarantee: when g is a multiple of its N, T_N and T_{N/2}
+# sample every period at the same phase and agree on a wrong value.
+SAMPLES_PER_PERIOD = 64
 
 # the cyclic triples (i, j, k) of (1, 2, 3) summed by the trace
 _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
@@ -95,10 +114,15 @@ class CSConfig:
 
 @dataclass(frozen=True)
 class CSReport:
-    """Result of one class computation."""
+    """Result of one class computation.
 
-    alphas: np.ndarray
-    densities: np.ndarray
+    alphas and densities are the report grid circle_grid(quadrature_n) and
+    the density on it, evaluated the first time they are read unless the
+    integral already sampled that grid.
+    """
+
+    metric: BergerMetric
+    config: CSConfig
     integral: float
     class_value: float     # (s/4) * integral
     mod_z: float           # class value reduced to [0, 1)
@@ -107,11 +131,23 @@ class CSReport:
     s: float
     a: int
     max_imag: float
-    quadrature_n: int
+    quadrature_n: int      # report grid N: N + 1 points from 0 to 2*pi
+    samples_evaluated: int  # density samples the integral used
+    _grid_densities: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def distance_to_integers(self) -> float:
         return min(self.mod_z, 1.0 - self.mod_z)
+
+    @cached_property
+    def alphas(self) -> np.ndarray:
+        return circle_grid(self.quadrature_n)
+
+    @cached_property
+    def densities(self) -> np.ndarray:
+        if self._grid_densities is not None:
+            return self._grid_densities
+        return cs_density(self.metric, self.config, self.alphas)
 
 
 def connection_trace(c: ChristoffelCoefficients):
@@ -209,28 +245,59 @@ def reduce_mod_z(value: float) -> float:
     return 0.0 if frac == 1.0 else frac
 
 
+def _per_period_spec(m: BergerMetric, spec: QuadratureSpec) -> QuadratureSpec | None:
+    """The ladder over one certified period, or None: no certificate, or a
+    harmonic so fast for its period that the first level would exceed the
+    report grid's N.  The ladder over the whole circle then keeps the work
+    bounded by spec.n << spec.max_refinements."""
+    if m.certificate is None:
+        return None
+    g, K = m.certificate
+    n = max(16, SAMPLES_PER_PERIOD * K // g)
+    return QuadratureSpec(n, spec.tol, spec.max_refinements) if n <= spec.n else None
+
+
 def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
     """Integrate the density, form (s/4)*integral, reduce mod Z, decide.
 
-    The density is evaluated once on the report grid; those samples are
-    the first level of the trapezoid ladder, which evaluates more only if
-    T_N and T_{N/2} disagree.  The verdict is "nontrivial" when the reduced
-    value keeps at least the integrality tolerance away from the integers,
-    and "indeterminate" otherwise (never coerced to a trivial/nontrivial
-    claim the numerics cannot support).
+    With a certificate (g, K) the integral is g times the ladder over one
+    period, which starts at SAMPLES_PER_PERIOD samples per period of the
+    K-th harmonic; cfg.quadrature gives its tolerance and doubling cap.
+    Without one, or when that first level would exceed the report grid's
+    N, the density is evaluated on the report grid, and those samples are
+    the first level of the ladder over the whole circle.  The
+    verdict is "nontrivial" when the reduced value keeps at least the
+    integrality tolerance away from the integers, and "indeterminate"
+    otherwise (never coerced to a trivial/nontrivial claim the numerics
+    cannot support).
     """
-    grid = circle_grid(cfg.quadrature.n)
-    densities = _require_finite(_density_complex(m, cfg.s, grid))
-    # the imaginary part the density would carry: |Im kappa| max |f|
-    max_imag = abs(_constant_chain(cfg.s).imag) * float(np.max(np.abs(densities)))
-    integral = trapezoid_ladder(lambda x: cs_density(m, cfg, x), densities, cfg.quadrature)
+    spec = cfg.quadrature
+    samples, max_abs = 0, 0.0
+
+    def density(alpha):
+        nonlocal samples, max_abs
+        f = cs_density(m, cfg, alpha)
+        samples += np.size(f)
+        max_abs = max(max_abs, float(np.max(np.abs(f))))
+        return f
+
+    per_period = _per_period_spec(m, spec)
+    grid_densities = None
+    if per_period is not None:
+        # x in [0, 2*pi] covers one period 2*pi/g, and the ladder over x
+        # equals the integral over the whole circle
+        g = m.certificate[0]
+        integral = integrate_circle(lambda x: density(x / g), per_period)
+    else:
+        grid_densities = density(circle_grid(spec.n))
+        integral = trapezoid_ladder(density, grid_densities, spec)
     value = cfg.s / 4.0 * integral
     mod_z = reduce_mod_z(value)
     distance = min(mod_z, 1.0 - mod_z)
     nontrivial = distance > cfg.integrality_tol
     return CSReport(
-        alphas=grid,
-        densities=densities,
+        metric=m,
+        config=cfg,
         integral=integral,
         class_value=value,
         mod_z=mod_z,
@@ -238,8 +305,11 @@ def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
         verdict="nontrivial" if nontrivial else "indeterminate",
         s=cfg.s,
         a=m.a,
-        max_imag=max_imag,
-        quadrature_n=cfg.quadrature.n,
+        # the imaginary part the density would carry: |Im kappa| max |f|
+        max_imag=abs(_constant_chain(cfg.s).imag) * max_abs,
+        quadrature_n=spec.n,
+        samples_evaluated=samples,
+        _grid_densities=grid_densities,
     )
 
 

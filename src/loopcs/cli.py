@@ -9,6 +9,7 @@ constant chain with an imaginary part), 4 invariant-suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from .chern_simons import (CSConfig, CSReport, NonFiniteDensityError,
                            ResidueConventionError, cs_class, reduce_mod_z, sweep)
 from .expressions import EvalDomainError, ParseError, parse_expression
 from .geometry import BergerMetric, builtin_family
-from .quadrature import QuadratureConvergenceError, QuadratureSpec
+from .quadrature import QuadratureConvergenceError, QuadratureSpec, circle_grid
 from .verify import run_all
 
 EXIT_OK = 0
@@ -45,7 +46,9 @@ def parse_metric_exprs(lam_src: str, mu_src: str, nu_src: str, a: int = 1) -> Be
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--s", type=float, default=None, help="Sobolev exponent (> 1/2, default 1)")
     p.add_argument("--samples", type=int, default=None,
-                   help="quadrature sample count N (default 4096)")
+                   help="report grid N: the density CSV has N+1 rows (default "
+                        "4096); also the first ladder level of a metric whose "
+                        "trees give no period (see README)")
     p.add_argument("--tol", type=float, default=None,
                    help="absolute tolerance on |T_N - T_N/2| of the trapezoid "
                         "ladder (default 1e-8)")
@@ -145,6 +148,7 @@ def _report_json(report: CSReport, a: int | None) -> dict:
         "a": a,
         "max_imag": report.max_imag,
         "quadrature_n": report.quadrature_n,
+        "samples_evaluated": report.samples_evaluated,
     }
 
 
@@ -152,12 +156,26 @@ def _write_report(path: str, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_density_csv(path: str, report: CSReport) -> None:
-    # the bytes csv.writer gives: CRLF row endings (RFC 4180), nothing quoted
-    rows = "".join(f"{alpha:.17g},{f:.17g}\r\n" for alpha, f in
-                   zip(report.alphas.tolist(), report.densities.tolist()))
+@functools.lru_cache(maxsize=4)
+def _density_csv_template(n: int) -> str:
+    """Header and alpha column of the density CSV on circle_grid(n), with a
+    %.17g slot per density value: formatting floats is most of the cost of
+    the CSV, and every report with the same grid shares this half."""
+    return "alpha,f\r\n" + "".join(f"{alpha:.17g},%.17g\r\n"
+                                    for alpha in circle_grid(n).tolist())
+
+
+def _density_csv(report: CSReport) -> str:
+    """The report grid as CSV text, with the bytes csv.writer gives: CRLF
+    row endings (RFC 4180), nothing quoted.  Reading report.densities may
+    evaluate the grid, and so raise; callers form the text before they
+    write any output."""
+    return _density_csv_template(report.quadrature_n) % tuple(report.densities.tolist())
+
+
+def _write_density_csv(path: str, text: str) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("alpha,f\r\n" + rows)
+        fh.write(text)
 
 
 def _check_out_paths(opts: dict) -> None:
@@ -181,10 +199,11 @@ def _run_compute(opts: dict) -> int:
     _check_out_paths(opts)
     metric, a = _metric_from_opts(opts)
     report = cs_class(metric, _csconfig(opts))
+    csv_text = _density_csv(report) if opts.get("density_out") else None
     if opts.get("report_out"):
         _write_report(opts["report_out"], _report_json(report, a))
-    if opts.get("density_out"):
-        _write_density_csv(opts["density_out"], report)
+    if csv_text is not None:
+        _write_density_csv(opts["density_out"], csv_text)
     print(_summary_line(report, a))
     return EXIT_OK
 
@@ -205,14 +224,15 @@ def _run_sweep(opts: dict) -> int:
     if not a_values or any(a == 0 for a in a_values):
         raise ConfigError("--a needs nonzero integers")
     reports = sweep(a_values, _csconfig(opts))
+    csv_texts = [_density_csv(r) if opts.get("density_out") else None for r in reports]
     print(f"{'a':>4}  {'integral':>14}  {'class':>12}  {'mod Z':>10}  verdict")
-    for a, report in zip(a_values, reports):
+    for a, report, csv_text in zip(a_values, reports, csv_texts):
         print(f"{a:>4}  {report.integral:>14.6f}  {report.class_value:>12.6f}  "
               f"{_shown_mod_z(report):>10.6f}  {report.verdict}")
         if opts.get("report_out"):
             _write_report(_suffixed(opts["report_out"], a), _report_json(report, a))
-        if opts.get("density_out"):
-            _write_density_csv(_suffixed(opts["density_out"], a), report)
+        if csv_text is not None:
+            _write_density_csv(_suffixed(opts["density_out"], a), csv_text)
     return EXIT_OK
 
 

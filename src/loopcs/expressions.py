@@ -2,10 +2,12 @@
 
 Node kinds: number, alpha, a, +, -, *, /, integer power, sin, cos.  The
 grammar does not force 2*pi-periodicity in alpha (``alpha`` may appear
-outside a trig function, or as ``sin(0.5*alpha)``);
-:class:`~loopcs.geometry.BergerMetric` rejects scale functions whose jets
-at 0 and 2*pi disagree.  Trees are immutable; operators on nodes build new
-trees (with light constant folding), so metric families like
+outside a trig function, or as ``sin(0.5*alpha)``).  ``alpha_frequencies``
+reads a period off a tree whose every sin/cos argument is an integer
+multiple of alpha plus a constant; :class:`~loopcs.geometry.BergerMetric`
+rejects the other trees when their jets at 0 and 2*pi disagree.  Trees
+are immutable; operators on nodes build new trees (with light constant
+folding), so metric families like
 ``2 + (1/a)*cos(a*alpha)*sin(a*alpha)`` can be written once and evaluated
 for any a.
 
@@ -195,6 +197,68 @@ def constant_value(e: Expr) -> Optional[float]:
         a = constant_value(e.arg)
         return None if a is None else float(np.cos(a))
     raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def _linear_in_alpha(e: Expr, a: int) -> Optional[tuple[float, float]]:
+    """(k, c) with e = k*alpha + c once a is substituted, or None."""
+    if isinstance(e, Num):
+        return 0.0, e.value
+    if isinstance(e, ParamA):
+        return 0.0, float(a)
+    if isinstance(e, Alpha):
+        return 1.0, 0.0
+    if isinstance(e, (Sin, Cos, Pow)):
+        inner = _linear_in_alpha(e.base if isinstance(e, Pow) else e.arg, a)
+        if inner is None or inner[0] != 0.0:
+            return None   # a power or a sin/cos of alpha is not linear in it
+        with np.errstate(all="ignore"):   # inf or nan fails the integer test
+            c = (np.float64(inner[1]) ** e.exponent if isinstance(e, Pow)
+                 else np.sin(inner[1]) if isinstance(e, Sin) else np.cos(inner[1]))
+        return 0.0, float(c)
+    if isinstance(e, Div):
+        n, d = _linear_in_alpha(e.num, a), _linear_in_alpha(e.den, a)
+        if n is None or d is None or d[0] != 0.0 or d[1] == 0.0:
+            return None
+        return n[0] / d[1], n[1] / d[1]
+    l, r = _linear_in_alpha(e.left, a), _linear_in_alpha(e.right, a)
+    if l is None or r is None:
+        return None
+    if isinstance(e, Add):
+        return l[0] + r[0], l[1] + r[1]
+    if isinstance(e, Sub):
+        return l[0] - r[0], l[1] - r[1]
+    if l[0] != 0.0 and r[0] != 0.0:
+        return None   # alpha^2
+    return l[0] * r[1] + r[0] * l[1], l[1] * r[1]
+
+
+def alpha_frequencies(e: Expr, a: int = 1) -> Optional[frozenset]:
+    """The |k| of every sin/cos argument k*alpha + c with k != 0, or None.
+
+    Each k must be an integer once a is substituted; the tree is then a
+    function of the sin/cos of these multiples of alpha, hence 2*pi/g
+    periodic with g the gcd of the k.  None when alpha appears outside a
+    sin/cos argument, or inside one that is not linear in alpha with an
+    integer slope: no period can be read off the tree.
+    """
+    if isinstance(e, (Num, ParamA)):
+        return frozenset()
+    if isinstance(e, Alpha):
+        return None
+    if isinstance(e, (Sin, Cos)):
+        linear = _linear_in_alpha(e.arg, a)
+        if linear is None or not linear[0].is_integer():
+            return None
+        return frozenset({abs(int(linear[0]))} - {0})
+    children = ((e.num, e.den) if isinstance(e, Div) else (e.base,) if isinstance(e, Pow)
+                else (e.left, e.right))
+    found = frozenset()
+    for child in children:
+        k = alpha_frequencies(child, a)
+        if k is None:
+            return None
+        found |= k
+    return found
 
 
 # smart constructors: fold constants and drop arithmetic identities so that

@@ -39,13 +39,14 @@ evaluation parallelizes trivially.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .expressions import (Alpha, Cos, Div, Expr, Mul, Num, ParamA, Sin, Sub,
-                          derivative, evaluate)
+                          alpha_frequencies, derivative, evaluate)
 from .jets import Jet1, Jet2, Number
 
 # relative agreement demanded of the scale jets at alpha = 0 and 2*pi
@@ -77,15 +78,32 @@ class BergerMetric:
                 raise ValueError(f"{name} is not positive at alpha={bad:.6f}")
             end_jets.append(np.array([np.broadcast_to(x, grid.shape)[[0, -1]]
                                       for x in (jet.v, jet.d1, jet.d2)]))
-        # the circle quadrature is spectral only for periodic integrands: the
-        # (v, d1, d2) jets at 0 and 2*pi must agree, relative to the largest
-        # jet entry of the metric (rounding in 2*pi grows with the frequency)
+        if self.certificate is not None:
+            return
+        # the circle quadrature is spectral only for periodic integrands: with
+        # no period read off the trees, the (v, d1, d2) jets at 0 and 2*pi
+        # must agree, relative to the largest jet entry of the metric
+        # (rounding in 2*pi grows with the frequency)
         allowed = PERIODICITY_TOLERANCE * max(1.0, max(np.max(np.abs(j)) for j in end_jets))
         for name, j in zip(names, end_jets):
             gap = float(np.max(np.abs(j[:, 1] - j[:, 0])))
             if not gap <= allowed:
                 raise ValueError(f"{name} is not 2*pi-periodic: its jets at 0 and "
                                  f"2*pi differ by {gap:.3e}")
+
+    @cached_property
+    def certificate(self) -> tuple[int, int] | None:
+        """(g, K) read off the trees by alpha_frequencies: the scales are
+        2*pi/g periodic, and K is the largest alpha-frequency of their
+        sin/cos arguments.  None when some tree shows no period; constant
+        scales give (1, 0)."""
+        found = frozenset()
+        for e in (self.lam, self.mu, self.nu):
+            k = alpha_frequencies(e, self.a)
+            if k is None:
+                return None
+            found |= k
+        return (math.gcd(*found), max(found)) if found else (1, 0)
 
     @cached_property
     def _dotted(self):

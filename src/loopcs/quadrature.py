@@ -9,9 +9,10 @@ below n.
 The first level costs no extra samples beyond the n + 1 grid values: T_n
 uses all of them and T_{n/2} the even-index subset, and T_n is returned
 once |T_n - T_{n/2}| < tol.  Otherwise each doubling evaluates only the n
-new midpoints.  Because the first level is exactly the grid a report
-shows, a caller that already holds those samples (cs_class) hands them to
-trapezoid_ladder and the density is evaluated once per class value.
+new midpoints.  A caller that already holds the samples of the first
+level hands them to trapezoid_ladder: cs_class does so with the report
+grid of a metric that has no frequency certificate.  A certified metric
+is integrated over one period, rescaled to [0, 2*pi], by integrate_circle.
 
 Integrands are called on a full ndarray grid when they support it (the
 densities in this package do), falling back to pointwise evaluation

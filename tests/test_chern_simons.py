@@ -4,7 +4,7 @@ import pytest
 import loopcs.chern_simons
 import loopcs.geometry
 import loopcs.symbols
-from loopcs.chern_simons import (CSConfig, NonFiniteDensityError,
+from loopcs.chern_simons import (SAMPLES_PER_PERIOD, CSConfig, NonFiniteDensityError,
                                  ResidueConventionError, _require_finite,
                                  cs_class, cs_density, leading_order_density,
                                  reduce_mod_z, sweep)
@@ -145,10 +145,39 @@ def _count_density_samples(monkeypatch):
 
 
 @pytest.mark.parametrize("a", [2, 8, 32])
-def test_density_evaluated_once_per_class(a, monkeypatch):
+def test_class_samples_one_period_and_reads_grid_lazily(a, monkeypatch):
     counted = _count_density_samples(monkeypatch)
     report = cs_class(builtin_family(a), CFG)
-    assert counted[0] == CFG.quadrature.n + 1 == report.densities.size
+    assert counted[0] == report.samples_evaluated == 65
+    grid = report.densities
+    assert counted[0] == 65 + CFG.quadrature.n + 1 == 65 + grid.size
+    assert report.densities is grid
+    assert counted[0] == 65 + CFG.quadrature.n + 1
+
+
+def test_fast_harmonic_keeps_full_circle_ladder(monkeypatch):
+    # 64 samples per period of the 128th harmonic, over the one period
+    # 2*pi, would be more than the report grid's 4097 samples
+    m = BergerMetric(parse_expression("2+sin(alpha)+0.1*cos(128*alpha)"),
+                     parse_expression("1"), parse_expression("2-cos(alpha)"))
+    assert m.certificate == (1, 128)
+    counted = _count_density_samples(monkeypatch)
+    report = cs_class(m, CFG)
+    assert counted[0] == report.samples_evaluated == CFG.quadrature.n + 1
+    assert report.densities.size == CFG.quadrature.n + 1
+    assert counted[0] == CFG.quadrature.n + 1
+
+
+@pytest.mark.parametrize("a", [4096, 8192, 12288])
+def test_large_a_integral_is_not_aliased(a):
+    # every sample of the report grid sits at the same phase of a period
+    # when a is a multiple of N; a plain trapezoid over one period does not
+    m = builtin_family(a)
+    n = 2 ** 12
+    h = 2.0 * np.pi / a / n
+    want = a * h * float(np.sum(cs_density(m, CFG, h * np.arange(n))))
+    got = cs_class(m, CFG).integral
+    assert abs(got - want) < 1e-9 * abs(want)
 
 
 def _counting(calls, name, fn):
@@ -197,7 +226,7 @@ def test_non_finite_density_rejected(monkeypatch):
                      parse_expression("1"), parse_expression("1"))
     with pytest.raises(NonFiniteDensityError):
         cs_class(m, CFG)
-    assert counted[0] == CFG.quadrature.n + 1  # fails on the first pass
+    assert counted[0] == SAMPLES_PER_PERIOD + 1  # fails on the first per-period level
 
 
 def test_mod_z_in_unit_interval():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from loopcs.chern_simons import ResidueConventionError, cs_class
 from loopcs.cli import main
 from loopcs.expressions import parse_expression
@@ -124,11 +126,51 @@ def test_bad_metrics_exit_codes(capsys):
         # lam = cos(1024 alpha): 1 on the constructor's 1024-point grid, but
         # not positive at about half of the 4097 report-grid samples
         (["--lambda", "1-2*sin(512*alpha)^2", "--mu", "1", "--nu", "1"], 1, "error:"),
+        # ... and 1 on every point of a 1025-point grid; the integral's
+        # samples per period of the harmonic see it
+        (["--lambda", "1-2*sin(512*alpha)^2", "--mu", "1", "--nu", "1",
+          "--samples", "1024"], 1, "error:"),
     ]
     for metric_args, code, prefix in cases:
         assert run(["compute", *metric_args]) == code, metric_args
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(prefix), err
+
+
+def test_certified_metrics_accepted(capsys):
+    # periodic scales whose jets at 0 and 2*pi differ by rounding in
+    # 2*pi times the frequency
+    for scale in ("2+sin(3000*alpha)", "2+cos(4096*alpha)"):
+        assert run(["compute", "--lambda", scale, "--mu", "2", "--nu", "3"]) == 0
+    capsys.readouterr()
+    # a multiple of the report grid's N: every grid sample has the same phase
+    assert run(["compute", "--family", "paper", "--a", "4096"]) == 0
+    out = capsys.readouterr().out
+    assert "integral -20911657.889618" in out and "mod Z 0.527595" in out
+
+
+def test_report_counts_integral_samples(tmp_path):
+    path = tmp_path / "r.json"
+    assert run(["compute", "--family", "paper", "--a", "2", "--report-out", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert report["samples_evaluated"] == 65
+    assert report["quadrature_n"] == 4096
+
+
+def test_grid_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
+    import loopcs.chern_simons
+
+    # the report grid is read after the integral: make only that read fail
+    monkeypatch.setattr(loopcs.chern_simons, "circle_grid",
+                        lambda n: np.full(n + 1, np.nan))
+    report, density = tmp_path / "r.json", tmp_path / "d.csv"
+    outputs = ["--report-out", str(report), "--density-out", str(density)]
+    assert run(["compute", "--family", "paper", "--a", "2", *outputs]) == 3
+    assert run(["sweep", "--a", "2,3", *outputs]) == 3
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("numerical error:") == 2
 
 
 def test_distinct_output_paths(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loopcs.expressions import parse_expression
+from loopcs.expressions import alpha_frequencies, parse_expression
 from loopcs.geometry import (BergerMetric, builtin_family,
                              christoffel_coefficients, christoffel_koszul,
                              christoffel_table, coefficient_set,
@@ -166,6 +166,22 @@ def test_periodicity_enforced():
     rng = np.random.default_rng(20240)
     for _ in range(50):
         random_metric(rng)
+
+
+@pytest.mark.parametrize("src", ["alpha", "sin(0.5*alpha)", "sin(sin(alpha))",
+                                 "sin(alpha^2)"])
+def test_no_frequency_certificate(src):
+    assert alpha_frequencies(parse_expression(src)) is None
+
+
+def test_frequency_certificate():
+    assert metric("2+cos(3*alpha)*sin(6*alpha)").certificate == (3, 6)
+    for a in (1, 2, 7, 32, 4096, -8):
+        assert builtin_family(a).certificate == (abs(a), abs(a))
+    assert round_metric().certificate == (1, 0)
+    # periodic, but no period can be read off the tree: the numeric test
+    # at 0 and 2*pi accepts it
+    assert metric("2+sin(sin(alpha))").certificate is None
 
 
 def test_family_parameter_zero_rejected():
