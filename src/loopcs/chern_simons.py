@@ -34,7 +34,7 @@ alpha-frequency at most K), cs_class integrates one period with the
 trapezoid ladder of :mod:`loopcs.quadrature`, starting at
 SAMPLES_PER_PERIOD samples per period of the K-th harmonic, and multiplies
 by g; a default class value of the built-in family costs 65 density
-samples.  Without a certificate (or when that first level would exceed
+samples for a in {2, 8, 32}.  Without a certificate (or when that first level would exceed
 the report grid's N) it evaluates the density on the report grid and
 hands those samples to the ladder as its first level.  The report
 grid itself (CSReport.alphas, .densities) is evaluated the first time it
