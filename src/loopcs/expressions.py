@@ -12,8 +12,16 @@ folding), so metric families like
 for any a.
 
 Evaluation returns a :class:`~loopcs.jets.Jet2`, i.e. the value and the
-first two alpha-derivatives, exactly.  ``derivative`` differentiates
-symbolically, producing another tree in the same grammar.
+first two alpha-derivatives, exactly, and does only the array work a tree
+needs.  One walk reads every subtree that is linear in alpha as (k, c),
+k*alpha + c once a is substituted (the reading ``alpha_frequencies`` also
+uses): alpha-free subtrees fold to float constants, and sin/cos of
+k*alpha + c become the direct jets (s, k*c, -k^2*s) and (c, -k*s, -k^2*c)
+of s, c = np.sin, np.cos of the argument.  Trees evaluated in one call
+share that pair per distinct argument (the built-in family's three scales
+need one np.sin and one np.cos), and a constant adds to or scales a jet
+as a scalar.  Only the remaining nodes propagate Jet2s.  ``derivative``
+differentiates symbolically, producing another tree in the same grammar.
 
 The concrete grammar parsed by :func:`parse_expression`::
 
@@ -199,30 +207,47 @@ def constant_value(e: Expr) -> Optional[float]:
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
-def _linear_in_alpha(e: Expr, a: int) -> Optional[tuple[float, float]]:
-    """(k, c) with e = k*alpha + c once a is substituted, or None."""
+def _children(e: Expr) -> tuple:
+    if isinstance(e, Div):
+        return e.num, e.den
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Sin, Cos)):
+        return (e.arg,)
+    if isinstance(e, (Add, Sub, Mul)):
+        return e.left, e.right
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def _leaf(e: Expr, a: int) -> Optional[tuple[float, float]]:
+    """(k, c) of a leaf, e = k*alpha + c; None for an inner node."""
     if isinstance(e, Num):
         return 0.0, e.value
     if isinstance(e, ParamA):
         return 0.0, float(a)
     if isinstance(e, Alpha):
         return 1.0, 0.0
+    return None
+
+
+def _linear_node(e: Expr, parts: list) -> Optional[tuple[float, float]]:
+    """(k, c) of the inner node e from the (k, c) of its children, or None
+    when e is not linear in alpha or is a pole (a zero denominator, a
+    negative power of zero)."""
     if isinstance(e, (Sin, Cos, Pow)):
-        inner = _linear_in_alpha(e.base if isinstance(e, Pow) else e.arg, a)
-        if inner is None or inner[0] != 0.0:
+        k, c = parts[0]
+        if k != 0.0 or (isinstance(e, Pow) and c == 0.0 and e.exponent < 0):
             return None   # a power or a sin/cos of alpha is not linear in it
         with np.errstate(all="ignore"):   # inf or nan fails the integer test
-            c = (np.float64(inner[1]) ** e.exponent if isinstance(e, Pow)
-                 else np.sin(inner[1]) if isinstance(e, Sin) else np.cos(inner[1]))
+            c = (np.float64(c) ** e.exponent if isinstance(e, Pow)
+                 else np.sin(c) if isinstance(e, Sin) else np.cos(c))
         return 0.0, float(c)
     if isinstance(e, Div):
-        n, d = _linear_in_alpha(e.num, a), _linear_in_alpha(e.den, a)
-        if n is None or d is None or d[0] != 0.0 or d[1] == 0.0:
+        n, d = parts
+        if d[0] != 0.0 or d[1] == 0.0:
             return None
         return n[0] / d[1], n[1] / d[1]
-    l, r = _linear_in_alpha(e.left, a), _linear_in_alpha(e.right, a)
-    if l is None or r is None:
-        return None
+    l, r = parts
     if isinstance(e, Add):
         return l[0] + r[0], l[1] + r[1]
     if isinstance(e, Sub):
@@ -230,6 +255,15 @@ def _linear_in_alpha(e: Expr, a: int) -> Optional[tuple[float, float]]:
     if l[0] != 0.0 and r[0] != 0.0:
         return None   # alpha^2
     return l[0] * r[1] + r[0] * l[1], l[1] * r[1]
+
+
+def _linear_in_alpha(e: Expr, a: int) -> Optional[tuple[float, float]]:
+    """(k, c) with e = k*alpha + c once a is substituted, or None."""
+    leaf = _leaf(e, a)
+    if leaf is not None:
+        return leaf
+    parts = [_linear_in_alpha(child, a) for child in _children(e)]
+    return None if None in parts else _linear_node(e, parts)
 
 
 def alpha_frequencies(e: Expr, a: int = 1) -> Optional[frozenset]:
@@ -250,10 +284,8 @@ def alpha_frequencies(e: Expr, a: int = 1) -> Optional[frozenset]:
         if linear is None or not linear[0].is_integer():
             return None
         return frozenset({abs(int(linear[0]))} - {0})
-    children = ((e.num, e.den) if isinstance(e, Div) else (e.base,) if isinstance(e, Pow)
-                else (e.left, e.right))
     found = frozenset()
-    for child in children:
+    for child in _children(e):
         k = alpha_frequencies(child, a)
         if k is None:
             return None
@@ -326,41 +358,101 @@ def _pow(b: Expr, k: int) -> Expr:
     return Pow(b, k)
 
 
-def evaluate(e: Expr, alpha: Number, a: int = 1) -> Jet2:
+def evaluate(e: Expr | tuple, alpha: Number, a: int = 1) -> Jet2 | tuple:
     """Jet of e at alpha: value and first two exact alpha-derivatives.
 
-    alpha may be a scalar or an ndarray (evaluated elementwise).  Raises
+    alpha may be a scalar or an ndarray (evaluated elementwise).  e may
+    also be a tuple of trees, evaluated together into a tuple of jets that
+    share one np.sin/np.cos pair per distinct linear argument.  Raises
     EvalDomainError if a denominator vanishes at any evaluation point.
     """
-    if isinstance(e, Num):
-        return Jet2.constant(e.value)
-    if isinstance(e, Alpha):
-        return Jet2.variable(alpha)
-    if isinstance(e, ParamA):
-        return Jet2.constant(float(a))
-    if isinstance(e, Add):
-        return evaluate(e.left, alpha, a) + evaluate(e.right, alpha, a)
-    if isinstance(e, Sub):
-        return evaluate(e.left, alpha, a) - evaluate(e.right, alpha, a)
-    if isinstance(e, Mul):
-        return evaluate(e.left, alpha, a) * evaluate(e.right, alpha, a)
+    # sin/cos of k*alpha + c by (k, c); a plain local, freed on return
+    trig = {}
+    if isinstance(e, Expr):
+        return _jet(_walk(e, alpha, a, trig), alpha)
+    return tuple(_jet(_walk(tree, alpha, a, trig), alpha) for tree in e)
+
+
+def _line(k: float, c: float, alpha: Number) -> Number:
+    return k * alpha + c if c != 0.0 else k * alpha
+
+
+def _jet(x, alpha: Number) -> Jet2:
+    """A walk result as a jet: (k, c) is (k*alpha + c, k, 0)."""
+    if isinstance(x, Jet2):
+        return x
+    k, c = x
+    return Jet2(c, 0.0, 0.0) if k == 0.0 else Jet2(_line(k, c, alpha), k, 0.0)
+
+
+def _constant(x) -> Optional[float]:
+    return x[1] if isinstance(x, tuple) and x[0] == 0.0 else None
+
+
+def _walk(e: Expr, alpha: Number, a: int, trig: dict):
+    """e at alpha as (k, c), i.e. k*alpha + c (a float constant c when
+    k == 0), while the subtree is linear in alpha, and as a Jet2 above
+    that.  Only jets cost array work, and a constant enters it as a
+    scalar."""
+    leaf = _leaf(e, a)
+    if leaf is not None:
+        return leaf
     if isinstance(e, Div):
-        den = evaluate(e.den, alpha, a)
-        if np.any(np.asarray(den.v) == 0.0):
-            raise EvalDomainError(f"division by zero in '{e.den}'")
-        return evaluate(e.num, alpha, a) / den
+        return _divide(e, alpha, a, trig)
+    parts = [_walk(child, alpha, a, trig) for child in _children(e)]
+    if all(isinstance(p, tuple) for p in parts):
+        linear = _linear_node(e, parts)
+        if linear is not None:
+            return linear
+    if isinstance(e, (Sin, Cos)):
+        arg = parts[0]
+        if isinstance(arg, Jet2):
+            return arg.sin() if isinstance(e, Sin) else arg.cos()
+        k, c = arg   # k != 0: the jets of sin and cos of k*alpha + c
+        if arg not in trig:
+            x = _line(k, c, alpha)
+            trig[arg] = np.sin(x), np.cos(x)
+        s, co = trig[arg]
+        return Jet2(s, k * co, -k * k * s) if isinstance(e, Sin) else Jet2(co, -k * s, -k * k * co)
     if isinstance(e, Pow):
-        base = evaluate(e.base, alpha, a)
-        if e.exponent < 2 and np.any(np.asarray(base.v) == 0.0):
-            # k<0 is a pole; k=1 is fine but never reaches here (folded away)
-            if e.exponent < 0:
-                raise EvalDomainError(f"negative power of zero in '{e}'")
+        base = _jet(parts[0], alpha)
+        if e.exponent < 0 and np.any(np.asarray(base.v) == 0.0):
+            raise EvalDomainError(f"negative power of zero in '{e}'")
         return base ** e.exponent
-    if isinstance(e, Sin):
-        return evaluate(e.arg, alpha, a).sin()
-    if isinstance(e, Cos):
-        return evaluate(e.arg, alpha, a).cos()
-    raise TypeError(f"unknown node {type(e).__name__}")
+    l, r = parts
+    lc, rc = _constant(l), _constant(r)
+    # a constant with a line was read as a line above, so the other is a jet
+    if lc is not None:
+        if isinstance(e, Add):
+            return Jet2(lc + r.v, r.d1, r.d2)
+        if isinstance(e, Sub):
+            return Jet2(lc - r.v, -r.d1, -r.d2)
+        return Jet2(lc * r.v, lc * r.d1, lc * r.d2)
+    if rc is not None:
+        if isinstance(e, Add):
+            return Jet2(l.v + rc, l.d1, l.d2)
+        if isinstance(e, Sub):
+            return Jet2(l.v - rc, l.d1, l.d2)
+        return Jet2(l.v * rc, l.d1 * rc, l.d2 * rc)
+    l, r = _jet(l, alpha), _jet(r, alpha)
+    return l + r if isinstance(e, Add) else l - r if isinstance(e, Sub) else l * r
+
+
+def _divide(e: Div, alpha: Number, a: int, trig: dict):
+    # the denominator is walked and checked before the numerator, so a pole
+    # in both is reported as the denominator's
+    den = _walk(e.den, alpha, a, trig)
+    dc = _constant(den)
+    if dc is None:
+        den = _jet(den, alpha)
+    if dc == 0.0 or (dc is None and np.any(np.asarray(den.v) == 0.0)):
+        raise EvalDomainError(f"division by zero in '{e.den}'")
+    num = _walk(e.num, alpha, a, trig)
+    if dc is not None:
+        if isinstance(num, tuple):
+            return _linear_node(e, [num, den])
+        return Jet2(num.v / dc, num.d1 / dc, num.d2 / dc)
+    return _jet(num, alpha) / den
 
 
 def derivative(e: Expr) -> Expr:

@@ -63,27 +63,27 @@ class BergerMetric:
     a: int = 1
 
     def __post_init__(self):
-        # one evaluation per tree: the first 1024 points are the positivity
-        # grid, points 0 and 1024 (alpha = 0 and 2*pi) the periodicity check
+        # one evaluation of the three trees: the first 1024 points are the
+        # positivity grid, points 0 and 1024 (alpha = 0 and 2*pi) the
+        # periodicity check
         grid = np.linspace(0.0, 2.0 * np.pi, 1025)
         names = ("lam", "mu", "nu")
-        end_jets = []
-        for name, e in zip(names, (self.lam, self.mu, self.nu)):
-            jet = evaluate(e, grid, self.a)
+        jets = evaluate((self.lam, self.mu, self.nu), grid, self.a)
+        for name, jet in zip(names, jets):
             values = np.broadcast_to(jet.v, grid.shape)[:-1]
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} is not finite on [0, 2*pi)")
             if np.any(values <= 0.0):
                 bad = grid[np.argmin(values)]
                 raise ValueError(f"{name} is not positive at alpha={bad:.6f}")
-            end_jets.append(np.array([np.broadcast_to(x, grid.shape)[[0, -1]]
-                                      for x in (jet.v, jet.d1, jet.d2)]))
         if self.certificate is not None:
             return
         # the circle quadrature is spectral only for periodic integrands: with
         # no period read off the trees, the (v, d1, d2) jets at 0 and 2*pi
         # must agree, relative to the largest jet entry of the metric
         # (rounding in 2*pi grows with the frequency)
+        end_jets = [np.array([np.broadcast_to(x, grid.shape)[[0, -1]]
+                              for x in (jet.v, jet.d1, jet.d2)]) for jet in jets]
         allowed = PERIODICITY_TOLERANCE * max(1.0, max(np.max(np.abs(j)) for j in end_jets))
         for name, j in zip(names, end_jets):
             gap = float(np.max(np.abs(j[:, 1] - j[:, 0])))
@@ -110,9 +110,10 @@ class BergerMetric:
         return (derivative(self.lam), derivative(self.mu), derivative(self.nu))
 
     def scale_jets(self, alpha: Number):
-        """Jets of (lam, mu, nu) at alpha, each checked positive there: the
-        constructor's fixed grid can miss a fast oscillation."""
-        jets = tuple(evaluate(e, alpha, self.a) for e in (self.lam, self.mu, self.nu))
+        """Jets of (lam, mu, nu) at alpha from one evaluate call, each
+        checked positive there: the constructor's fixed grid can miss a fast
+        oscillation."""
+        jets = evaluate((self.lam, self.mu, self.nu), alpha, self.a)
         for name, jet in zip(("lam", "mu", "nu"), jets):
             alphas, values = np.broadcast_arrays(alpha, jet.v)
             if np.any(values <= 0.0):
@@ -126,8 +127,8 @@ class BergerMetric:
         even the second derivatives are exact.  The oracle tables use it;
         the class path takes the log-rates from the scale jets alone
         (first_order_coefficients)."""
-        return tuple(evaluate(dotted, alpha, self.a) / scale
-                     for dotted, scale in zip(self._dotted, scales))
+        return tuple(dotted / scale
+                     for dotted, scale in zip(evaluate(self._dotted, alpha, self.a), scales))
 
 
 # the built-in one-parameter family: lam = 1, mu = 2 + (1/a) cos(a alpha)

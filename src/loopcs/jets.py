@@ -41,14 +41,6 @@ class Jet2:
         return Jet2(c, 0.0 * c, 0.0 * c)
 
     @staticmethod
-    def variable(alpha: Number) -> "Jet2":
-        """The jet of the identity function alpha -> alpha."""
-        if isinstance(alpha, np.ndarray):
-            a = np.asarray(alpha, dtype=float)
-            return Jet2(a, np.ones_like(a), np.zeros_like(a))
-        return Jet2(float(alpha), 1.0, 0.0)
-
-    @staticmethod
     def _coerce(x: Union["Jet2", Number]) -> "Jet2":
         return x if isinstance(x, Jet2) else Jet2.constant(x)
 

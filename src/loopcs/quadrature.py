@@ -15,8 +15,9 @@ grid of a metric that has no frequency certificate.  A certified metric
 is integrated over one period, rescaled to [0, 2*pi], by integrate_circle.
 
 Integrands are called on a full ndarray grid when they support it (the
-densities in this package do), falling back to pointwise evaluation
-otherwise.
+densities in this package do), falling back to pointwise evaluation when
+the array call raises TypeError or returns the wrong shape.  Any other
+error (a density rejecting its metric) propagates from that one call.
 """
 from __future__ import annotations
 
@@ -60,12 +61,16 @@ def circle_grid(n: int) -> np.ndarray:
 
 
 def _sample(f: Callable, alpha: np.ndarray) -> np.ndarray:
+    # a TypeError (float() or math.sin of an array) or a result of the wrong
+    # shape says that f does not vectorize; any other error is f rejecting
+    # its input, and it propagates from the one array call
     try:
         y = np.asarray(f(alpha), dtype=float)
+    except TypeError:
+        pass
+    else:
         if y.shape == alpha.shape:
             return y
-    except (TypeError, ValueError):
-        pass
     return np.asarray([float(f(x)) for x in alpha])
 
 

@@ -11,7 +11,7 @@ from loopcs.chern_simons import (SAMPLES_PER_PERIOD, CSConfig, NonFiniteDensityE
 from loopcs.expressions import parse_expression
 from loopcs.forms import MatrixForm
 from loopcs.geometry import BergerMetric, builtin_family, round_metric
-from loopcs.quadrature import QuadratureSpec
+from loopcs.quadrature import QuadratureSpec, integrate_circle
 from loopcs.verify import check_density_reality, random_metric
 
 CFG = CSConfig()
@@ -132,27 +132,27 @@ def test_real_connection_constant_trips_reality_guard(monkeypatch):
 
 def _count_density_samples(monkeypatch):
     # every density evaluation, on the report grid or on a refinement,
-    # passes through _density_complex
-    counted = [0]
+    # passes through _density_complex; one entry per call, its sample count
+    sizes = []
     original = loopcs.chern_simons._density_complex
 
     def counting(m, s, alpha):
-        counted[0] += np.size(alpha)
+        sizes.append(np.size(alpha))
         return original(m, s, alpha)
 
     monkeypatch.setattr(loopcs.chern_simons, "_density_complex", counting)
-    return counted
+    return sizes
 
 
 @pytest.mark.parametrize("a", [2, 8, 32])
 def test_class_samples_one_period_and_reads_grid_lazily(a, monkeypatch):
-    counted = _count_density_samples(monkeypatch)
+    sizes = _count_density_samples(monkeypatch)
     report = cs_class(builtin_family(a), CFG)
-    assert counted[0] == report.samples_evaluated == 65
+    assert sum(sizes) == report.samples_evaluated == 65
     grid = report.densities
-    assert counted[0] == 65 + CFG.quadrature.n + 1 == 65 + grid.size
+    assert sum(sizes) == 65 + CFG.quadrature.n + 1 == 65 + grid.size
     assert report.densities is grid
-    assert counted[0] == 65 + CFG.quadrature.n + 1
+    assert sum(sizes) == 65 + CFG.quadrature.n + 1
 
 
 def test_fast_harmonic_keeps_full_circle_ladder(monkeypatch):
@@ -161,11 +161,23 @@ def test_fast_harmonic_keeps_full_circle_ladder(monkeypatch):
     m = BergerMetric(parse_expression("2+sin(alpha)+0.1*cos(128*alpha)"),
                      parse_expression("1"), parse_expression("2-cos(alpha)"))
     assert m.certificate == (1, 128)
-    counted = _count_density_samples(monkeypatch)
+    sizes = _count_density_samples(monkeypatch)
     report = cs_class(m, CFG)
-    assert counted[0] == report.samples_evaluated == CFG.quadrature.n + 1
+    assert sum(sizes) == report.samples_evaluated == CFG.quadrature.n + 1
     assert report.densities.size == CFG.quadrature.n + 1
-    assert counted[0] == CFG.quadrature.n + 1
+    assert sum(sizes) == CFG.quadrature.n + 1
+
+
+def test_rejected_metric_raises_from_one_density_call(monkeypatch):
+    # lam = cos(1024 alpha) is 1 on the constructor's grid and negative
+    # between; the first per-period level finds it, and the quadrature must
+    # not retry the rejected metric point by point
+    m = BergerMetric(parse_expression("1-2*sin(512*alpha)^2"),
+                     parse_expression("1"), parse_expression("1"))
+    sizes = _count_density_samples(monkeypatch)
+    with pytest.raises(ValueError, match="lam is not positive at alpha=0.001726"):
+        cs_class(m, CSConfig(quadrature=QuadratureSpec(n=1024)))
+    assert sizes == [SAMPLES_PER_PERIOD + 1]
 
 
 @pytest.mark.parametrize("a", [4096, 8192, 12288])
@@ -188,7 +200,7 @@ def _counting(calls, name, fn):
 
 
 @pytest.mark.parametrize("a", [2, 8, 32])
-def test_no_table_no_log_rates_three_evaluates_per_class(a, monkeypatch):
+def test_no_table_no_log_rates_one_evaluate_per_class(a, monkeypatch):
     m = builtin_family(a)  # the constructor's own evaluations are not counted
     calls = {"christoffel_table": 0, "scale_jets": 0, "log_rate_jets": 0,
              "wedge": 0, "evaluate": 0}
@@ -200,20 +212,44 @@ def test_no_table_no_log_rates_three_evaluates_per_class(a, monkeypatch):
         monkeypatch.setattr(BergerMetric, name,
                             _counting(calls, name, getattr(BergerMetric, name)))
     monkeypatch.setattr(MatrixForm, "wedge", _counting(calls, "wedge", MatrixForm.wedge))
-    # top-level evaluations of the scale trees and their derivatives
+    # top-level evaluations of the scale trees and their derivatives: the
+    # three scale trees go in one call
     monkeypatch.setattr(loopcs.geometry, "evaluate",
                         _counting(calls, "evaluate", loopcs.geometry.evaluate))
     cs_class(m, CFG)
     assert calls == {"christoffel_table": 0, "scale_jets": 1, "log_rate_jets": 0,
-                     "wedge": 0, "evaluate": 3}
+                     "wedge": 0, "evaluate": 1}
 
 
 def test_metric_constructor_evaluates_each_tree_once(monkeypatch):
-    calls = {"evaluate": 0}
-    monkeypatch.setattr(loopcs.geometry, "evaluate",
-                        _counting(calls, "evaluate", loopcs.geometry.evaluate))
-    builtin_family(8)
-    assert calls == {"evaluate": 3}
+    trees = []
+    original = loopcs.geometry.evaluate
+
+    def recording(e, alpha, a=1):
+        trees.append(e)
+        return original(e, alpha, a)
+
+    monkeypatch.setattr(loopcs.geometry, "evaluate", recording)
+    m = builtin_family(8)
+    assert trees == [(m.lam, m.mu, m.nu)]
+
+
+def test_scale_jets_share_one_sin_cos_pair(monkeypatch):
+    # mu = 2 + (1/a) cos(a alpha) sin(a alpha) and nu = 2 - cos(a alpha)
+    # have one argument between them, so one np.sin and one np.cos of it
+    m = builtin_family(8)
+    grid = np.linspace(0.0, 2 * np.pi, 4097)
+    calls = {"sin": 0, "cos": 0}
+    for name in calls:
+        original = getattr(np, name)
+
+        def counting(x, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += np.ndim(x) > 0
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    m.scale_jets(grid)
+    assert calls == {"sin": 1, "cos": 1}
 
 
 def test_non_finite_density_rejected(monkeypatch):
@@ -221,12 +257,12 @@ def test_non_finite_density_rejected(monkeypatch):
         _require_finite(np.array([complex(1.0, np.nan)]))
     with pytest.raises(NonFiniteDensityError):
         _require_finite(np.array([np.inf]))
-    counted = _count_density_samples(monkeypatch)
+    sizes = _count_density_samples(monkeypatch)
     m = BergerMetric(parse_expression("(2+sin(alpha))^300"),
                      parse_expression("1"), parse_expression("1"))
     with pytest.raises(NonFiniteDensityError):
         cs_class(m, CFG)
-    assert counted[0] == SAMPLES_PER_PERIOD + 1  # fails on the first per-period level
+    assert sizes == [SAMPLES_PER_PERIOD + 1]  # fails on the first per-period level
 
 
 def test_mod_z_in_unit_interval():
@@ -239,11 +275,13 @@ def test_mod_z_in_unit_interval():
     assert not report.nontrivial
 
 
-def test_quadrature_doubling_stability():
-    m = builtin_family(2)
-    i1 = cs_class(m, CFG).integral
-    i2 = cs_class(m, CSConfig(quadrature=QuadratureSpec(n=8192))).integral
-    assert abs(i1 - i2) < 1e-8
+def test_per_period_integral_matches_full_circle():
+    # the ladder over the whole circle on the report grid ignores the
+    # frequency certificate: it sees a wrong period or a wrong factor g
+    for a in (2, 3):
+        m = builtin_family(a)
+        circle = integrate_circle(lambda x: cs_density(m, CFG, x), CFG.quadrature)
+        assert abs(cs_class(m, CFG).integral - circle) < 1e-8
 
 
 def test_sweep():

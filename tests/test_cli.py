@@ -137,6 +137,12 @@ def test_bad_metrics_exit_codes(capsys):
         assert len(err) == 1 and err[0].startswith(prefix), err
 
 
+def test_overflowing_parameter_power_is_not_finite(capsys):
+    # a^400 at a = 8 folds to inf: one error line, not an OverflowError
+    assert run(["compute", "--lambda", "a^400", "--mu", "1", "--nu", "1", "--a", "8"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: lam is not finite on [0, 2*pi)"]
+
+
 def test_certified_metrics_accepted(capsys):
     # periodic scales whose jets at 0 and 2*pi differ by rounding in
     # 2*pi times the frequency

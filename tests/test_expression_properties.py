@@ -5,7 +5,13 @@ derivative agrees with jet propagation: evaluate(derivative(e)).v is
 evaluate(e).d1 and its d1 is evaluate(e).d2.  The class path takes the
 log-rate derivatives from the jets' d2, the oracle tables from derivative
 trees, so this agreement is what lets the two routes check each other.
-Skipped when hypothesis, which loopcs does not depend on, is absent.
+
+evaluate folds constants, keeps linear arguments symbolic and shares
+sin/cos arrays.  Two oracles that do none of that check it: a plain
+recursive walker that makes every node a Jet2 (oracle_evaluate below),
+and central finite differences of evaluate's own values and first
+derivatives.  Skipped when hypothesis, which loopcs does not depend on,
+is absent.
 """
 import operator
 from dataclasses import fields
@@ -13,8 +19,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from loopcs.expressions import (Alpha, Cos, Expr, Num, ParamA, Sin, derivative,
-                                evaluate, parse_expression)
+from loopcs.expressions import (Add, Alpha, Cos, Div, EvalDomainError, Expr, Mul,
+                                Num, ParamA, Pow, Sin, Sub, derivative, evaluate,
+                                parse_expression)
+from loopcs.jets import Jet2
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -87,3 +95,83 @@ def test_derivative_tree_matches_jets(e, a):
         got, want = np.broadcast_arrays(got, want, GRID)[:2]
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-11 * scale
+
+
+def oracle_evaluate(e: Expr, alpha: np.ndarray, a: int) -> Jet2:
+    """Jets by the plain recursive walk: every node, constants and alpha
+    included, becomes an array Jet2, and every sin/cos computes its own
+    np.sin and np.cos."""
+    if isinstance(e, (Num, ParamA)):
+        c = e.value if isinstance(e, Num) else float(a)
+        return Jet2(np.full_like(alpha, c), np.zeros_like(alpha), np.zeros_like(alpha))
+    if isinstance(e, Alpha):
+        return Jet2(alpha, np.ones_like(alpha), np.zeros_like(alpha))
+    if isinstance(e, Div):
+        den = oracle_evaluate(e.den, alpha, a)
+        if np.any(den.v == 0.0):
+            raise EvalDomainError(f"division by zero in '{e.den}'")
+        return oracle_evaluate(e.num, alpha, a) / den
+    if isinstance(e, Pow):
+        base = oracle_evaluate(e.base, alpha, a)
+        if e.exponent < 0 and np.any(base.v == 0.0):
+            raise EvalDomainError(f"negative power of zero in '{e}'")
+        return base ** e.exponent
+    if isinstance(e, (Sin, Cos)):
+        arg = oracle_evaluate(e.arg, alpha, a)
+        return arg.sin() if isinstance(e, Sin) else arg.cos()
+    op = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}[type(e)]
+    return op(oracle_evaluate(e.left, alpha, a), oracle_evaluate(e.right, alpha, a))
+
+
+def components(jet: Jet2, alpha: np.ndarray):
+    return [np.broadcast_to(x, alpha.shape) for x in (jet.v, jet.d1, jet.d2)]
+
+
+@SETTINGS
+@hypothesis.given(trees(MODERATE, safe=True), trees(MODERATE, safe=True),
+                  st.integers(1, 8))
+def test_evaluate_matches_plain_jet_walker(e, other, a):
+    got, got_other = evaluate((e, other), GRID, a)
+    for jet, tree in ((got, e), (got_other, other)):
+        want = components(oracle_evaluate(tree, GRID, a), GRID)
+        for x, y in zip(components(jet, GRID), want):
+            assert np.max(np.abs(x - y)) <= 1e-13 * max(1.0, float(np.max(np.abs(y))))
+    # evaluated together, the trees share sin/cos arrays and nothing else
+    for x, y in zip(components(got, GRID), components(evaluate(e, GRID, a), GRID)):
+        assert np.array_equal(x, y)
+
+
+@SETTINGS
+@hypothesis.given(trees(MODERATE), st.integers(-3, 3))
+def test_evaluate_rejects_poles_like_the_plain_walker(e, a):
+    # unrestricted denominators and negative powers: the same pole, or none
+    with np.errstate(all="ignore"):
+        try:
+            oracle_evaluate(e, GRID, a)
+        except EvalDomainError as want:
+            with pytest.raises(EvalDomainError) as got:
+                evaluate(e, GRID, a)
+            assert str(got.value) == str(want)
+        else:
+            evaluate(e, GRID, a)
+
+
+@SETTINGS
+@hypothesis.given(trees(MODERATE, safe=True), st.integers(1, 4))
+def test_jets_match_central_differences(e, a):
+    # d1 against central differences of v, d2 against those of d1, at steps
+    # h and h/2 combined by Richardson extrapolation, (4 D(h/2) - D(h)) / 3:
+    # its step error is O(h^4), which an argument like alpha^3 (rate ~100
+    # at 2*pi) needs; rounding adds about eps |f| / h
+    h = 1e-5
+
+    def differences(step):
+        ahead = components(evaluate(e, GRID + step, a), GRID)
+        behind = components(evaluate(e, GRID - step, a), GRID)
+        return [(x - y) / (2.0 * step) for x, y in zip(ahead[:2], behind[:2])]
+
+    jet = components(evaluate(e, GRID, a), GRID)
+    for k, coarse, fine in zip((1, 2), differences(h), differences(h / 2.0)):
+        fd = (4.0 * fine - coarse) / 3.0
+        scale = max(1.0, float(np.max(np.abs(jet[k]))), float(np.max(np.abs(jet[k - 1]))))
+        assert np.max(np.abs(jet[k] - fd)) <= 1e-6 * scale
