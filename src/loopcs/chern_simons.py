@@ -28,17 +28,18 @@ constant chain kappa(s) multiplying T_conn must collapse to a real scalar;
 a residual imaginary part signals a convention bug and is rejected.
 
 cs_density is a pure function of (metric, config, alpha) and vectorizes
-over alpha grids.  When the metric carries a frequency certificate (g, K)
+over alpha grids; every density sample passes through it.  cs_class makes
+one integrate_circle call (:mod:`loopcs.quadrature`) over one period
+2*pi/g, rescaled to [0, 2*pi], which equals the integral over the whole
+circle.  When the metric carries a frequency certificate (g, K)
 (BergerMetric.certificate: scales 2*pi/g periodic, sin/cos arguments of
-alpha-frequency at most K), cs_class integrates one period with the
-trapezoid ladder of :mod:`loopcs.quadrature`, starting at
-SAMPLES_PER_PERIOD samples per period of the K-th harmonic, and multiplies
-by g; a default class value of the built-in family costs 65 density
-samples for a in {2, 8, 32}.  Without a certificate (or when that first level would exceed
-the report grid's N) it evaluates the density on the report grid and
-hands those samples to the ladder as its first level.  The report
-grid itself (CSReport.alphas, .densities) is evaluated the first time it
-is read, unless the integral already sampled it.
+alpha-frequency at most K), the ladder starts at SAMPLES_PER_PERIOD
+samples per period of the K-th harmonic: a default class value of the
+built-in family costs 65 density samples for a in {2, 8, 32}.  Without a
+certificate, or when that first level would exceed the report grid's N,
+the period is the whole circle and the ladder starts on the report grid.
+The report grid itself (CSReport.alphas, .densities) is evaluated the
+first time it is read, unless the integral already sampled it.
 """
 from __future__ import annotations
 
@@ -51,8 +52,7 @@ import numpy as np
 from .forms import evaluate3, trace, wedge
 from .geometry import (BergerMetric, ChristoffelCoefficients, builtin_family,
                        first_order_coefficients)
-from .quadrature import (QuadratureSpec, circle_grid, integrate_circle,
-                         trapezoid_ladder)
+from .quadrature import QuadratureSpec, circle_grid, integrate_circle
 from .symbols import sigma0_connection
 
 # Constants of the transgression expansion for the first (l=2) class:
@@ -200,39 +200,29 @@ def _constant_chain(s: float) -> complex:
             * CONNECTION_MULTIPLICITY * CONNECTION_TRACE_CONSTANT)
 
 
-def _density_complex(m: BergerMetric, s: float, alpha) -> np.ndarray:
-    """f = Re kappa(s) * T_conn on alpha; every density sample passes here.
-
-    The density is real; the name is kept because profilers and the
-    sample-count tests hook this function."""
-    kappa = _constant_chain(s)
-    if not abs(kappa.imag) < IMAG_TOLERANCE:
-        raise ResidueConventionError(
-            f"the density's constant chain has imaginary part {kappa.imag:.3e}, "
-            f"not below {IMAG_TOLERANCE:.0e}; the constant conventions are inconsistent")
-    # overflow shows up as non-finite samples, which _require_finite reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        t_conn = connection_trace(first_order_coefficients(*m.scale_jets(alpha)))
-        return kappa.real * np.broadcast_to(t_conn, np.shape(alpha))
-
-
-def _require_finite(values: np.ndarray) -> np.ndarray:
-    finite = np.isfinite(values)
-    if not np.all(finite):
-        raise NonFiniteDensityError(
-            f"density is not finite at {np.size(finite) - np.count_nonzero(finite)} "
-            f"of {np.size(finite)} samples; the metric overflows or hits a pole")
-    return values
-
-
 def cs_density(m: BergerMetric, cfg: CSConfig, alpha):
-    """The secondary-class density f at alpha (scalar or ndarray).
+    """The secondary-class density f = Re kappa(s) * T_conn at alpha (scalar
+    or ndarray); every density sample passes here.
 
     Normalized to be independent of s, so values are directly comparable
     across Sobolev exponents; the s-dependence of the class sits entirely
     in the s/4 prefactor of cs_class.
     """
-    return _require_finite(_density_complex(m, cfg.s, alpha))
+    kappa = _constant_chain(cfg.s)
+    if not abs(kappa.imag) < IMAG_TOLERANCE:
+        raise ResidueConventionError(
+            f"the density's constant chain has imaginary part {kappa.imag:.3e}, "
+            f"not below {IMAG_TOLERANCE:.0e}; the constant conventions are inconsistent")
+    # overflow shows up as non-finite samples, which are reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_conn = connection_trace(first_order_coefficients(*m.scale_jets(alpha)))
+        f = kappa.real * np.broadcast_to(t_conn, np.shape(alpha))
+    finite = np.isfinite(f)
+    if not np.all(finite):
+        raise NonFiniteDensityError(
+            f"density is not finite at {np.size(finite) - np.count_nonzero(finite)} "
+            f"of {np.size(finite)} samples; the metric overflows or hits a pole")
+    return f
 
 
 def reduce_mod_z(value: float) -> float:
@@ -245,52 +235,47 @@ def reduce_mod_z(value: float) -> float:
     return 0.0 if frac == 1.0 else frac
 
 
-def _per_period_spec(m: BergerMetric, spec: QuadratureSpec) -> QuadratureSpec | None:
-    """The ladder over one certified period, or None: no certificate, or a
-    harmonic so fast for its period that the first level would exceed the
-    report grid's N.  The ladder over the whole circle then keeps the work
-    bounded by spec.n << spec.max_refinements."""
-    if m.certificate is None:
-        return None
-    g, K = m.certificate
-    n = max(16, SAMPLES_PER_PERIOD * K // g)
-    return QuadratureSpec(n, spec.tol, spec.max_refinements) if n <= spec.n else None
+def _ladder_start(m: BergerMetric, spec: QuadratureSpec) -> tuple[int, int]:
+    """(g, n): the ladder runs over one period 2*pi/g and starts at n
+    samples.  A certificate (g, K) gives n = SAMPLES_PER_PERIOD samples per
+    period of the K-th harmonic, unless that exceeds the report grid's N;
+    otherwise the period is the whole circle and n is N, which keeps the
+    work bounded by spec.n << spec.max_refinements."""
+    if m.certificate is not None:
+        g, K = m.certificate
+        n = max(16, SAMPLES_PER_PERIOD * K // g)
+        if n <= spec.n:
+            return g, n
+    return 1, spec.n
 
 
 def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
     """Integrate the density, form (s/4)*integral, reduce mod Z, decide.
 
-    With a certificate (g, K) the integral is g times the ladder over one
-    period, which starts at SAMPLES_PER_PERIOD samples per period of the
-    K-th harmonic; cfg.quadrature gives its tolerance and doubling cap.
-    Without one, or when that first level would exceed the report grid's
-    N, the density is evaluated on the report grid, and those samples are
-    the first level of the ladder over the whole circle.  The
-    verdict is "nontrivial" when the reduced value keeps at least the
-    integrality tolerance away from the integers, and "indeterminate"
-    otherwise (never coerced to a trivial/nontrivial claim the numerics
-    cannot support).
+    The integral is one ladder over the period 2*pi/g from _ladder_start,
+    rescaled to [0, 2*pi]; cfg.quadrature gives its tolerance and doubling
+    cap.  When that ladder starts on the report grid (no certificate, or a
+    harmonic too fast for it), its first level is kept as the report's
+    densities.  The verdict is "nontrivial" when the reduced value keeps at
+    least the integrality tolerance away from the integers, and
+    "indeterminate" otherwise (never coerced to a trivial/nontrivial claim
+    the numerics cannot support).
     """
     spec = cfg.quadrature
-    samples, max_abs = 0, 0.0
+    g, n = _ladder_start(m, spec)
+    samples, max_abs, first_level = 0, 0.0, None
 
-    def density(alpha):
-        nonlocal samples, max_abs
-        f = cs_density(m, cfg, alpha)
+    def density(x):
+        # x in [0, 2*pi] covers one period 2*pi/g
+        nonlocal samples, max_abs, first_level
+        f = cs_density(m, cfg, x / g)
+        if first_level is None:
+            first_level = f
         samples += np.size(f)
         max_abs = max(max_abs, float(np.max(np.abs(f))))
         return f
 
-    per_period = _per_period_spec(m, spec)
-    grid_densities = None
-    if per_period is not None:
-        # x in [0, 2*pi] covers one period 2*pi/g, and the ladder over x
-        # equals the integral over the whole circle
-        g = m.certificate[0]
-        integral = integrate_circle(lambda x: density(x / g), per_period)
-    else:
-        grid_densities = density(circle_grid(spec.n))
-        integral = trapezoid_ladder(density, grid_densities, spec)
+    integral = integrate_circle(density, QuadratureSpec(n, spec.tol, spec.max_refinements))
     value = cfg.s / 4.0 * integral
     mod_z = reduce_mod_z(value)
     distance = min(mod_z, 1.0 - mod_z)
@@ -309,7 +294,7 @@ def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
         max_imag=abs(_constant_chain(cfg.s).imag) * max_abs,
         quadrature_n=spec.n,
         samples_evaluated=samples,
-        _grid_densities=grid_densities,
+        _grid_densities=first_level if (g, n) == (1, spec.n) else None,
     )
 
 
@@ -327,9 +312,4 @@ def leading_order_density(m: BergerMetric, alpha):
 
 def sweep(a_values, cfg: CSConfig = CSConfig()):
     """One report per parameter of the built-in family."""
-    reports = []
-    for a in a_values:
-        if a == 0:
-            raise ValueError("family parameter a must be a nonzero integer")
-        reports.append(cs_class(builtin_family(a), cfg))
-    return reports
+    return [cs_class(builtin_family(a), cfg) for a in a_values]

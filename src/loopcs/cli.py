@@ -110,10 +110,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _csconfig(opts: dict) -> CSConfig:
-    quad = QuadratureSpec(n=int(opts.get("samples", 4096)),
-                          tol=float(opts.get("tol", 1e-8)))
-    return CSConfig(s=float(opts.get("s", 1.0)), quadrature=quad,
-                    integrality_tol=float(opts.get("int_tol", 1e-3)))
+    default = CSConfig()
+    quad = QuadratureSpec(n=int(opts.get("samples", default.quadrature.n)),
+                          tol=float(opts.get("tol", default.quadrature.tol)))
+    return CSConfig(s=float(opts.get("s", default.s)), quadrature=quad,
+                    integrality_tol=float(opts.get("int_tol", default.integrality_tol)))
 
 
 def _metric_from_opts(opts: dict) -> tuple[BergerMetric, int | None]:
@@ -237,8 +238,7 @@ def _run_sweep(opts: dict) -> int:
 
 
 def _run_verify(opts: dict) -> int:
-    seed = int(opts.get("seed", 20240))
-    results = run_all(seed=seed)
+    results = run_all(seed=int(opts["seed"])) if "seed" in opts else run_all()
     failed = [r for r in results if not r.passed]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")

@@ -63,19 +63,14 @@ class BergerMetric:
     a: int = 1
 
     def __post_init__(self):
-        # one evaluation of the three trees: the first 1024 points are the
-        # positivity grid, points 0 and 1024 (alpha = 0 and 2*pi) the
-        # periodicity check
+        # one scale_jets call, which checks positivity at all 1025 points;
+        # points 0 and 1024 (alpha = 0 and 2*pi) feed the periodicity check
         grid = np.linspace(0.0, 2.0 * np.pi, 1025)
         names = ("lam", "mu", "nu")
-        jets = evaluate((self.lam, self.mu, self.nu), grid, self.a)
+        jets = self.scale_jets(grid)
         for name, jet in zip(names, jets):
-            values = np.broadcast_to(jet.v, grid.shape)[:-1]
-            if not np.all(np.isfinite(values)):
+            if not np.all(np.isfinite(np.broadcast_to(jet.v, grid.shape)[:-1])):
                 raise ValueError(f"{name} is not finite on [0, 2*pi)")
-            if np.any(values <= 0.0):
-                bad = grid[np.argmin(values)]
-                raise ValueError(f"{name} is not positive at alpha={bad:.6f}")
         if self.certificate is not None:
             return
         # the circle quadrature is spectral only for periodic integrands: with

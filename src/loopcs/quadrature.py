@@ -9,10 +9,9 @@ below n.
 The first level costs no extra samples beyond the n + 1 grid values: T_n
 uses all of them and T_{n/2} the even-index subset, and T_n is returned
 once |T_n - T_{n/2}| < tol.  Otherwise each doubling evaluates only the n
-new midpoints.  A caller that already holds the samples of the first
-level hands them to trapezoid_ladder: cs_class does so with the report
-grid of a metric that has no frequency certificate.  A certified metric
-is integrated over one period, rescaled to [0, 2*pi], by integrate_circle.
+new midpoints.  integrate_circle is the one entry: cs_class integrates
+every class value through it, over one period rescaled to [0, 2*pi] when
+the metric's trees give one.
 
 Integrands are called on a full ndarray grid when they support it (the
 densities in this package do), falling back to pointwise evaluation when
@@ -74,14 +73,16 @@ def _sample(f: Callable, alpha: np.ndarray) -> np.ndarray:
     return np.asarray([float(f(x)) for x in alpha])
 
 
-def trapezoid_ladder(f: Callable, samples: np.ndarray, spec: QuadratureSpec) -> float:
-    """Integral over [0, 2*pi] from samples of f on circle_grid(spec.n).
+def integrate_circle(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> float:
+    """Approximate the integral of f over [0, 2*pi].
 
-    Returns T_n when it agrees with T_{n/2} to spec.tol; otherwise doubles
-    n, evaluating f only at the new midpoints, up to spec.max_refinements
-    times.  Raises QuadratureConvergenceError (carrying the last two
-    estimates) if the cap is reached first.
+    Samples f on circle_grid(spec.n) and returns T_n when it agrees with
+    T_{n/2} to spec.tol; otherwise doubles n, evaluating f only at the new
+    midpoints, up to spec.max_refinements times.  Raises
+    QuadratureConvergenceError (carrying the last two estimates) if the cap
+    is reached first.
     """
+    samples = _sample(f, circle_grid(spec.n))
     n = spec.n
     h = TWO_PI / n
     # the two endpoint samples are one periodic point and share its weight
@@ -99,11 +100,3 @@ def trapezoid_ladder(f: Callable, samples: np.ndarray, spec: QuadratureSpec) -> 
         previous, last = last, h * total
         doublings += 1
     return float(last)
-
-
-def integrate_circle(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Approximate the integral of f over [0, 2*pi].
-
-    Samples f on circle_grid(spec.n) and runs trapezoid_ladder on it.
-    """
-    return trapezoid_ladder(f, _sample(f, circle_grid(spec.n)), spec)

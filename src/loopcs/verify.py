@@ -55,8 +55,7 @@ def random_scale_expression(rng: np.random.Generator) -> Expr:
         k = int(rng.integers(1, 4))
         trig = Sin(Num(float(k)) * Alpha()) if rng.random() < 0.5 else Cos(Num(float(k)) * Alpha())
         if rng.random() < 0.3:
-            trig = trig ** 2
-            amp = amp  # squares stay in [0,1], budget still valid
+            trig = trig ** 2  # squares stay in [0,1], budget still valid
         term = Num(round(float(amp) * (1 if rng.random() < 0.5 else -1), 6)) * trig
         e = e + term
     if rng.random() < 0.3:

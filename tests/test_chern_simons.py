@@ -5,9 +5,8 @@ import loopcs.chern_simons
 import loopcs.geometry
 import loopcs.symbols
 from loopcs.chern_simons import (SAMPLES_PER_PERIOD, CSConfig, NonFiniteDensityError,
-                                 ResidueConventionError, _require_finite,
-                                 cs_class, cs_density, leading_order_density,
-                                 reduce_mod_z, sweep)
+                                 ResidueConventionError, cs_class, cs_density,
+                                 leading_order_density, reduce_mod_z, sweep)
 from loopcs.expressions import parse_expression
 from loopcs.forms import MatrixForm
 from loopcs.geometry import BergerMetric, builtin_family, round_metric
@@ -132,15 +131,15 @@ def test_real_connection_constant_trips_reality_guard(monkeypatch):
 
 def _count_density_samples(monkeypatch):
     # every density evaluation, on the report grid or on a refinement,
-    # passes through _density_complex; one entry per call, its sample count
+    # passes through cs_density; one entry per call, its sample count
     sizes = []
-    original = loopcs.chern_simons._density_complex
+    original = loopcs.chern_simons.cs_density
 
-    def counting(m, s, alpha):
+    def counting(m, cfg, alpha):
         sizes.append(np.size(alpha))
-        return original(m, s, alpha)
+        return original(m, cfg, alpha)
 
-    monkeypatch.setattr(loopcs.chern_simons, "_density_complex", counting)
+    monkeypatch.setattr(loopcs.chern_simons, "cs_density", counting)
     return sizes
 
 
@@ -155,17 +154,41 @@ def test_class_samples_one_period_and_reads_grid_lazily(a, monkeypatch):
     assert sum(sizes) == 65 + CFG.quadrature.n + 1
 
 
+# a fast harmonic: 64 samples per period of the 128th harmonic, over the
+# one period 2*pi, would be more than the report grid's 4097 samples
+FAST_HARMONIC = "2+sin(alpha)+0.1*cos(128*alpha)"
+# no certificate: sin(sin(alpha)) has no integer alpha-frequency
+UNCERTIFIED = "2+sin(sin(alpha))"
+
+
 def test_fast_harmonic_keeps_full_circle_ladder(monkeypatch):
-    # 64 samples per period of the 128th harmonic, over the one period
-    # 2*pi, would be more than the report grid's 4097 samples
-    m = BergerMetric(parse_expression("2+sin(alpha)+0.1*cos(128*alpha)"),
-                     parse_expression("1"), parse_expression("2-cos(alpha)"))
-    assert m.certificate == (1, 128)
+    # the fast harmonic and the uncertified metric both start the ladder on
+    # the report grid, and reading .densities adds no density samples
     sizes = _count_density_samples(monkeypatch)
-    report = cs_class(m, CFG)
-    assert sum(sizes) == report.samples_evaluated == CFG.quadrature.n + 1
-    assert report.densities.size == CFG.quadrature.n + 1
-    assert sum(sizes) == CFG.quadrature.n + 1
+    for lam, certificate in ((FAST_HARMONIC, (1, 128)), (UNCERTIFIED, None)):
+        m = BergerMetric(parse_expression(lam), parse_expression("1"),
+                         parse_expression("2-cos(alpha)"))
+        assert m.certificate == certificate
+        sizes.clear()
+        report = cs_class(m, CFG)
+        assert sum(sizes) == report.samples_evaluated == CFG.quadrature.n + 1
+        assert report.densities.size == CFG.quadrature.n + 1
+        assert sum(sizes) == CFG.quadrature.n + 1
+
+
+@pytest.mark.parametrize("m", [
+    builtin_family(8),
+    BergerMetric(parse_expression(FAST_HARMONIC), parse_expression("1"),
+                 parse_expression("2-cos(alpha)")),
+    BergerMetric(parse_expression(UNCERTIFIED), parse_expression("1"),
+                 parse_expression("2-cos(alpha)")),
+], ids=["certified", "fast_harmonic", "uncertified"])
+def test_every_class_is_one_integrate_circle_call(m, monkeypatch):
+    calls = {"integrate_circle": 0}
+    monkeypatch.setattr(loopcs.chern_simons, "integrate_circle",
+                        _counting(calls, "integrate_circle", integrate_circle))
+    cs_class(m, CFG)
+    assert calls == {"integrate_circle": 1}
 
 
 def test_rejected_metric_raises_from_one_density_call(monkeypatch):
@@ -253,10 +276,12 @@ def test_scale_jets_share_one_sin_cos_pair(monkeypatch):
 
 
 def test_non_finite_density_rejected(monkeypatch):
-    with pytest.raises(NonFiniteDensityError):
-        _require_finite(np.array([complex(1.0, np.nan)]))
-    with pytest.raises(NonFiniteDensityError):
-        _require_finite(np.array([np.inf]))
+    grid = np.linspace(0.0, 2 * np.pi, 9)
+    for bad in (np.nan, np.inf):
+        with monkeypatch.context() as patch:
+            patch.setattr(loopcs.chern_simons, "connection_trace", lambda c, bad=bad: bad)
+            with pytest.raises(NonFiniteDensityError):
+                cs_density(builtin_family(2), CFG, grid)
     sizes = _count_density_samples(monkeypatch)
     m = BergerMetric(parse_expression("(2+sin(alpha))^300"),
                      parse_expression("1"), parse_expression("1"))

@@ -123,7 +123,7 @@ def test_bad_metrics_exit_codes(capsys):
          1, "error:"),
         (["--lambda", "(2+sin(alpha))^300", "--mu", "1", "--nu", "1"],
          3, "numerical error:"),
-        # lam = cos(1024 alpha): 1 on the constructor's 1024-point grid, but
+        # lam = cos(1024 alpha): 1 on the constructor's 1025-point grid, but
         # not positive at about half of the 4097 report-grid samples
         (["--lambda", "1-2*sin(512*alpha)^2", "--mu", "1", "--nu", "1"], 1, "error:"),
         # ... and 1 on every point of a 1025-point grid; the integral's
