@@ -16,8 +16,7 @@ from .quadrature import (QuadratureConvergenceError, QuadratureSpec,
 from .geometry import (BergerMetric, ChristoffelCoefficients, ChristoffelTable,
                        CoefficientSet, StructureConstants, builtin_family,
                        christoffel_coefficients, christoffel_koszul,
-                       christoffel_table, coefficient_set,
-                       first_order_coefficients, round_metric,
+                       christoffel_table, coefficient_set, round_metric,
                        structure_constants)
 from .forms import MatrixForm, ScalarForm, evaluate3, trace, wedge
 from .symbols import (sigma0_connection, sigma0_from_christoffel,
@@ -36,8 +35,7 @@ __all__ = [
     "BergerMetric", "ChristoffelCoefficients", "ChristoffelTable",
     "CoefficientSet", "StructureConstants", "builtin_family",
     "christoffel_coefficients", "christoffel_koszul", "christoffel_table",
-    "coefficient_set", "first_order_coefficients", "round_metric",
-    "structure_constants",
+    "coefficient_set", "round_metric", "structure_constants",
     "MatrixForm", "ScalarForm", "evaluate3", "trace", "wedge",
     "sigma0_connection", "sigma0_from_christoffel",
     "sigma_minus1_connection_beta", "sigma_minus1_connection_dot",

@@ -19,13 +19,15 @@ on constant loops: every surviving term of the curvature symbol needs a
 fourth (circle) frame component, absent on S^3 tangents, as derived in
 tests/test_kernel_derivation.py.
 
-connection_trace forms T_conn straight from the six Christoffel
-coefficient functions and their first derivatives (first_order_coefficients,
-from one scale_jets call and no derivative tree): S_p has four nonzero
-entries and M_l three, so each cyclic term is three scalar products.  The
-verify suite checks it against the generic wedge algebra.  The complex
-constant chain kappa(s) multiplying T_conn must collapse to a real scalar;
-a residual imaginary part signals a convention bug and is rejected.
+connection_trace forms T_conn straight from the scale jets of one
+scale_jets call, evaluating no derivative tree: in terms of the log-rates
+X_i = s_i'/s_i and the halved S^3 brackets P_i = s_j s_k / s_i, each
+cyclic term of the sum is a handful of scalar products.
+tests/test_kernel_derivation.py derives that identity symbolically, and
+the verify suite checks it against the generic wedge algebra.  The
+complex constant chain kappa(s) multiplying T_conn must collapse to a
+real scalar; a residual imaginary part signals a convention bug and is
+rejected.
 
 cs_density is a pure function of (metric, config, alpha) and vectorizes
 over alpha grids; every density sample passes through it.  cs_class makes
@@ -50,8 +52,8 @@ from functools import cached_property
 import numpy as np
 
 from .forms import evaluate3, trace, wedge
-from .geometry import (BergerMetric, ChristoffelCoefficients, builtin_family,
-                       first_order_coefficients)
+from .geometry import BergerMetric, builtin_family
+from .jets import Jet2
 from .quadrature import QuadratureSpec, circle_grid, integrate_circle
 from .symbols import sigma0_connection
 
@@ -84,9 +86,6 @@ IMAG_TOLERANCE = 1e-10
 # has no such guarantee: when g is a multiple of its N, T_N and T_{N/2}
 # sample every period at the same phase and agree on a wrong value.
 SAMPLES_PER_PERIOD = 64
-
-# the cyclic triples (i, j, k) of (1, 2, 3) summed by the trace
-_CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
 class ResidueConventionError(ArithmeticError):
@@ -150,47 +149,39 @@ class CSReport:
         return cs_density(self.metric, self.config, self.alphas)
 
 
-def connection_trace(c: ChristoffelCoefficients):
-    """T_conn = sum over cyclic (i,j,k) of Tr(M_i [S_j, S_k]), sparse.
+def connection_trace(lam: Jet2, mu: Jet2, nu: Jet2):
+    """T_conn = sum over cyclic (i,j,k) of Tr(M_i [S_j, S_k]), from the
+    scale jets (s_1, s_2, s_3) = (lam, mu, nu) of one scale_jets call.
 
-    With frame labels 1..4 and primes for d/dalpha, the order-0
-    coefficients are the symmetric matrices
+    With primes for d/dalpha, P_i = s_j s_k / s_i (half the S^3 bracket
+    c^i_jk of the scaled frame) and the log-rate X_i = s_i'/s_i have
 
-        S_1: A/2 at (1,4),(4,1);  (q+r)/2 at (2,3),(3,2)
-        S_2: (p-r)/2 at (1,3),(3,1);  B/2 at (2,4),(4,2)
-        S_3: -(p+q)/2 at (1,2),(2,1);  C/2 at (3,4),(4,3)
+        P_i' = P_i (X_j + X_k - X_i),   X_i' - X_i^2 = s_i''/s_i - 2 X_i^2.
 
-    and the order-(-1) coefficients M_l (sigma_minus1_connection_beta on
-    the sparse table) have three nonzero entries each.  Only + - * act on
-    the jets' values and first derivatives, so symbolic coefficients pass
-    through unchanged.
+    The order-0 coefficients are the symmetric matrices (frame labels 1..4)
+
+        S_i = (X_i/2)(E_i4 + E_4i) + (Y_i/2)(E_jk + E_kj),   Y_i = 2 (P_j - P_k),
+
+    and each cyclic term reads two numbers off the order-(-1) coefficient M_i:
+
+        Tr(M_i [S_j, S_k]) = ((X_j X_k - Y_j Y_k) a_i + (Y_j X_k - X_j Y_k) b_i) / 4,
+        a_i = M_i[k,j] - M_i[j,k] = 2 (X_j + X_k) P_i + 2 (P_j' + P_k'),
+        b_i = M_i[4,i] = X_i' - X_i^2.
+
+    Only + - * / act on the jet components, so symbolic jets pass through.
     """
-    p, q, r, A, B, C = c.p.v, c.q.v, c.r.v, c.A.v, c.B.v, c.C.v
-    dp, dq, dr, dA, dB, dC = c.p.d1, c.q.d1, c.r.d1, c.A.d1, c.B.d1, c.C.d1
-    S = {}
-    for l, entries in ((1, {(1, 4): 0.5 * A, (2, 3): 0.5 * (q + r)}),
-                       (2, {(1, 3): 0.5 * (p - r), (2, 4): 0.5 * B}),
-                       (3, {(1, 2): -0.5 * (p + q), (3, 4): 0.5 * C})):
-        S[l] = {**entries, **{(b, a): x for (a, b), x in entries.items()}}
-    M = {
-        1: {(2, 3): (C - B) * p + (B + C) * q - dp + dq,
-            (3, 2): (C - B) * p + (B + C) * r + dp + dr,
-            (4, 1): dA - A * A},
-        2: {(1, 3): (A + C) * p + (C - A) * q + dp - dq,
-            (3, 1): (C - A) * q - (A + C) * r + dq - dr,
-            (4, 2): dB - B * B},
-        3: {(1, 2): -(A + B) * p + (B - A) * r - dp - dr,
-            (2, 1): -(A + B) * q + (B - A) * r - dq + dr,
-            (4, 3): dC - C * C},
-    }
-
-    def product_entry(x, y, a, b):
-        # (x @ y)[a, b] of two matrices held as {(row, col): entry}
-        return sum(xv * y[k, b] for (row, k), xv in x.items()
-                   if row == a and (k, b) in y)
-
-    return sum(m_ab * (product_entry(S[j], S[k], b, a) - product_entry(S[k], S[j], b, a))
-               for i, j, k in _CYCLIC for (a, b), m_ab in M[i].items())
+    s = (lam, mu, nu)
+    cyclic = [(i, (i + 1) % 3, (i + 2) % 3) for i in range(3)]
+    X = [x.d1 / x.v for x in s]
+    P = [s[j].v * s[k].v / s[i].v for i, j, k in cyclic]
+    dP = [P[i] * (X[j] + X[k] - X[i]) for i, j, k in cyclic]
+    Y = [2 * (P[j] - P[k]) for i, j, k in cyclic]
+    total = 0
+    for i, j, k in cyclic:
+        a = 2 * ((X[j] + X[k]) * P[i] + dP[j] + dP[k])
+        b = s[i].d2 / s[i].v - 2 * X[i] * X[i]
+        total += (X[j] * X[k] - Y[j] * Y[k]) * a + (Y[j] * X[k] - X[j] * Y[k]) * b
+    return total / 4
 
 
 def _constant_chain(s: float) -> complex:
@@ -215,7 +206,7 @@ def cs_density(m: BergerMetric, cfg: CSConfig, alpha):
             f"not below {IMAG_TOLERANCE:.0e}; the constant conventions are inconsistent")
     # overflow shows up as non-finite samples, which are reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        t_conn = connection_trace(first_order_coefficients(*m.scale_jets(alpha)))
+        t_conn = connection_trace(*m.scale_jets(alpha))
         f = kappa.real * np.broadcast_to(t_conn, np.shape(alpha))
     finite = np.isfinite(f)
     if not np.all(finite):

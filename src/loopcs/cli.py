@@ -27,8 +27,16 @@ EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
-_CONFIG_KEYS = ("family", "a", "lambda", "mu", "nu", "s", "samples", "tol",
-                "int_tol", "density_out", "report_out", "seed")
+# what a config-file value may be: the JSON types its flag accepts (a bool
+# is no integer); sweep's "a" may also be the comma-separated list string
+_INTEGER = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+_STRING = ((str,), "a string")
+_CONFIG_KEYS = {"family": _STRING, "a": _INTEGER, "lambda": _STRING, "mu": _STRING,
+                "nu": _STRING, "s": _NUMBER, "samples": _INTEGER, "tol": _NUMBER,
+                "int_tol": _NUMBER, "density_out": _STRING, "report_out": _STRING,
+                "seed": _INTEGER}
+_SWEEP_A = ((int, str), "an integer or a comma-separated string")
 
 
 class ConfigError(ValueError):
@@ -97,9 +105,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
+        if not isinstance(data, dict):
+            raise ConfigError("config file must hold a JSON object")
         unknown = set(data) - set(_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            sweep_a = (args.command, key) == ("sweep", "a")
+            types, kind = _SWEEP_A if sweep_a else _CONFIG_KEYS[key]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"config key {key!r} must be {kind}, not {value!r}")
         merged.update(data)
     flag_names = {"lam": "lambda"}
     for key, value in vars(args).items():
@@ -122,6 +137,8 @@ def _metric_from_opts(opts: dict) -> tuple[BergerMetric, int | None]:
     family = opts.get("family")
     if family is None:
         family = "custom" if any(exprs) else "paper"
+    if family not in ("paper", "custom"):
+        raise ConfigError(f"family must be 'paper' or 'custom', not {family!r}")
     if family == "paper":
         if any(exprs):
             raise ConfigError("--lambda/--mu/--nu conflict with --family paper; "

@@ -25,11 +25,10 @@ All tables are carried as value / first derivative arrays; the
 derivatives are exact (propagated through jets and symbolic
 differentiation of the scale functions, never finite differences).
 
-The class path needs only the six Christoffel coefficient functions and
-their first derivatives: first_order_coefficients forms them from the
-scale jets of one scale_jets call (log-rates A = lam'/lam and their rates
-straight from the (v, d1, d2) jets), evaluating no derivative tree.  The
-dense tables (christoffel_table, structure_constants, coefficient_set)
+The class path reads only the scale jets of one scale_jets call: its
+kernel (chern_simons.connection_trace) forms the log-rates lam'/lam and
+the S^3 brackets from the (v, d1, d2) jets, evaluating no derivative tree.
+The dense tables (christoffel_table, structure_constants, coefficient_set)
 take the log-rates from the symbolically differentiated trees instead
 and serve as the oracle routes.
 
@@ -121,7 +120,7 @@ class BergerMetric:
         scale jets the caller holds (from scale_jets at the same alpha), so
         even the second derivatives are exact.  The oracle tables use it;
         the class path takes the log-rates from the scale jets alone
-        (first_order_coefficients)."""
+        (chern_simons.connection_trace)."""
         return tuple(dotted / scale
                      for dotted, scale in zip(evaluate(self._dotted, alpha, self.a), scales))
 
@@ -254,16 +253,15 @@ class ChristoffelCoefficients:
         r = gamma^2_31 = -gamma^1_32,
         A = gamma^4_11 = -gamma^1_14 = lam'/lam,  B, C likewise for mu, nu.
 
-    2-jets from christoffel_coefficients, (value, first derivative) pairs
-    from first_order_coefficients.
+    christoffel_coefficients gives them as 2-jets for the dense oracle table.
     """
 
-    p: Jet2 | Jet1
-    q: Jet2 | Jet1
-    r: Jet2 | Jet1
-    A: Jet2 | Jet1
-    B: Jet2 | Jet1
-    C: Jet2 | Jet1
+    p: Jet2
+    q: Jet2
+    r: Jet2
+    A: Jet2
+    B: Jet2
+    C: Jet2
 
 
 def christoffel_coefficients(m: BergerMetric, alpha: Number) -> ChristoffelCoefficients:
@@ -276,7 +274,7 @@ def christoffel_coefficients(m: BergerMetric, alpha: Number) -> ChristoffelCoeff
 
     The log-rates come from the symbolically differentiated trees
     (log_rate_jets), a derivative route independent of the class path's
-    first_order_coefficients.
+    kernel, which reads them off the scale jets.
     """
     scales = m.scale_jets(alpha)
     lam, mu, nu = scales
@@ -288,40 +286,6 @@ def christoffel_coefficients(m: BergerMetric, alpha: Number) -> ChristoffelCoeff
         q=(-l2 * m2 - m2 * n2 + n2 * l2) / lmn,
         r=(n2 * l2 - l2 * m2 + m2 * n2) / lmn,
         A=A, B=B, C=C,
-    )
-
-
-def first_order_coefficients(lam: Jet2, mu: Jet2, nu: Jet2) -> ChristoffelCoefficients:
-    """p, q, r, A, B, C with values and first alpha-derivatives only, from
-    the scale jets of one scale_jets call: the class path's coefficients.
-
-    p, q, r take the quotient rule over lam mu nu (formulas as in
-    christoffel_coefficients); the log-rates take it over the scale itself,
-    A = lam'/lam and A' = (lam'' - A lam')/lam = lam''/lam - A^2, and B, C
-    likewise.  No derivative tree is evaluated, no second derivative formed.
-    """
-    L, M, N = lam.v, mu.v, nu.v
-    dL, dM, dN = lam.d1, mu.d1, nu.d1
-    l2, m2, n2 = L * L, M * M, N * N
-    dl2, dm2, dn2 = 2.0 * L * dL, 2.0 * M * dM, 2.0 * N * dN
-    lm, mn, nl = l2 * m2, m2 * n2, n2 * l2
-    dlm, dmn, dnl = dl2 * m2 + l2 * dm2, dm2 * n2 + m2 * dn2, dn2 * l2 + n2 * dl2
-    lmn = L * M * N
-    dlmn = (dL * M + L * dM) * N + L * M * dN
-
-    def over_lmn(num, dnum):
-        v = num / lmn
-        return Jet1(v, (dnum - v * dlmn) / lmn)
-
-    def log_rate(scale: Jet2):
-        rate = scale.d1 / scale.v
-        return Jet1(rate, (scale.d2 - rate * scale.d1) / scale.v)
-
-    return ChristoffelCoefficients(
-        p=over_lmn(lm - mn + nl, dlm - dmn + dnl),
-        q=over_lmn(-lm - mn + nl, -dlm - dmn + dnl),
-        r=over_lmn(nl - lm + mn, dnl - dlm + dmn),
-        A=log_rate(lam), B=log_rate(mu), C=log_rate(nu),
     )
 
 

@@ -13,10 +13,10 @@ new midpoints.  integrate_circle is the one entry: cs_class integrates
 every class value through it, over one period rescaled to [0, 2*pi] when
 the metric's trees give one.
 
-Integrands are called on a full ndarray grid when they support it (the
-densities in this package do), falling back to pointwise evaluation when
-the array call raises TypeError or returns the wrong shape.  Any other
-error (a density rejecting its metric) propagates from that one call.
+Integrands are called on a whole ndarray of points at once and must
+return an array of the same shape (the densities in this package do).  An
+integrand that does not vectorize, or one that rejects its input, raises
+from that one array call.
 """
 from __future__ import annotations
 
@@ -60,17 +60,10 @@ def circle_grid(n: int) -> np.ndarray:
 
 
 def _sample(f: Callable, alpha: np.ndarray) -> np.ndarray:
-    # a TypeError (float() or math.sin of an array) or a result of the wrong
-    # shape says that f does not vectorize; any other error is f rejecting
-    # its input, and it propagates from the one array call
-    try:
-        y = np.asarray(f(alpha), dtype=float)
-    except TypeError:
-        pass
-    else:
-        if y.shape == alpha.shape:
-            return y
-    return np.asarray([float(f(x)) for x in alpha])
+    y = np.asarray(f(alpha), dtype=float)
+    if y.shape != alpha.shape:
+        raise ValueError(f"integrand returned shape {y.shape} for {alpha.size} points")
+    return y
 
 
 def integrate_circle(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> float:

@@ -45,9 +45,10 @@ def sigma0_connection(m: BergerMetric, alpha: Number) -> MatrixForm:
 
     This is the display and oracle route; sigma0_from_christoffel builds
     the same matrix, (gamma[k,l,p] + gamma[l,k,p])/2 on psi^p, from the
-    Christoffel table, and the class path's kernel (connection_trace) holds
-    only its nonzero entries.  It is symmetric, which is what kills
-    the leading-order trace Tr[sigma0^3].
+    Christoffel table.  The class path's kernel (connection_trace) keeps
+    only the psi^1..psi^3 entries, as X_i/2 = A/2, B/2, C/2 and
+    Y_i/2 = W, -V, U.  It is symmetric, which is what kills the
+    leading-order trace Tr[sigma0^3].
     """
     cs = coefficient_set(m, alpha)
     batch = np.shape(np.asarray(alpha))

@@ -6,7 +6,7 @@ these) is reproducible.  Checks compare independent computational routes
 wherever one exists: closed-form Christoffel table against the Koszul
 formula, vectorized symbol assembly against naive loops, jets against
 finite differences, displayed symbol matrix against its Christoffel
-definition, the sparse connection-trace kernel of the density against the
+definition, the scale-jet connection-trace kernel of the density against the
 generic wedge algebra, the density's constant chain against its derived
 value +1.  Every check is one that a plausible mutation of the code
 makes fail.
@@ -25,7 +25,7 @@ from .expressions import Alpha, Cos, Expr, Num, Sin, evaluate
 from .forms import MatrixForm, evaluate3, trace, wedge
 from .geometry import (BergerMetric, builtin_family, christoffel_koszul,
                        christoffel_table, coefficient_set,
-                       first_order_coefficients, structure_constants)
+                       structure_constants)
 from .quadrature import TWO_PI, QuadratureSpec, integrate_circle
 from .symbols import (sigma0_connection, sigma0_from_christoffel,
                       sigma_minus1_connection_beta, sigma_minus1_connection_dot)
@@ -263,9 +263,9 @@ def check_sigma_minus1_routes(rng: np.random.Generator) -> CheckResult:
 
 
 def check_density_traces_oracle(rng: np.random.Generator) -> CheckResult:
-    """The class path's sparse kernel vs the generic MatrixForm wedge.
+    """The class path's scale-jet kernel vs the generic MatrixForm wedge.
 
-    connection_trace over first_order_coefficients is compared with
+    connection_trace over the scale jets is compared with
     Tr(sigma_-1 ^ sigma_0 ^ sigma_0).  The wedge route takes sigma_0 from
     the coefficient-set display route and sigma_-1 from the dense table, so
     it shares no symbol or trace code with the kernel it checks, nor
@@ -280,7 +280,7 @@ def check_density_traces_oracle(rng: np.random.Generator) -> CheckResult:
         s0 = sigma0_connection(m, alphas)
         sm1 = sigma_minus1_connection_beta(christoffel_table(m, alphas))
         want = evaluate3(trace(wedge(wedge(sm1, s0), s0)))
-        got = connection_trace(first_order_coefficients(*m.scale_jets(alphas)))
+        got = connection_trace(*m.scale_jets(alphas))
         scale = max(1.0, float(np.max(np.abs(want))))
         worst = max(worst, float(np.max(np.abs(got - want))) / scale)
     return CheckResult("density traces match the wedge-algebra route", worst < 1e-12,

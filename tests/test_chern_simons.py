@@ -5,12 +5,15 @@ import loopcs.chern_simons
 import loopcs.geometry
 import loopcs.symbols
 from loopcs.chern_simons import (SAMPLES_PER_PERIOD, CSConfig, NonFiniteDensityError,
-                                 ResidueConventionError, cs_class, cs_density,
-                                 leading_order_density, reduce_mod_z, sweep)
+                                 ResidueConventionError, connection_trace, cs_class,
+                                 cs_density, leading_order_density, reduce_mod_z,
+                                 sweep)
 from loopcs.expressions import parse_expression
-from loopcs.forms import MatrixForm
-from loopcs.geometry import BergerMetric, builtin_family, round_metric
-from loopcs.quadrature import QuadratureSpec, integrate_circle
+from loopcs.forms import MatrixForm, evaluate3, trace, wedge
+from loopcs.geometry import (BergerMetric, builtin_family, christoffel_table,
+                             round_metric)
+from loopcs.quadrature import QuadratureSpec, circle_grid, integrate_circle
+from loopcs.symbols import sigma0_connection, sigma_minus1_connection_beta
 from loopcs.verify import check_density_reality, random_metric
 
 CFG = CSConfig()
@@ -44,6 +47,23 @@ def test_density_vectorized_matches_scalar():
     batch = cs_density(m, CFG, grid)
     single = np.array([float(cs_density(m, CFG, float(x))) for x in grid])
     assert np.allclose(batch, single, atol=1e-13)
+
+
+def test_connection_trace_matches_wedge_route():
+    # the class path's kernel reads the scale jets; the wedge route takes
+    # sigma_0 from the coefficient set and sigma_-1 from the dense table,
+    # both with log-rates from symbolically differentiated trees
+    rng = np.random.default_rng(7)
+    metrics = [builtin_family(a) for a in (2, 8, 32, 256)]
+    metrics += [random_metric(rng) for _ in range(40)]
+    grid = circle_grid(4096)
+    for m in metrics:
+        got = connection_trace(*m.scale_jets(grid))
+        s0 = sigma0_connection(m, grid)
+        sm1 = sigma_minus1_connection_beta(christoffel_table(m, grid))
+        want = evaluate3(trace(wedge(wedge(sm1, s0), s0)))
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, m
 
 
 def test_integral_a2():
@@ -279,7 +299,8 @@ def test_non_finite_density_rejected(monkeypatch):
     grid = np.linspace(0.0, 2 * np.pi, 9)
     for bad in (np.nan, np.inf):
         with monkeypatch.context() as patch:
-            patch.setattr(loopcs.chern_simons, "connection_trace", lambda c, bad=bad: bad)
+            patch.setattr(loopcs.chern_simons, "connection_trace",
+                          lambda lam, mu, nu, bad=bad: bad)
             with pytest.raises(NonFiniteDensityError):
                 cs_density(builtin_family(2), CFG, grid)
     sizes = _count_density_samples(monkeypatch)

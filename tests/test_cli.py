@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from loopcs.chern_simons import ResidueConventionError, cs_class
 from loopcs.cli import main
@@ -251,6 +252,41 @@ def test_config_file_merging(tmp_path):
     assert json.loads(report_path.read_text())["s"] == 1.0
     cfg.write_text(json.dumps({"bogus": 1}))
     assert run(["compute", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("command, data", [
+    ("compute", {"samples": None}),
+    ("compute", {"a": [2]}),
+    ("compute", {"a": 2.7}),
+    ("compute", {"a": "2"}),
+    ("compute", {"seed": True}),
+    ("compute", {"s": "1"}),
+    ("compute", {"tol": None}),
+    ("compute", {"int_tol": [1e-3]}),
+    ("compute", {"lambda": 1}),
+    ("compute", {"report_out": False}),
+    ("compute", {"family": "round", "lambda": "1", "mu": "1", "nu": "1"}),
+    ("compute", 2),
+    ("sweep", {"a": 2.5}),
+    ("sweep", {"a": ["2", "3"]}),
+])
+def test_config_value_types(tmp_path, capsys, command, data):
+    # a config value must be what its flag accepts: one error line, exit 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    args = [command, "--config", str(cfg)] + (["--a", "2"] if command == "compute" else [])
+    assert run(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_sweep_config_a_forms(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for value in (2, "2,3"):
+        cfg.write_text(json.dumps({"a": value, "samples": 64, "s": 2}))
+        assert run(["sweep", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["a", "2", "a", "2", "3"]
 
 
 def test_verify_subcommand(capsys):

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from loopcs.expressions import alpha_frequencies, parse_expression
-from loopcs.geometry import (BergerMetric, builtin_family,
-                             christoffel_coefficients, christoffel_koszul,
-                             christoffel_table, coefficient_set,
-                             first_order_coefficients, round_metric,
+from loopcs.geometry import (BergerMetric, builtin_family, christoffel_koszul,
+                             christoffel_table, coefficient_set, round_metric,
                              structure_constants)
-from loopcs.quadrature import circle_grid
 from loopcs.verify import (check_christoffel_oracle, check_jacobi_identity,
                            check_metric_compatibility, check_round_degeneracy,
                            check_torsion_freedom, random_metric)
@@ -127,24 +124,6 @@ def test_log_rate():
     lam, mu, nu = m.scale_jets(np.pi / 2.0)
     assert abs(cs.C.v - nu.d1 / nu.v) < 1e-15
     assert abs(cs.C.d1 - (nu.d2 / nu.v - (nu.d1 / nu.v) ** 2)) < 1e-15
-
-
-def test_first_order_coefficients_match_derivative_tree_route():
-    # the class path's log-rates come from the scale jets' d2, the oracle's
-    # from symbolically differentiated trees: two routes, one answer
-    rng = np.random.default_rng(7)
-    metrics = [builtin_family(a) for a in (2, 8, 32, 256)]
-    metrics += [random_metric(rng) for _ in range(40)]
-    grid = circle_grid(4096)
-    for m in metrics:
-        fast = first_order_coefficients(*m.scale_jets(grid))
-        full = christoffel_coefficients(m, grid)
-        for name in ("p", "q", "r", "A", "B", "C"):
-            got, want = getattr(fast, name), getattr(full, name)
-            for part in ("v", "d1"):
-                x, y = getattr(got, part), getattr(want, part)
-                scale = max(1.0, float(np.max(np.abs(y))))
-                assert np.max(np.abs(x - y)) <= 1e-12 * scale, (m, name, part)
 
 
 # ------------------------------------------------------------------ metrics

@@ -1,20 +1,21 @@
 """Symbolic derivations behind the density kernel.
 
-From the twelve nonzero Christoffel symbols (six coefficient functions and
-their alpha-derivatives as free symbols), form sigma_0 and sigma_-1 with
-their generic dense formulas as sympy matrices, expand the cyclic sum
-Tr(M_i [S_j, S_k]) and compare it with connection_trace fed the same
-symbols.  Then derive why the curvature trace Tr[sigma_0 ^ sigma_-1(Omega)]
-is left out of the density: the order-(-1) curvature symbol vanishes on
-every pair of S^3 tangents.  Skipped when sympy, which loopcs does not
-depend on, is absent.
+From generic scale functions lam, mu, nu of alpha, place the twelve
+nonzero Christoffel symbols by the closed-form coefficient formulas
+(differentiated by sympy), form sigma_0 and sigma_-1 with their generic
+dense formulas as sympy matrices, expand the cyclic sum
+Tr(M_i [S_j, S_k]) and compare it with connection_trace fed the scale
+jets (lam, lam', lam'') and so on.  Then derive why the curvature trace
+Tr[sigma_0 ^ sigma_-1(Omega)] is left out of the density: the order-(-1)
+curvature symbol vanishes on every pair of S^3 tangents.  Skipped when
+sympy, which loopcs does not depend on, is absent.
 """
 import numpy as np
 import pytest
 
 from loopcs.chern_simons import connection_trace
-from loopcs.geometry import (ChristoffelCoefficients, builtin_family,
-                             christoffel_coefficients, christoffel_table)
+from loopcs.geometry import (builtin_family, christoffel_coefficients,
+                             christoffel_table)
 from loopcs.jets import Jet2
 from loopcs.verify import random_metric
 
@@ -46,10 +47,17 @@ def test_placement_is_the_christoffel_table():
 
 
 def test_sparse_kernel_matches_dense_symbolic_traces():
-    names = ("p", "q", "r", "A", "B", "C")
-    values = sp.symbols(names)
-    rates = sp.symbols(tuple("d" + n for n in names))
-    g, gd = placed(*values), placed(*rates)
+    alpha = sp.Symbol("alpha")
+    lam, mu, nu = scales = [sp.Function(n)(alpha) for n in ("lam", "mu", "nu")]
+    # the six coefficients by the formulas of christoffel_coefficients
+    lmn = lam * mu * nu
+    l2, m2, n2 = lam ** 2, mu ** 2, nu ** 2
+    coefficients = ((l2 * m2 - m2 * n2 + n2 * l2) / lmn,
+                    (-l2 * m2 - m2 * n2 + n2 * l2) / lmn,
+                    (n2 * l2 - l2 * m2 + m2 * n2) / lmn,
+                    *(sp.diff(x, alpha) / x for x in scales))
+    g = placed(*coefficients)
+    gd = placed(*(sp.diff(c, alpha) for c in coefficients))
     t = 3  # the circle direction, frame label 4
 
     def sigma0(p):
@@ -66,10 +74,22 @@ def test_sparse_kernel_matches_dense_symbolic_traces():
     S = {p: sigma0(p - 1) for p in (1, 2, 3)}
     M = {l: sigma_minus1(l - 1) for l in (1, 2, 3)}
     dense = sum((M[i] * (S[j] * S[k] - S[k] * S[j])).trace() for i, j, k in CYCLIC)
-    sparse = connection_trace(ChristoffelCoefficients(
-        *(Jet2(v, d, 0) for v, d in zip(values, rates))))
-    assert sp.expand(dense) != 0
-    assert sp.expand(dense - sparse) == 0
+    kernel = connection_trace(*(Jet2(x, sp.diff(x, alpha), sp.diff(x, alpha, 2))
+                                for x in scales))
+    assert sp.cancel(dense) != 0
+    assert sp.cancel(dense - kernel) == 0
+
+
+def test_kernel_identities():
+    # the derivative rules connection_trace relies on, in its notation
+    alpha = sp.Symbol("alpha")
+    s = [sp.Function(n)(alpha) for n in ("lam", "mu", "nu")]
+    X = [sp.diff(x, alpha) / x for x in s]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        P = s[j] * s[k] / s[i]
+        assert sp.cancel(sp.diff(P, alpha) - P * (X[j] + X[k] - X[i])) == 0
+        assert sp.cancel(sp.diff(X[i], alpha) - X[i] ** 2
+                         - (sp.diff(s[i], alpha, 2) / s[i] - 2 * X[i] ** 2)) == 0
 
 
 def curvature_bilinear_map():

@@ -28,9 +28,22 @@ def test_trig_polynomial_exactness():
 
 
 def test_scalar_only_integrand():
-    # non-vectorized callables fall back to pointwise sampling
-    got = integrate_circle(lambda x: float(np.cos(x)) ** 2, QuadratureSpec(n=64))
-    assert abs(got - np.pi) < 1e-12
+    # integrands are called once on the whole grid, never point by point:
+    # one that cannot take an array raises from that call
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return float(np.cos(x)) ** 2
+
+    with pytest.raises(TypeError):
+        integrate_circle(f, QuadratureSpec(n=64))
+    assert calls == [65]
+
+
+def test_wrong_shape_integrand_rejected():
+    with pytest.raises(ValueError, match="shape"):
+        integrate_circle(lambda x: 1.0, QuadratureSpec(n=64))
 
 
 def test_refinement_samples_only_new_midpoints():
