@@ -105,10 +105,12 @@ class CSConfig:
     integrality_tol: float = 1e-3
 
     def __post_init__(self):
-        if not self.s > 0.5:
-            raise ValueError("Sobolev exponent s must exceed 1/2")
-        if not self.integrality_tol > 0.0:
-            raise ValueError("integrality tolerance must be positive")
+        # a non-finite s or tolerance would pass the bounds below and come
+        # out as a broken constant chain or a verdict that is never decided
+        if not (self.s > 0.5 and math.isfinite(self.s)):
+            raise ValueError("Sobolev exponent s must be a finite number above 1/2")
+        if not (self.integrality_tol > 0.0 and math.isfinite(self.integrality_tol)):
+            raise ValueError("integrality tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Command-line front end: compute, sweep and verify.
 
 Exit codes: 0 success, 1 configuration error (bad flags or config file,
-or a metric that is not positive, not periodic or has a pole), 2 expression
+a non-finite s or tolerance, or a metric that is not positive, not
+periodic or has a pole), 2 expression
 parse error (including a constant power that overflows a float), 3
 numerical error (quadrature non-convergence, a non-finite density, or a
 constant chain with an imaginary part), 4 invariant-suite failure.
@@ -126,10 +127,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 def _csconfig(opts: dict) -> CSConfig:
     default = CSConfig()
-    quad = QuadratureSpec(n=int(opts.get("samples", default.quadrature.n)),
-                          tol=float(opts.get("tol", default.quadrature.tol)))
-    return CSConfig(s=float(opts.get("s", default.s)), quadrature=quad,
-                    integrality_tol=float(opts.get("int_tol", default.integrality_tol)))
+    try:
+        quad = QuadratureSpec(n=int(opts.get("samples", default.quadrature.n)),
+                              tol=float(opts.get("tol", default.quadrature.tol)))
+        return CSConfig(s=float(opts.get("s", default.s)), quadrature=quad,
+                        integrality_tol=float(opts.get("int_tol", default.integrality_tol)))
+    except OverflowError:   # a config-file integer too large for a float
+        raise ConfigError("config numbers must fit in a float") from None
 
 
 def _metric_from_opts(opts: dict) -> tuple[BergerMetric, int | None]:

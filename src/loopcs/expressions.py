@@ -12,16 +12,19 @@ folding), so metric families like
 for any a.
 
 Evaluation returns a :class:`~loopcs.jets.Jet2`, i.e. the value and the
-first two alpha-derivatives, exactly, and does only the array work a tree
-needs.  One walk reads every subtree that is linear in alpha as (k, c),
-k*alpha + c once a is substituted (the reading ``alpha_frequencies`` also
-uses): alpha-free subtrees fold to float constants, and sin/cos of
-k*alpha + c become the direct jets (s, k*c, -k^2*s) and (c, -k*s, -k^2*c)
-of s, c = np.sin, np.cos of the argument.  Trees evaluated in one call
-share that pair per distinct argument (the built-in family's three scales
-need one np.sin and one np.cos), and a constant adds to or scales a jet
-as a scalar.  Only the remaining nodes propagate Jet2s.  ``derivative``
-differentiates symbolically, producing another tree in the same grammar.
+first two alpha-derivatives, exactly.  ``compile_jets`` walks a tuple of
+trees once at a fixed a into a :class:`JetProgram`, a straight-line list
+of jet ops that does only the array work the trees need.  A subtree linear
+in alpha compiles to (k, c), k*alpha + c, and emits no op: alpha-free
+subtrees fold to float constants, and sin/cos of k*alpha + c become the
+direct jets (s, k*c, -k^2*s) and (c, -k*s, -k^2*c) of one s, c = np.sin,
+np.cos pair per distinct argument (the built-in family's three scales
+need one of each).  A constant adds to or scales a jet as a scalar; only
+the remaining nodes propagate Jet2s.  The same walk collects the
+frequencies ``alpha_frequencies`` reports.  ``evaluate`` compiles and runs
+a fresh program; a BergerMetric compiles its trees once and runs that
+program on every grid.  ``derivative`` differentiates symbolically,
+producing another tree in the same grammar.
 
 The concrete grammar parsed by :func:`parse_expression`::
 
@@ -207,65 +210,6 @@ def constant_value(e: Expr) -> Optional[float]:
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
-def _children(e: Expr) -> tuple:
-    if isinstance(e, Div):
-        return e.num, e.den
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, (Sin, Cos)):
-        return (e.arg,)
-    if isinstance(e, (Add, Sub, Mul)):
-        return e.left, e.right
-    raise TypeError(f"unknown node {type(e).__name__}")
-
-
-def _leaf(e: Expr, a: int) -> Optional[tuple[float, float]]:
-    """(k, c) of a leaf, e = k*alpha + c; None for an inner node."""
-    if isinstance(e, Num):
-        return 0.0, e.value
-    if isinstance(e, ParamA):
-        return 0.0, float(a)
-    if isinstance(e, Alpha):
-        return 1.0, 0.0
-    return None
-
-
-def _linear_node(e: Expr, parts: list) -> Optional[tuple[float, float]]:
-    """(k, c) of the inner node e from the (k, c) of its children, or None
-    when e is not linear in alpha or is a pole (a zero denominator, a
-    negative power of zero)."""
-    if isinstance(e, (Sin, Cos, Pow)):
-        k, c = parts[0]
-        if k != 0.0 or (isinstance(e, Pow) and c == 0.0 and e.exponent < 0):
-            return None   # a power or a sin/cos of alpha is not linear in it
-        with np.errstate(all="ignore"):   # inf or nan fails the integer test
-            c = (np.float64(c) ** e.exponent if isinstance(e, Pow)
-                 else np.sin(c) if isinstance(e, Sin) else np.cos(c))
-        return 0.0, float(c)
-    if isinstance(e, Div):
-        n, d = parts
-        if d[0] != 0.0 or d[1] == 0.0:
-            return None
-        return n[0] / d[1], n[1] / d[1]
-    l, r = parts
-    if isinstance(e, Add):
-        return l[0] + r[0], l[1] + r[1]
-    if isinstance(e, Sub):
-        return l[0] - r[0], l[1] - r[1]
-    if l[0] != 0.0 and r[0] != 0.0:
-        return None   # alpha^2
-    return l[0] * r[1] + r[0] * l[1], l[1] * r[1]
-
-
-def _linear_in_alpha(e: Expr, a: int) -> Optional[tuple[float, float]]:
-    """(k, c) with e = k*alpha + c once a is substituted, or None."""
-    leaf = _leaf(e, a)
-    if leaf is not None:
-        return leaf
-    parts = [_linear_in_alpha(child, a) for child in _children(e)]
-    return None if None in parts else _linear_node(e, parts)
-
-
 def alpha_frequencies(e: Expr, a: int = 1) -> Optional[frozenset]:
     """The |k| of every sin/cos argument k*alpha + c with k != 0, or None.
 
@@ -273,24 +217,10 @@ def alpha_frequencies(e: Expr, a: int = 1) -> Optional[frozenset]:
     function of the sin/cos of these multiples of alpha, hence 2*pi/g
     periodic with g the gcd of the k.  None when alpha appears outside a
     sin/cos argument, or inside one that is not linear in alpha with an
-    integer slope: no period can be read off the tree.
+    integer slope: no period can be read off the tree.  The compiler reads
+    them off in its walk (JetProgram.frequencies).
     """
-    if isinstance(e, (Num, ParamA)):
-        return frozenset()
-    if isinstance(e, Alpha):
-        return None
-    if isinstance(e, (Sin, Cos)):
-        linear = _linear_in_alpha(e.arg, a)
-        if linear is None or not linear[0].is_integer():
-            return None
-        return frozenset({abs(int(linear[0]))} - {0})
-    found = frozenset()
-    for child in _children(e):
-        k = alpha_frequencies(child, a)
-        if k is None:
-            return None
-        found |= k
-    return found
+    return compile_jets((e,), a).frequencies
 
 
 # smart constructors: fold constants and drop arithmetic identities so that
@@ -363,96 +293,182 @@ def evaluate(e: Expr | tuple, alpha: Number, a: int = 1) -> Jet2 | tuple:
 
     alpha may be a scalar or an ndarray (evaluated elementwise).  e may
     also be a tuple of trees, evaluated together into a tuple of jets that
-    share one np.sin/np.cos pair per distinct linear argument.  Raises
-    EvalDomainError if a denominator vanishes at any evaluation point.
+    share one np.sin/np.cos pair per distinct linear argument.  Compiles a
+    fresh program and runs it once.  Raises EvalDomainError if a
+    denominator vanishes at any evaluation point.
     """
-    # sin/cos of k*alpha + c by (k, c); a plain local, freed on return
-    trig = {}
     if isinstance(e, Expr):
-        return _jet(_walk(e, alpha, a, trig), alpha)
-    return tuple(_jet(_walk(tree, alpha, a, trig), alpha) for tree in e)
+        return compile_jets((e,), a)(alpha)[0]
+    return compile_jets(tuple(e), a)(alpha)
 
 
-def _line(k: float, c: float, alpha: Number) -> Number:
-    return k * alpha + c if c != 0.0 else k * alpha
+class JetProgram:
+    """Straight-line jet operations compiled from a tuple of trees at one a.
+
+    Calling the program on alpha runs the ops in order and returns one Jet2
+    per tree.  Register 0 holds alpha and op n (counting from 1) writes
+    register n; a register is dropped after its last read, so a grid
+    evaluation holds no more arrays at a time than a recursive walk would.
+    frequencies is alpha_frequencies of all the trees together.
+    """
+
+    def __init__(self, ops: list, outputs: tuple, frequencies: Optional[frozenset]):
+        self.outputs, self.frequencies = outputs, frequencies
+        last = {i: n for n, (_, ins) in enumerate(ops, 1) for i in ins if i not in outputs}
+        dead = {}   # registers by the op that reads them last
+        for i, n in last.items():
+            dead[n] = dead.get(n, ()) + (i,)
+        self.ops = tuple((n, fn, ins, dead.get(n, ())) for n, (fn, ins) in enumerate(ops, 1))
+
+    def __call__(self, alpha: Number) -> tuple:
+        regs = [alpha] * (len(self.ops) + 1)
+        for out, fn, ins, dead in self.ops:
+            regs[out] = fn(*[regs[i] for i in ins])
+            for i in dead:
+                regs[i] = None
+        return tuple([regs[i] for i in self.outputs])
 
 
-def _jet(x, alpha: Number) -> Jet2:
-    """A walk result as a jet: (k, c) is (k*alpha + c, k, 0)."""
-    if isinstance(x, Jet2):
-        return x
-    k, c = x
-    return Jet2(c, 0.0, 0.0) if k == 0.0 else Jet2(_line(k, c, alpha), k, 0.0)
+def compile_jets(trees: tuple, a: int = 1) -> JetProgram:
+    """One walk over trees at a fixed a, compiled into a JetProgram."""
+    compiler = _Compiler(a)
+    outputs = tuple(compiler.jet(compiler.walk(e)) for e in trees)
+    return JetProgram(compiler.ops, outputs, compiler.frequencies)
 
 
-def _constant(x) -> Optional[float]:
-    return x[1] if isinstance(x, tuple) and x[0] == 0.0 else None
+def _nonzero(message: str, node: Expr):
+    """An op that raises at a pole: where its jet's value is zero."""
+    def op(jet: Jet2) -> None:
+        if np.any(np.asarray(jet.v) == 0.0):
+            raise EvalDomainError(message.format(node))
+    return op
 
 
-def _walk(e: Expr, alpha: Number, a: int, trig: dict):
-    """e at alpha as (k, c), i.e. k*alpha + c (a float constant c when
-    k == 0), while the subtree is linear in alpha, and as a Jet2 above
-    that.  Only jets cost array work, and a constant enters it as a
-    scalar."""
-    leaf = _leaf(e, a)
-    if leaf is not None:
-        return leaf
-    if isinstance(e, Div):
-        return _divide(e, alpha, a, trig)
-    parts = [_walk(child, alpha, a, trig) for child in _children(e)]
-    if all(isinstance(p, tuple) for p in parts):
-        linear = _linear_node(e, parts)
-        if linear is not None:
-            return linear
-    if isinstance(e, (Sin, Cos)):
-        arg = parts[0]
-        if isinstance(arg, Jet2):
-            return arg.sin() if isinstance(e, Sin) else arg.cos()
-        k, c = arg   # k != 0: the jets of sin and cos of k*alpha + c
-        if arg not in trig:
-            x = _line(k, c, alpha)
-            trig[arg] = np.sin(x), np.cos(x)
-        s, co = trig[arg]
-        return Jet2(s, k * co, -k * k * s) if isinstance(e, Sin) else Jet2(co, -k * s, -k * k * co)
-    if isinstance(e, Pow):
-        base = _jet(parts[0], alpha)
-        if e.exponent < 0 and np.any(np.asarray(base.v) == 0.0):
-            raise EvalDomainError(f"negative power of zero in '{e}'")
-        return base ** e.exponent
-    l, r = parts
-    lc, rc = _constant(l), _constant(r)
-    # a constant with a line was read as a line above, so the other is a jet
-    if lc is not None:
-        if isinstance(e, Add):
-            return Jet2(lc + r.v, r.d1, r.d2)
-        if isinstance(e, Sub):
-            return Jet2(lc - r.v, -r.d1, -r.d2)
-        return Jet2(lc * r.v, lc * r.d1, lc * r.d2)
-    if rc is not None:
-        if isinstance(e, Add):
-            return Jet2(l.v + rc, l.d1, l.d2)
-        if isinstance(e, Sub):
-            return Jet2(l.v - rc, l.d1, l.d2)
-        return Jet2(l.v * rc, l.d1 * rc, l.d2 * rc)
-    l, r = _jet(l, alpha), _jet(r, alpha)
-    return l + r if isinstance(e, Add) else l - r if isinstance(e, Sub) else l * r
+# ops of a jet j and a float constant c by node type, j op c (a sum or a
+# product is the same either way round) or, for "c - j", c op j
+_CONSTANT_OPS = {
+    Add: lambda c: lambda j: Jet2(j.v + c, j.d1, j.d2),
+    Sub: lambda c: lambda j: Jet2(j.v - c, j.d1, j.d2),
+    Mul: lambda c: lambda j: Jet2(j.v * c, j.d1 * c, j.d2 * c),
+    Div: lambda c: lambda j: Jet2(j.v / c, j.d1 / c, j.d2 / c),
+    "c - j": lambda c: lambda j: Jet2(c - j.v, -j.d1, -j.d2),
+}
+_JET_OPS = {Add: Jet2.__add__, Sub: Jet2.__sub__, Mul: Jet2.__mul__}
 
 
-def _divide(e: Div, alpha: Number, a: int, trig: dict):
-    # the denominator is walked and checked before the numerator, so a pole
-    # in both is reported as the denominator's
-    den = _walk(e.den, alpha, a, trig)
-    dc = _constant(den)
-    if dc is None:
-        den = _jet(den, alpha)
-    if dc == 0.0 or (dc is None and np.any(np.asarray(den.v) == 0.0)):
-        raise EvalDomainError(f"division by zero in '{e.den}'")
-    num = _walk(e.num, alpha, a, trig)
-    if dc is not None:
-        if isinstance(num, tuple):
-            return _linear_node(e, [num, den])
-        return Jet2(num.v / dc, num.d1 / dc, num.d2 / dc)
-    return _jet(num, alpha) / den
+class _Compiler:
+    """One walk over trees at a fixed a, emitting the ops of a JetProgram.
+    A subtree compiles to (k, c), k*alpha + c (a float constant c when
+    k == 0), while it is linear in alpha, and to the register of its Jet2
+    above that.  A line, its sin/cos pair and their jets are emitted once
+    per distinct (k, c)."""
+
+    def __init__(self, a: int):
+        self.a = a
+        self.ops = []      # (fn of the input values, input registers)
+        self.shared = {}   # register by (kind, k, c)
+        self.frequencies = frozenset()   # None once alpha shows outside sin/cos
+        self.trig_depth = 0              # sin/cos arguments the walk is inside
+
+    def walk(self, e: Expr):
+        if type(e) not in _RULES:
+            raise TypeError(f"unknown node {type(e).__name__}")
+        return _RULES[type(e)](self, e)
+
+    def alpha(self, e: Alpha):
+        if not self.trig_depth:
+            self.frequencies = None
+        return 1.0, 0.0
+
+    def emit(self, fn, *ins) -> int:
+        self.ops.append((fn, ins))
+        return len(self.ops)
+
+    def once(self, key: tuple, fn, *ins) -> int:
+        if key not in self.shared:
+            self.shared[key] = self.emit(fn, *ins)
+        return self.shared[key]
+
+    def line(self, k: float, c: float) -> int:
+        return self.once(("line", k, c),
+                         (lambda x: k * x + c) if c != 0.0 else (lambda x: k * x), 0)
+
+    def jet(self, x) -> int:
+        """The register of x as a jet: (k, c) is (k*alpha + c, k, 0)."""
+        if type(x) is not tuple:
+            return x
+        k, c = x
+        if k == 0.0:
+            return self.emit(lambda constant=Jet2(c, 0.0, 0.0): constant)
+        return self.once(("jet", k, c), lambda x: Jet2(x, k, 0.0), self.line(k, c))
+
+    def binary(self, e: Add | Sub | Mul):
+        l, r, kind = self.walk(e.left), self.walk(e.right), type(e)
+        if type(l) is tuple and type(r) is tuple:
+            if kind is Add:
+                return l[0] + r[0], l[1] + r[1]
+            if kind is Sub:
+                return l[0] - r[0], l[1] - r[1]
+            if l[0] == 0.0 or r[0] == 0.0:
+                return l[0] * r[1] + r[0] * l[1], l[1] * r[1]
+            # alpha^2: a product of line jets
+        elif type(l) is tuple and l[0] == 0.0:
+            return self.emit(_CONSTANT_OPS["c - j" if kind is Sub else kind](l[1]), r)
+        elif type(r) is tuple and r[0] == 0.0:
+            return self.emit(_CONSTANT_OPS[kind](r[1]), l)
+        return self.emit(_JET_OPS[kind], self.jet(l), self.jet(r))
+
+    def divide(self, e: Div):
+        # the denominator is compiled and checked before the numerator, so
+        # a pole in both is reported as the denominator's
+        den = self.walk(e.den)
+        if type(den) is tuple and den[0] == 0.0 and den[1] != 0.0:
+            num, d = self.walk(e.num), den[1]
+            if type(num) is tuple:
+                return num[0] / d, num[1] / d
+            return self.emit(_CONSTANT_OPS[Div](d), num)
+        den = self.jet(den)
+        self.emit(_nonzero("division by zero in '{}'", e.den), den)
+        return self.emit(Jet2.__truediv__, self.jet(self.walk(e.num)), den)
+
+    def power(self, e: Pow):
+        base, k = self.walk(e.base), e.exponent
+        if type(base) is tuple and base[0] == 0.0 and (base[1] != 0.0 or k >= 0):
+            with np.errstate(all="ignore"):   # an overflow folds to inf
+                return 0.0, float(np.float64(base[1]) ** k)
+        base = self.jet(base)
+        if k < 0:
+            self.emit(_nonzero("negative power of zero in '{}'", e), base)
+        return self.emit(lambda j: j ** k, base)
+
+    def trig(self, e: Sin | Cos):
+        self.trig_depth += 1
+        arg, sin = self.walk(e.arg), type(e) is Sin
+        self.trig_depth -= 1
+        if type(arg) is not tuple:
+            self.frequencies = None
+            return self.emit(Jet2.sin if sin else Jet2.cos, arg)
+        k, c = arg
+        if not k.is_integer():
+            self.frequencies = None
+        elif k and self.frequencies is not None:
+            self.frequencies |= {abs(int(k))}
+        if k == 0.0:
+            with np.errstate(all="ignore"):
+                return 0.0, float(np.sin(c) if sin else np.cos(c))
+        # (s, k*c, -k^2*s) or (c, -k*s, -k^2*c) from one shared s, c pair
+        pair = self.once(("trig", k, c), lambda x: (np.sin(x), np.cos(x)), self.line(k, c))
+        u, w, f = (0, 1, k) if sin else (1, 0, -k)
+        return self.once((type(e), k, c), lambda t: Jet2(t[u], f * t[w], -k * k * t[u]), pair)
+
+
+_RULES = {
+    Num: lambda self, e: (0.0, e.value),
+    ParamA: lambda self, e: (0.0, float(self.a)),
+    Alpha: _Compiler.alpha,
+    Add: _Compiler.binary, Sub: _Compiler.binary, Mul: _Compiler.binary,
+    Div: _Compiler.divide, Pow: _Compiler.power, Sin: _Compiler.trig, Cos: _Compiler.trig,
+}
 
 
 def derivative(e: Expr) -> Expr:

@@ -25,12 +25,15 @@ All tables are carried as value / first derivative arrays; the
 derivatives are exact (propagated through jets and symbolic
 differentiation of the scale functions, never finite differences).
 
-The class path reads only the scale jets of one scale_jets call: its
-kernel (chern_simons.connection_trace) forms the log-rates lam'/lam and
-the S^3 brackets from the (v, d1, d2) jets, evaluating no derivative tree.
-The dense tables (christoffel_table, structure_constants, coefficient_set)
-take the log-rates from the symbolically differentiated trees instead
-and serve as the oracle routes.
+A BergerMetric compiles its three scale trees once into a jet program
+(expressions.compile_jets), which also reads off its frequency
+certificate, and every scale_jets call only runs that program.  The
+class path reads only the scale jets of one scale_jets call: its kernel
+(chern_simons.connection_trace) forms the log-rates lam'/lam and the S^3
+brackets from the (v, d1, d2) jets, evaluating no derivative tree.  The
+dense tables (christoffel_table, structure_constants, coefficient_set)
+take the log-rates instead from the symbolically differentiated trees
+(compiled once, on first use) and serve as the oracle routes.
 
 Every function here is pure over immutable inputs and accepts either a
 scalar alpha or a grid of alphas (leading batch axes on the tables), so
@@ -44,12 +47,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .expressions import (Alpha, Cos, Div, Expr, Mul, Num, ParamA, Sin, Sub,
-                          alpha_frequencies, derivative, evaluate)
+from .expressions import (Alpha, Cos, Div, Expr, JetProgram, Mul, Num, ParamA, Sin,
+                          Sub, compile_jets, derivative)
 from .jets import Jet1, Jet2, Number
 
 # relative agreement demanded of the scale jets at alpha = 0 and 2*pi
 PERIODICITY_TOLERANCE = 1e-9
+
+# the constructor's check points, alpha = 0 and 2*pi included; read-only,
+# since every metric shares it
+_CHECK_GRID = np.linspace(0.0, 2.0 * np.pi, 1025)
+_CHECK_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -64,12 +72,16 @@ class BergerMetric:
     def __post_init__(self):
         # one scale_jets call, which checks positivity at all 1025 points;
         # points 0 and 1024 (alpha = 0 and 2*pi) feed the periodicity check
-        grid = np.linspace(0.0, 2.0 * np.pi, 1025)
+        grid = _CHECK_GRID
         names = ("lam", "mu", "nu")
         jets = self.scale_jets(grid)
-        for name, jet in zip(names, jets):
-            if not np.all(np.isfinite(np.broadcast_to(jet.v, grid.shape)[:-1])):
-                raise ValueError(f"{name} is not finite on [0, 2*pi)")
+        # scale_jets leaves no -inf, so the largest scale is finite exactly
+        # where all three are
+        top = np.maximum(np.maximum(jets[0].v, jets[1].v), jets[2].v)
+        if not np.isfinite(np.broadcast_to(top, grid.shape)[:-1]).all():
+            for name, jet in zip(names, jets):
+                if not np.all(np.isfinite(np.broadcast_to(jet.v, grid.shape)[:-1])):
+                    raise ValueError(f"{name} is not finite on [0, 2*pi)")
         if self.certificate is not None:
             return
         # the circle quadrature is spectral only for periodic integrands: with
@@ -87,42 +99,54 @@ class BergerMetric:
 
     @cached_property
     def certificate(self) -> tuple[int, int] | None:
-        """(g, K) read off the trees by alpha_frequencies: the scales are
-        2*pi/g periodic, and K is the largest alpha-frequency of their
-        sin/cos arguments.  None when some tree shows no period; constant
-        scales give (1, 0)."""
-        found = frozenset()
-        for e in (self.lam, self.mu, self.nu):
-            k = alpha_frequencies(e, self.a)
-            if k is None:
-                return None
-            found |= k
+        """(g, K) read off the trees (alpha_frequencies, collected when
+        they are compiled): the scales are 2*pi/g periodic, and K is the
+        largest alpha-frequency of their sin/cos arguments.  None when some
+        tree shows no period; constant scales give (1, 0)."""
+        found = self._scales.frequencies
+        if found is None:
+            return None
         return (math.gcd(*found), max(found)) if found else (1, 0)
 
+    def __getstate__(self):
+        # the compiled programs hold closures, which do not pickle; a copy
+        # compiles its own on first use
+        return {k: v for k, v in self.__dict__.items() if k not in ("_scales", "_rates")}
+
     @cached_property
-    def _dotted(self):
-        return (derivative(self.lam), derivative(self.mu), derivative(self.nu))
+    def _scales(self) -> JetProgram:
+        return compile_jets((self.lam, self.mu, self.nu), self.a)
+
+    @cached_property
+    def _rates(self) -> JetProgram:
+        return compile_jets(tuple(derivative(e) for e in (self.lam, self.mu, self.nu)),
+                            self.a)
 
     def scale_jets(self, alpha: Number):
-        """Jets of (lam, mu, nu) at alpha from one evaluate call, each
-        checked positive there: the constructor's fixed grid can miss a fast
-        oscillation."""
-        jets = evaluate((self.lam, self.mu, self.nu), alpha, self.a)
-        for name, jet in zip(("lam", "mu", "nu"), jets):
-            alphas, values = np.broadcast_arrays(alpha, jet.v)
-            if np.any(values <= 0.0):
-                bad = float(alphas[values <= 0.0].flat[0])
-                raise ValueError(f"{name} is not positive at alpha={bad:.6f}")
+        """Jets of (lam, mu, nu) at alpha from one run of the program the
+        trees were compiled into once, per metric.  One test checks all
+        three positive there (the constructor's fixed grid can miss a fast
+        oscillation); only when it fails does a per-scale pass name the
+        scale and the first alpha at fault."""
+        jets = self._scales(alpha)
+        # fmin, unlike minimum, skips a NaN scale, so a negative one beside it
+        # still shows
+        if (np.fmin(np.fmin(jets[0].v, jets[1].v), jets[2].v) <= 0.0).any():
+            for name, jet in zip(("lam", "mu", "nu"), jets):
+                alphas, values = np.broadcast_arrays(alpha, jet.v)
+                if np.any(values <= 0.0):
+                    bad = float(alphas[values <= 0.0].flat[0])
+                    raise ValueError(f"{name} is not positive at alpha={bad:.6f}")
         return jets
 
     def log_rate_jets(self, alpha: Number, scales):
-        """Jets of (lam'/lam, mu'/mu, nu'/nu): dotted expressions over the
-        scale jets the caller holds (from scale_jets at the same alpha), so
-        even the second derivatives are exact.  The oracle tables use it;
-        the class path takes the log-rates from the scale jets alone
+        """Jets of (lam'/lam, mu'/mu, nu'/nu): the symbolically
+        differentiated trees, compiled once, over the scale jets the caller
+        holds (from scale_jets at the same alpha), so even the second
+        derivatives are exact.  The oracle tables use it; the class path
+        takes the log-rates from the scale jets alone
         (chern_simons.connection_trace)."""
-        return tuple(dotted / scale
-                     for dotted, scale in zip(evaluate(self._dotted, alpha, self.a), scales))
+        return tuple(dotted / scale for dotted, scale in zip(self._rates(alpha), scales))
 
 
 # the built-in one-parameter family: lam = 1, mu = 2 + (1/a) cos(a alpha)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import loopcs.chern_simons
+import loopcs.expressions
 import loopcs.geometry
 import loopcs.symbols
 from loopcs.chern_simons import (SAMPLES_PER_PERIOD, CSConfig, NonFiniteDensityError,
                                  ResidueConventionError, connection_trace, cs_class,
                                  cs_density, leading_order_density, reduce_mod_z,
                                  sweep)
-from loopcs.expressions import parse_expression
+from loopcs.expressions import JetProgram, parse_expression
 from loopcs.forms import MatrixForm, evaluate3, trace, wedge
 from loopcs.geometry import (BergerMetric, builtin_family, christoffel_table,
                              round_metric)
@@ -255,25 +256,49 @@ def test_no_table_no_log_rates_one_evaluate_per_class(a, monkeypatch):
         monkeypatch.setattr(BergerMetric, name,
                             _counting(calls, name, getattr(BergerMetric, name)))
     monkeypatch.setattr(MatrixForm, "wedge", _counting(calls, "wedge", MatrixForm.wedge))
-    # top-level evaluations of the scale trees and their derivatives: the
-    # three scale trees go in one call
-    monkeypatch.setattr(loopcs.geometry, "evaluate",
-                        _counting(calls, "evaluate", loopcs.geometry.evaluate))
+    # runs of a compiled program over the scale trees or their derivatives:
+    # the three scale trees go in one run
+    monkeypatch.setattr(JetProgram, "__call__",
+                        _counting(calls, "evaluate", JetProgram.__call__))
     cs_class(m, CFG)
     assert calls == {"christoffel_table": 0, "scale_jets": 1, "log_rate_jets": 0,
                      "wedge": 0, "evaluate": 1}
 
 
-def test_metric_constructor_evaluates_each_tree_once(monkeypatch):
+def _recording_compiles(monkeypatch) -> list:
     trees = []
-    original = loopcs.geometry.evaluate
+    original = loopcs.geometry.compile_jets
 
-    def recording(e, alpha, a=1):
+    def recording(e, a=1):
         trees.append(e)
-        return original(e, alpha, a)
+        return original(e, a)
 
-    monkeypatch.setattr(loopcs.geometry, "evaluate", recording)
+    monkeypatch.setattr(loopcs.geometry, "compile_jets", recording)
+    return trees
+
+
+def test_metric_constructor_evaluates_each_tree_once(monkeypatch):
+    trees = _recording_compiles(monkeypatch)
+    runs = {"evaluate": 0}
+    monkeypatch.setattr(JetProgram, "__call__",
+                        _counting(runs, "evaluate", JetProgram.__call__))
     m = builtin_family(8)
+    assert trees == [(m.lam, m.mu, m.nu)]
+    assert runs == {"evaluate": 1}
+
+
+def test_scale_trees_compile_once_per_metric(monkeypatch):
+    trees = _recording_compiles(monkeypatch)
+    m = builtin_family(8)
+    first = cs_class(m, CFG).integral
+    assert trees == [(m.lam, m.mu, m.nu)]
+
+    def no_walk(self, e):
+        raise AssertionError("a compiled metric walked its trees again")
+
+    monkeypatch.setattr(loopcs.expressions._Compiler, "walk", no_walk)
+    m.scale_jets(np.linspace(0.0, 2 * np.pi, 33))
+    assert cs_class(m, CFG).integral == first
     assert trees == [(m.lam, m.mu, m.nu)]
 
 
@@ -351,7 +376,7 @@ def test_report_contents():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        CSConfig(s=0.5)
-    with pytest.raises(ValueError):
-        CSConfig(integrality_tol=0.0)
+    for bad in ({"s": 0.5}, {"s": np.inf}, {"s": np.nan}, {"integrality_tol": 0.0},
+                {"integrality_tol": np.inf}, {"integrality_tol": np.nan}):
+        with pytest.raises(ValueError):
+            CSConfig(**bad)

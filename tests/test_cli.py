@@ -144,6 +144,32 @@ def test_overflowing_parameter_power_is_not_finite(capsys):
     assert capsys.readouterr().err.splitlines() == ["error: lam is not finite on [0, 2*pi)"]
 
 
+def test_nan_scale_does_not_hide_a_negative_one(capsys):
+    # lam = a^400 - a^400 folds to nan at a = 8; mu is negative at alpha = 0.
+    # The positivity test must still see mu, not stop at the nan lam
+    assert run(["compute", "--lambda", "a^400-a^400", "--mu", "1-2*cos(alpha)^2",
+                "--nu", "1", "--a", "8"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: mu is not positive at alpha=0.000000"]
+
+
+@pytest.mark.parametrize("flags", [["--s", "inf"], ["--s", "nan"], ["--int-tol", "inf"],
+                                   ["--int-tol", "nan"]])
+def test_non_finite_config_values_rejected(capsys, flags):
+    # inf s used to surface as an inconsistent constant chain (exit 3), and
+    # an infinite tolerance made every verdict "indeterminate"
+    assert run(["compute", "--family", "paper", "--a", "2", *flags]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_config_number_too_large_for_a_float(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"s": 1' + "0" * 400 + "}")
+    assert run(["compute", "--family", "paper", "--a", "2", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 def test_certified_metrics_accepted(capsys):
     # periodic scales whose jets at 0 and 2*pi differ by rounding in
     # 2*pi times the frequency

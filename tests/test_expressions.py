@@ -106,3 +106,19 @@ def test_str_reparses():
         back = parse_expression(str(e))
         x = float(rng.uniform(0.0, 2 * np.pi))
         assert abs(evaluate(back, x).v - evaluate(e, x).v) < 1e-14
+
+
+def test_pole_in_denominator_and_numerator_reports_the_denominator():
+    # both poles sit on the grid: the denominator is evaluated and checked
+    # before any numerator op runs
+    den = "division by zero in '(1.0 - cos(alpha))'"
+    for num in ("1/alpha", "(alpha-1)^-2"):
+        e = parse_expression(f"({num}) / (1-cos(alpha))")
+        for alpha in (np.linspace(0.0, 2.0, 9), 0.0):
+            with pytest.raises(EvalDomainError) as err:
+                evaluate(e, alpha)
+            assert str(err.value) == den
+    # with the denominator's pole off the grid the numerator's shows
+    with pytest.raises(EvalDomainError) as err:
+        evaluate(e, np.array([1.0, 2.0]))
+    assert str(err.value) == "negative power of zero in '((alpha - 1.0))^-2'"

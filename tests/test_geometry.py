@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,17 @@ def test_frequency_certificate():
     # periodic, but no period can be read off the tree: the numeric test
     # at 0 and 2*pi accepts it
     assert metric("2+sin(sin(alpha))").certificate is None
+
+
+def test_metric_pickles_without_its_compiled_programs():
+    m = builtin_family(8)
+    grid = np.linspace(0.0, 2 * np.pi, 17)
+    christoffel_table(m, grid)   # compiles the derivative trees too
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m and copy.certificate == m.certificate
+    for got, want in zip(copy.scale_jets(grid), m.scale_jets(grid)):
+        assert all(np.array_equal(x, y) for x, y in zip((got.v, got.d1, got.d2),
+                                                        (want.v, want.d1, want.d2)))
 
 
 def test_family_parameter_zero_rejected():
