@@ -30,7 +30,17 @@ real scalar; a residual imaginary part signals a convention bug and is
 rejected.
 
 cs_density is a pure function of (metric, config, alpha) and vectorizes
-over alpha grids; every density sample passes through it.  cs_class makes
+over alpha grids; every density sample passes through it.  A 1-D grid of
+at least 2 * BLOCK points is evaluated in len // BLOCK equal blocks of
+BLOCK to 2 * BLOCK - 1 points, each written in place into one output
+array: the kernel's temporaries then stay small enough to be reused from
+block to block instead of freshly mapped and page-faulted on every call.
+Every kernel step is elementwise, so the samples are bit-identical to a
+whole-grid evaluation.  An error in any block falls back to that whole-grid
+evaluation, so the error names the grid's first failing scale and alpha,
+or the first failing op in program order, as it would unblocked.  Smaller
+grids (every ladder level of a certified class, the constructor's 1025
+points, a 4097-point report grid) run the kernel once.  cs_class makes
 one integrate_circle call (:mod:`loopcs.quadrature`) over one period
 2*pi/g, rescaled to [0, 2*pi], which equals the integral over the whole
 circle.  When the metric carries a frequency certificate (g, K)
@@ -86,6 +96,11 @@ IMAG_TOLERANCE = 1e-10
 # has no such guarantee: when g is a multiple of its N, T_N and T_{N/2}
 # sample every period at the same phase and agree on a wrong value.
 SAMPLES_PER_PERIOD = 64
+
+# Samples per block of a large density grid (cs_density).  On a 2^15+1
+# point grid, blocks of 2048 or 8192 points were slower: more calls, or
+# temporaries large enough to be page-faulted in again.
+BLOCK = 4096
 
 
 class ResidueConventionError(ArithmeticError):
@@ -193,6 +208,20 @@ def _constant_chain(s: float) -> complex:
             * CONNECTION_MULTIPLICITY * CONNECTION_TRACE_CONSTANT)
 
 
+def _blocked_density(m: BergerMetric, scale: float, alpha):
+    """scale * T_conn on a 1-D grid of at least 2 * BLOCK points, in
+    len // BLOCK equal blocks written into one array; None for any other
+    alpha."""
+    if np.ndim(alpha) != 1 or np.size(alpha) < 2 * BLOCK:
+        return None
+    alpha = np.asarray(alpha)
+    f = np.empty(alpha.shape, np.result_type(alpha, scale))
+    parts = alpha.size // BLOCK
+    for x, out in zip(np.array_split(alpha, parts), np.array_split(f, parts)):
+        np.multiply(scale, connection_trace(*m.scale_jets(x)), out=out)
+    return f
+
+
 def cs_density(m: BergerMetric, cfg: CSConfig, alpha):
     """The secondary-class density f = Re kappa(s) * T_conn at alpha (scalar
     or ndarray); every density sample passes here.
@@ -208,8 +237,15 @@ def cs_density(m: BergerMetric, cfg: CSConfig, alpha):
             f"not below {IMAG_TOLERANCE:.0e}; the constant conventions are inconsistent")
     # overflow shows up as non-finite samples, which are reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        t_conn = connection_trace(*m.scale_jets(alpha))
-        f = kappa.real * np.broadcast_to(t_conn, np.shape(alpha))
+        try:
+            f = _blocked_density(m, kappa.real, alpha)
+        except Exception:
+            # a block names its own first failure; the whole grid names the
+            # grid's first (scale, alpha) or the first failing op in order
+            f = None
+        if f is None:
+            t_conn = connection_trace(*m.scale_jets(alpha))
+            f = kappa.real * np.broadcast_to(t_conn, np.shape(alpha))
     finite = np.isfinite(f)
     if not np.all(finite):
         raise NonFiniteDensityError(

@@ -19,7 +19,8 @@ from .chern_simons import (CSConfig, CSReport, NonFiniteDensityError,
                            ResidueConventionError, cs_class, reduce_mod_z, sweep)
 from .expressions import EvalDomainError, ParseError, parse_expression
 from .geometry import BergerMetric, builtin_family
-from .quadrature import QuadratureConvergenceError, QuadratureSpec, circle_grid
+from .quadrature import (MAX_SAMPLES, QuadratureConvergenceError, QuadratureSpec,
+                         circle_grid)
 from .verify import run_all
 
 EXIT_OK = 0
@@ -53,16 +54,20 @@ def parse_metric_exprs(lam_src: str, mu_src: str, nu_src: str, a: int = 1) -> Be
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--s", type=float, default=None, help="Sobolev exponent (> 1/2, default 1)")
+    default = CSConfig()
+    p.add_argument("--s", type=float, default=None,
+                   help=f"Sobolev exponent (> 1/2, default {default.s})")
     p.add_argument("--samples", type=int, default=None,
-                   help="report grid N: the density CSV has N+1 rows (default "
-                        "4096); also the first ladder level of a metric whose "
-                        "trees give no period (see README)")
+                   help=f"report grid N, even, from 16 to {MAX_SAMPLES}: the "
+                        f"density CSV has N+1 rows (default {default.quadrature.n}); "
+                        "also the first ladder level of a metric whose trees "
+                        "give no period (see README)")
     p.add_argument("--tol", type=float, default=None,
                    help="absolute tolerance on |T_N - T_N/2| of the trapezoid "
-                        "ladder (default 1e-8)")
+                        f"ladder (default {default.quadrature.tol})")
     p.add_argument("--int-tol", dest="int_tol", type=float, default=None,
-                   help="integrality tolerance for the verdict (default 1e-3)")
+                   help=f"integrality tolerance for the verdict (default "
+                        f"{default.integrality_tol})")
     p.add_argument("--density-out", dest="density_out", default=None,
                    help="write density samples as CSV (header alpha,f)")
     p.add_argument("--report-out", dest="report_out", default=None,

@@ -27,6 +27,12 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+# Largest sample count a spec accepts.  The report grid's N + 1 points are
+# evaluated and may be written as a CSV of N + 1 rows; at 2**20 that is a
+# 41 MB file and a run of seconds, well short of an array numpy refuses
+# or a machine cannot hold.
+MAX_SAMPLES = 2 ** 20
+
 
 class QuadratureConvergenceError(ArithmeticError):
     """Refinement cap hit before successive estimates agreed."""
@@ -48,6 +54,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.n < 16 or self.n % 2 != 0:
             raise ValueError("sample count must be an even integer >= 16")
+        if self.n > MAX_SAMPLES:
+            raise ValueError(f"sample count must be at most 2**20 = {MAX_SAMPLES}")
         if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_refinements < 1:

@@ -5,17 +5,19 @@ import loopcs.chern_simons
 import loopcs.expressions
 import loopcs.geometry
 import loopcs.symbols
-from loopcs.chern_simons import (SAMPLES_PER_PERIOD, CSConfig, NonFiniteDensityError,
-                                 ResidueConventionError, connection_trace, cs_class,
+from loopcs.chern_simons import (BLOCK, SAMPLES_PER_PERIOD, CSConfig,
+                                 NonFiniteDensityError, ResidueConventionError,
+                                 _constant_chain, connection_trace, cs_class,
                                  cs_density, leading_order_density, reduce_mod_z,
                                  sweep)
-from loopcs.expressions import JetProgram, parse_expression
+from loopcs.expressions import EvalDomainError, JetProgram, parse_expression
 from loopcs.forms import MatrixForm, evaluate3, trace, wedge
 from loopcs.geometry import (BergerMetric, builtin_family, christoffel_table,
                              round_metric)
 from loopcs.quadrature import QuadratureSpec, circle_grid, integrate_circle
 from loopcs.symbols import sigma0_connection, sigma_minus1_connection_beta
-from loopcs.verify import check_density_reality, random_metric
+from loopcs.verify import (check_density_reality, check_leading_order_vanishing,
+                           random_metric)
 
 CFG = CSConfig()
 
@@ -129,6 +131,20 @@ def test_leading_order_density_vanishes():
     rng = np.random.default_rng(43)
     for _ in range(10):
         assert np.max(np.abs(leading_order_density(random_metric(rng), grid))) < 1e-12
+
+
+def test_leading_order_check_sees_an_asymmetric_sigma0(monkeypatch):
+    assert check_leading_order_vanishing(np.random.default_rng(20240)).passed
+    original = loopcs.chern_simons.sigma0_connection
+
+    def asymmetric(m, alpha):
+        # the psi^3 entry U loses its symmetric partner by one part in 1e12
+        s0 = original(m, alpha)
+        s0.coeff((3,))[..., 1, 0] *= 1.0 + 1e-12
+        return s0
+
+    monkeypatch.setattr(loopcs.chern_simons, "sigma0_connection", asymmetric)
+    assert not check_leading_order_vanishing(np.random.default_rng(20240)).passed
 
 
 def test_reality_guard():
@@ -334,6 +350,68 @@ def test_non_finite_density_rejected(monkeypatch):
     with pytest.raises(NonFiniteDensityError):
         cs_class(m, CFG)
     assert sizes == [SAMPLES_PER_PERIOD + 1]  # fails on the first per-period level
+
+
+LARGE_GRID = np.linspace(0.0, 2 * np.pi, 2 ** 15 + 1)
+
+
+@pytest.mark.parametrize("a", [2, 8, 32, 4096])
+def test_large_grid_density_is_bit_identical_in_blocks(a):
+    m = builtin_family(a)
+    blocks = np.array_split(LARGE_GRID, LARGE_GRID.size // BLOCK)
+    assert len(blocks) == 8 and all(BLOCK <= x.size < 2 * BLOCK for x in blocks)
+    f = cs_density(m, CFG, LARGE_GRID)
+    assert np.array_equal(f, np.concatenate([cs_density(m, CFG, x) for x in blocks]))
+    # the whole-grid product of the constant chain and the kernel
+    whole = _constant_chain(CFG.s).real * connection_trace(*m.scale_jets(LARGE_GRID))
+    assert np.array_equal(f, whole)
+
+
+def _bump(center: float) -> str:
+    # cos(1024 alpha) where ((1 + cos(alpha - center)) / 2)^200 is near 1:
+    # 1 on the constructor's grid, negative between its points near center
+    return f"1-2*sin(512*alpha)^2*((1+cos(alpha-{center}))/2)^200"
+
+
+def _with_points(*points) -> np.ndarray:
+    grid = LARGE_GRID.copy()
+    for x in points:
+        grid[np.argmin(np.abs(grid - x))] = x
+    return grid
+
+
+# The sign and pole metrics fail in mu in the first block and in lam in a
+# later one; the overflow fails in many blocks.  The whole grid names the
+# scale tested first (lam), the first failing op in program order (lam's
+# Div) or the count over all samples; the first block alone would not.
+@pytest.mark.parametrize("scales, grid, error, message", [
+    ((_bump(5), _bump(0.4), "1"), LARGE_GRID, ValueError,
+     "lam is not positive at alpha=4.886879"),
+    (("1+0.001/sin(alpha-5)^2", "1+0.001/sin(alpha-0.5)^2", "1"), _with_points(0.5, 5.0),
+     EvalDomainError, "division by zero in '(sin((alpha - 5.0)))^2'"),
+    (("(2+sin(alpha))^300", "1", "1"), LARGE_GRID, NonFiniteDensityError,
+     "density is not finite at 14477 of 32769 samples; the metric overflows or hits a pole"),
+], ids=["sign", "pole", "overflow"])
+def test_large_grid_errors_name_the_whole_grid(scales, grid, error, message, monkeypatch):
+    m = BergerMetric(*(parse_expression(e) for e in scales))
+    with pytest.raises(error) as blocked:
+        cs_density(m, CFG, grid)
+    with pytest.raises(error) as first_block:
+        cs_density(m, CFG, grid[:BLOCK])
+    monkeypatch.setattr(loopcs.chern_simons, "BLOCK", grid.size)
+    with pytest.raises(error) as whole:
+        cs_density(m, CFG, grid)
+    assert str(blocked.value) == str(whole.value) == message != str(first_block.value)
+
+
+@pytest.mark.parametrize("n, runs", [(65, 1), (1025, 1), (4097, 1), (2 * BLOCK - 1, 1),
+                                     (2 * BLOCK, 2), (2 ** 15 + 1, 8)])
+def test_density_runs_the_program_once_below_two_blocks(n, runs, monkeypatch):
+    m = builtin_family(8)
+    calls = {"run": 0}
+    monkeypatch.setattr(JetProgram, "__call__", _counting(calls, "run", JetProgram.__call__))
+    cs_density(m, CFG, np.linspace(0.0, 2 * np.pi, n))
+    assert calls == {"run": runs}
 
 
 def test_mod_z_in_unit_interval():

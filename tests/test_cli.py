@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loopcs.chern_simons import ResidueConventionError, cs_class
+import loopcs.cli
+from loopcs.chern_simons import CSConfig, ResidueConventionError, cs_class
 from loopcs.cli import main
 from loopcs.expressions import parse_expression
 from loopcs.geometry import BergerMetric, builtin_family
-from loopcs.quadrature import QuadratureConvergenceError
+from loopcs.quadrature import MAX_SAMPLES, QuadratureConvergenceError, QuadratureSpec
 
 A2_INTEGRAL = -26.0686813921976406
 
@@ -168,6 +169,37 @@ def test_config_number_too_large_for_a_float(tmp_path, capsys):
     assert run(["compute", "--family", "paper", "--a", "2", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_samples_capped(tmp_path, capsys, source):
+    cfg = tmp_path / "cfg.json"
+    for samples, code in ((MAX_SAMPLES, 0), (MAX_SAMPLES + 2, 1), (10 ** 11, 1),
+                          (10 ** 400, 1)):
+        if source == "flag":
+            args = ["--samples", str(samples)]
+        else:
+            cfg.write_text(json.dumps({"samples": samples}))
+            args = ["--config", str(cfg)]
+        assert run(["compute", "--family", "paper", "--a", "2", *args]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert err == ([] if code == 0 else [f"error: sample count must be at most "
+                                              f"2**20 = {MAX_SAMPLES}"])
+
+
+@pytest.mark.parametrize("default", [
+    CSConfig(),
+    CSConfig(s=2.5, quadrature=QuadratureSpec(n=512, tol=1e-6), integrality_tol=0.01),
+], ids=["library", "changed"])
+def test_help_names_the_library_defaults(capsys, monkeypatch, default):
+    monkeypatch.setattr(loopcs.cli, "CSConfig", lambda: default)
+    with pytest.raises(SystemExit):
+        main(["compute", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for value in (default.s, default.quadrature.n, default.quadrature.tol,
+                  default.integrality_tol):
+        assert f"default {value})" in text, value
+    assert f"from 16 to {MAX_SAMPLES}" in text
 
 
 def test_certified_metrics_accepted(capsys):

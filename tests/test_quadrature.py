@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loopcs.quadrature import (QuadratureConvergenceError, QuadratureSpec,
+from loopcs.quadrature import (MAX_SAMPLES, QuadratureConvergenceError, QuadratureSpec,
                                integrate_circle)
 from loopcs.verify import check_quadrature_exactness
 
@@ -80,5 +80,8 @@ def test_spec_validation():
         QuadratureSpec(n=8)
     with pytest.raises(ValueError):
         QuadratureSpec(n=17)
+    assert QuadratureSpec(n=MAX_SAMPLES).n == 2 ** 20
+    with pytest.raises(ValueError):
+        QuadratureSpec(n=MAX_SAMPLES + 2)
     with pytest.raises(ValueError):
         QuadratureSpec(tol=0.0)
