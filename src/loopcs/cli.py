@@ -6,6 +6,11 @@ periodic or has a pole), 2 expression
 parse error (including a constant power that overflows a float), 3
 numerical error (quadrature non-convergence, a non-finite density, or a
 constant chain with an imaginary part), 4 invariant-suite failure.
+
+The density CSV holds every value exactly as '%.17g' % value prints it,
+formatted in numpy for up to 2**16 rows at a time (_format_g17).  The
+argument parser is built on the first main() call and reused by later
+calls in the same process.
 """
 from __future__ import annotations
 
@@ -13,7 +18,10 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
+
+import numpy as np
 
 from .chern_simons import (CSConfig, CSReport, NonFiniteDensityError,
                            ResidueConventionError, cs_class, reduce_mod_z, sweep)
@@ -76,7 +84,10 @@ def _add_common(p: argparse.ArgumentParser):
                    help="JSON file supplying defaults for any flag")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: parse_args leaves it as it
+    was, and each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="loopcs",
         description="Wodzicki-Chern-Simons class of loop-space Levi-Civita "
@@ -183,26 +194,164 @@ def _write_report(path: str, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+# '%.17g' % v in numpy, byte for byte.  A finite v with 1e-4 <= |v| < 1e17
+# prints in fixed notation: its exponent e = floor(log10|v|) lies in
+# [-4, 16], so 10**(16 - e) is an exact double, and Dekker's TwoProduct
+# gives |v| * 10**(16 - e) exactly as p + err.  p is an even integer of at
+# least 2**53, so N = p + rint(err) is the correctly rounded (ties to even)
+# 17-digit integer that dtoa prints.  N never reaches 10**17: the largest
+# double below 10**(e+1) is at least 8 units of the 17th digit below it.
+# Zero takes the same route (N = 0, e = 0); everything else, including
+# nan and inf, is formatted by '%.17g' one value at a time.
+_G17_WIDTH = 24   # sign, '0.', three zeros, 17 digits and a point
+
+
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of _format_g17, built on first use:
+    - 10**k for k in 0..20, all exact doubles;
+    - '0000' ... '9999' as words of four ASCII digits;
+    - row j: the trailing zeros of N when its j-th 4-digit group after the
+      leading digit is the last nonzero one (99 for a zero group);
+    - per key (e + 4, sign, L), L the characters from column 6 on once
+      trailing zeros (and a bare point) are dropped: the characters that do
+      not come from N's digits, and where digit j lands, column 6 + j
+      ("take") or, past the point, 7 + j ("shift")."""
+    g = np.arange(10000, dtype=np.int16)
+    digits4 = g[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + 48
+    tz = (g % 10 == 0).astype(np.int16) + (g % 100 == 0) + (g % 1000 == 0)
+    tz[0] = 99
+    e = np.arange(-4, 17, dtype=np.int8)[:, None, None, None]
+    neg = np.arange(2, dtype=np.int8)[None, :, None, None] == 1
+    length = np.arange(19, dtype=np.int8)[None, None, :, None]
+    col = np.arange(_G17_WIDTH, dtype=np.int8)
+    j = col - 6
+    small = e < 0
+    const = (np.uint8(45) * ((col == 0) & neg)
+             + np.uint8(48) * (small & ((col == 1) | ((col >= 3) & (col < 2 - e))))
+             + np.uint8(46) * (small & (col == 2))
+             + np.uint8(46) * (~small & (j == e + 1) & (j < length)))
+    body = (j >= 0) & (j < length)
+    take = body & (small | (j <= e))
+    shift = body & ~small & (j > e + 1)
+    return (10.0 ** np.arange(21),
+            digits4.astype(np.uint8).view(np.uint32).ravel(),
+            tz + np.array([12, 8, 4, 0], np.int16)[:, None],
+            *(np.broadcast_to(t, const.shape).reshape(-1, _G17_WIDTH).astype(np.uint8)
+              for t in (const, take, shift)))
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p = fl(a * b) and err with a * b = p + err exactly (Dekker, with
+    Veltkamp's split at 2**27 + 1)."""
+    p = a * b
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    al = a - ah
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    bl = b - bh
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _format_g17(values: np.ndarray) -> np.ndarray:
+    """Row i holds the ASCII codes of '%.17g' % values[i], with NUL bytes
+    between and after them; deleting the NULs gives the text."""
+    pow10, digits4, trailing_zeros, layout_const, layout_take, layout_shift = _g17_tables()
+    v = np.asarray(values, dtype=np.float64)
+    n = v.size
+    a = np.abs(v)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    a[~fixed] = 1.0
+    e = np.clip(np.floor(np.log10(a)).astype(np.intp), -4, 16)
+    p, err = _two_product(a, pow10[16 - e])
+    # log10 may be one off next to a power of ten: place p + err in [1e16, 1e17)
+    off = (((p > 1e17) | ((p == 1e17) & (err >= 0))).view(np.int8)
+           - ((p < 1e16) | ((p == 1e16) & (err < 0))).view(np.int8))
+    if off.any():
+        e += off
+        p, err = _two_product(a, pow10[16 - e])
+    big = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    big[~fixed] = 0
+    e[~fixed] = 0
+    # N as its leading digit and four 4-digit groups
+    hi = big // 100000000
+    lo = (big - hi * 100000000).astype(np.int32)
+    hi = hi.astype(np.int32)
+    groups = np.empty((n, 5), np.int32)
+    groups[:, 0] = hi // 100000000
+    mid = hi // 10000
+    groups[:, 1] = mid - groups[:, 0] * 10000
+    groups[:, 2] = hi - mid * 10000
+    groups[:, 3] = lo // 10000
+    groups[:, 4] = lo - groups[:, 3] * 10000
+    zeros = np.minimum.reduce([trailing_zeros[j].take(groups[:, j + 1]) for j in range(4)])
+    digits = np.maximum(17 - np.minimum(zeros, 16), e + 1)
+    length = digits + ((e >= 0) & (digits > e + 1))
+    key = ((e + 4) * 2 + np.signbit(v)) * 19 + length
+    ascii_digits = digits4.take(groups).view(np.uint8)[:, 3:]
+    take = np.zeros((n, _G17_WIDTH), np.uint8)
+    take[:, 6:23] = ascii_digits
+    shift = np.zeros((n, _G17_WIDTH), np.uint8)
+    shift[:, 7:] = ascii_digits
+    rows = layout_const.take(key, axis=0)
+    rows += take * layout_take.take(key, axis=0)
+    rows += shift * layout_shift.take(key, axis=0)
+    for i in np.flatnonzero(~fixed & (v != 0)).tolist():
+        text = b"%.17g" % v[i]
+        rows[i] = 0
+        rows[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return rows
+
+
+# The density CSV is formatted and written in blocks of this many rows, so
+# that a large grid's CSV is never held whole.  A grid of one block keeps
+# its formatted alpha column for later reports; a larger one does not.
+_CSV_BLOCK = 2 ** 16
+
+
+def _alpha_column(alphas: np.ndarray) -> np.ndarray:
+    """alphas formatted by _format_g17, each row ending in a comma."""
+    rows = np.empty((alphas.size, _G17_WIDTH + 1), np.uint8)
+    rows[:, :-1] = _format_g17(alphas)
+    rows[:, -1] = ord(",")
+    return rows
+
+
 @functools.lru_cache(maxsize=4)
-def _density_csv_template(n: int) -> str:
-    """Header and alpha column of the density CSV on circle_grid(n), with a
-    %.17g slot per density value: formatting floats is most of the cost of
-    the CSV, and every report with the same grid shares this half."""
-    return "alpha,f\r\n" + "".join(f"{alpha:.17g},%.17g\r\n"
-                                    for alpha in circle_grid(n).tolist())
+def _grid_alpha_column(n: int) -> np.ndarray:
+    """The alpha column of circle_grid(n), kept for later reports."""
+    rows = _alpha_column(circle_grid(n))
+    rows.flags.writeable = False   # shared by every report on the grid
+    return rows
 
 
-def _density_csv(report: CSReport) -> str:
-    """The report grid as CSV text, with the bytes csv.writer gives: CRLF
-    row endings (RFC 4180), nothing quoted.  Reading report.densities may
-    evaluate the grid, and so raise; callers form the text before they
-    write any output."""
-    return _density_csv_template(report.quadrature_n) % tuple(report.densities.tolist())
+def _csv_rows(alpha_rows: np.ndarray, densities: np.ndarray) -> bytes:
+    """CSV rows from a formatted alpha column and the densities beside it."""
+    rows = np.empty((len(alpha_rows), 2 * _G17_WIDTH + 3), np.uint8)
+    rows[:, :_G17_WIDTH + 1] = alpha_rows
+    rows[:, _G17_WIDTH + 1:-2] = _format_g17(densities)
+    rows[:, -2:] = (13, 10)
+    return rows.tobytes().translate(None, b"\0")
 
 
-def _write_density_csv(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+def _density_csv(report: CSReport) -> Iterator[bytes]:
+    """The report grid as CSV bytes, in blocks, as csv.writer gives them
+    with every value written as '%.17g': CRLF row endings (RFC 4180),
+    nothing quoted.  Reading report.densities may evaluate the grid, and so
+    raise; callers read it before they write any output."""
+    yield b"alpha,f\r\n"
+    n = report.quadrature_n
+    for start in range(0, n + 1, _CSV_BLOCK):
+        block = slice(start, start + _CSV_BLOCK)
+        alpha = (_grid_alpha_column(n) if n < _CSV_BLOCK
+                 else _alpha_column(report.alphas[block]))
+        yield _csv_rows(alpha, report.densities[block])
+
+
+def _write_density_csv(path: str, report: CSReport) -> None:
+    with open(path, "wb") as fh:
+        fh.writelines(_density_csv(report))
 
 
 def _check_out_paths(opts: dict) -> None:
@@ -226,11 +375,12 @@ def _run_compute(opts: dict) -> int:
     _check_out_paths(opts)
     metric, a = _metric_from_opts(opts)
     report = cs_class(metric, _csconfig(opts))
-    csv_text = _density_csv(report) if opts.get("density_out") else None
+    if opts.get("density_out"):
+        report.densities   # the one step that can raise: before any output
     if opts.get("report_out"):
         _write_report(opts["report_out"], _report_json(report, a))
-    if csv_text is not None:
-        _write_density_csv(opts["density_out"], csv_text)
+    if opts.get("density_out"):
+        _write_density_csv(opts["density_out"], report)
     print(_summary_line(report, a))
     return EXIT_OK
 
@@ -251,15 +401,17 @@ def _run_sweep(opts: dict) -> int:
     if not a_values or any(a == 0 for a in a_values):
         raise ConfigError("--a needs nonzero integers")
     reports = sweep(a_values, _csconfig(opts))
-    csv_texts = [_density_csv(r) if opts.get("density_out") else None for r in reports]
+    if opts.get("density_out"):
+        for report in reports:   # every grid before any output; one CSV at a time after
+            report.densities
     print(f"{'a':>4}  {'integral':>14}  {'class':>12}  {'mod Z':>10}  verdict")
-    for a, report, csv_text in zip(a_values, reports, csv_texts):
+    for a, report in zip(a_values, reports):
         print(f"{a:>4}  {report.integral:>14.6f}  {report.class_value:>12.6f}  "
               f"{_shown_mod_z(report):>10.6f}  {report.verdict}")
         if opts.get("report_out"):
             _write_report(_suffixed(opts["report_out"], a), _report_json(report, a))
-        if csv_text is not None:
-            _write_density_csv(_suffixed(opts["density_out"], a), csv_text)
+        if opts.get("density_out"):
+            _write_density_csv(_suffixed(opts["density_out"], a), report)
     return EXIT_OK
 
 

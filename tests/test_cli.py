@@ -1,6 +1,8 @@
 import csv
+import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopcs.cli
 from loopcs.chern_simons import CSConfig, ResidueConventionError, cs_class
@@ -61,21 +65,93 @@ def test_outputs_are_byte_stable(tmp_path):
     assert first == second
 
 
+def _csv_writer_bytes(report):
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["alpha", "f"])
+    for alpha, f in zip(report.alphas, report.densities):
+        writer.writerow([f"{alpha:.17g}", f"{f:.17g}"])
+    return want.getvalue().encode()
+
+
 def test_density_csv_bytes_match_csv_writer(tmp_path):
     custom = ("0.00001*sin(alpha)+2", "1", "3-cos(2*alpha)^2")
-    cases = [(["--family", "paper", "--a", "2"], builtin_family(2)),
+    tiny = ("1+0.0000001*sin(alpha)", "1", "1")
+    cases = [(["--family", "paper", "--a", "2"], builtin_family(2), 4096),
              (["--lambda", custom[0], "--mu", custom[1], "--nu", custom[2]],
-              BergerMetric(*(parse_expression(x) for x in custom)))]
-    for flags, m in cases:
+              BergerMetric(*(parse_expression(x) for x in custom)), 4096),
+             # the round metric: every density sample is 0
+             (["--lambda", "1", "--mu", "1", "--nu", "1"],
+              BergerMetric(*(parse_expression("1"),) * 3), 4096),
+             # densities below 1e-4 print in exponent notation
+             (["--lambda", tiny[0], "--mu", tiny[1], "--nu", tiny[2]],
+              BergerMetric(*(parse_expression(x) for x in tiny)), 4096),
+             # alpha = 2*pi/65536 < 1e-4 prints in exponent notation too
+             (["--family", "paper", "--a", "2"], builtin_family(2), 65536)]
+    for flags, m, n in cases:
         path = tmp_path / "d.csv"
-        assert run(["compute", *flags, "--density-out", str(path)]) == 0
-        report = cs_class(m)
-        want = io.StringIO(newline="")
-        writer = csv.writer(want)
-        writer.writerow(["alpha", "f"])
-        for alpha, f in zip(report.alphas, report.densities):
-            writer.writerow([f"{alpha:.17g}", f"{f:.17g}"])
-        assert path.read_bytes() == want.getvalue().encode()
+        assert run(["compute", *flags, "--samples", str(n), "--density-out", str(path)]) == 0
+        report = cs_class(m, CSConfig(quadrature=QuadratureSpec(n=n)))
+        assert path.read_bytes() == _csv_writer_bytes(report)
+    assert path.read_bytes().count(b"e-05,") == 1
+    assert run(["compute", *cases[3][0], "--density-out", str(path)]) == 0
+    assert path.read_bytes().count(b"e-") > 4000   # all but the zeros of sin
+
+
+def _g17(values):
+    rows = loopcs.cli._format_g17(np.asarray(values, dtype=np.float64))
+    return [row.tobytes().replace(b"\0", b"") for row in rows]
+
+
+def _g17_reference(values):
+    return [b"%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(min_value=-1e18, max_value=1e18)),
+                min_size=1, max_size=40))
+def test_format_g17_matches_percent_format(values):
+    assert _g17(values) == _g17_reference(values)
+
+
+def _neighbours(x, k=8):
+    """x and the k doubles on either side of it."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(k):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def _ties(rng, per_exponent=50):
+    """Doubles v with v * 10**(16 - e) exactly halfway between two integers,
+    e = floor(log10 v) in [-4, 15]: v = c / 2**(s + 1), c odd, s = 16 - e."""
+    out = []
+    for s in range(1, 21):
+        scale = 2 ** (s + 1)
+        lo = -(-10 ** 16 * scale // 10 ** s)
+        hi = min(2 ** 53, 10 ** 17 * scale // 10 ** s)
+        for c in rng.integers(lo, hi, per_exponent).tolist():
+            out.append((c | 1) / scale)
+    return out
+
+
+def test_format_g17_edges():
+    rng = np.random.default_rng(13)
+    values = [v for k in range(-6, 19) for v in _neighbours(10.0 ** k)]
+    values += [v for x in (1e-4, 1e17, 2.0 ** 53) for v in _neighbours(x, 20)]
+    values += _ties(rng)
+    values += rng.integers(2 ** 53, 10 ** 17, 2000).astype(np.float64).tolist()
+    values += [0.0, 5e-324, 2.2250738585072014e-308, math.nextafter(0.0, 1.0) * 3,
+               1.7976931348623157e308, math.inf, math.nan]
+    values += (10.0 ** rng.uniform(-6, 18, 5000)).tolist()
+    values += rng.integers(0, 2 ** 63, 5000, dtype=np.int64).view(np.float64).tolist()
+    values = np.array(values)
+    values = np.concatenate([values, -values])
+    assert _g17(values) == _g17_reference(values)
 
 
 def test_compute_custom_round_metric(tmp_path):
@@ -193,6 +269,9 @@ def test_samples_capped(tmp_path, capsys, source):
 ], ids=["library", "changed"])
 def test_help_names_the_library_defaults(capsys, monkeypatch, default):
     monkeypatch.setattr(loopcs.cli, "CSConfig", lambda: default)
+    # a parser of this test's own: the shared one was built with the library's
+    monkeypatch.setattr(loopcs.cli, "_build_parser",
+                        functools.cache(loopcs.cli._build_parser.__wrapped__))
     with pytest.raises(SystemExit):
         main(["compute", "--help"])
     text = " ".join(capsys.readouterr().out.split())
@@ -236,6 +315,73 @@ def test_grid_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("numerical error:") == 2
+
+
+def test_large_grid_alpha_column_is_not_cached(tmp_path):
+    cache = loopcs.cli._grid_alpha_column
+    cache.cache_clear()
+    path = tmp_path / "d.csv"
+    # 2**16 rows are one block: a grid of 2**16 - 1 points keeps its alpha column
+    for n, cached in ((2 ** 16, 0), (2 ** 16 + 2, 0), (2 ** 16 - 2, 1)):
+        assert run(["compute", "--family", "paper", "--a", "2", "--samples", str(n),
+                    "--density-out", str(path)]) == 0
+        assert cache.cache_info().currsize == cached
+        report = cs_class(builtin_family(2), CSConfig(quadrature=QuadratureSpec(n=n)))
+        assert path.read_bytes() == _csv_writer_bytes(report)
+    cache.cache_clear()
+
+
+def test_sweep_writes_each_csv_before_forming_the_next(tmp_path, monkeypatch):
+    formed = []
+    density_csv = loopcs.cli._density_csv
+
+    def recording(report):
+        formed.append((report.a, {p.name: p.stat().st_size for p in tmp_path.iterdir()}))
+        yield from density_csv(report)
+
+    monkeypatch.setattr(loopcs.cli, "_density_csv", recording)
+    assert run(["sweep", "--a", "2,3,8", "--density-out", str(tmp_path / "d.csv")]) == 0
+    size = {a: (tmp_path / f"d_a{a}.csv").stat().st_size for a in (2, 3, 8)}
+    # each CSV is formed while its own file is open and empty, after the
+    # earlier ones are complete
+    assert formed == [(2, {"d_a2.csv": 0}),
+                      (3, {"d_a2.csv": size[2], "d_a3.csv": 0}),
+                      (8, {"d_a2.csv": size[2], "d_a3.csv": size[3], "d_a8.csv": 0})]
+    for a in (2, 3, 8):
+        report = cs_class(builtin_family(a))
+        assert (tmp_path / f"d_a{a}.csv").read_bytes() == _csv_writer_bytes(report)
+
+
+def _report(path):
+    return json.loads(Path(path).read_text())
+
+
+def test_parser_reuse_keeps_no_flags(tmp_path, capsys):
+    # one parser serves every main() call in a process: no call's flags may
+    # reach the next one
+    r = tmp_path / "r.json"
+    paper = ["--family", "paper", "--a", "2", "--report-out", str(r)]
+    assert run(["compute", *paper, "--s", "2", "--samples", "1024"]) == 0
+    assert (_report(r)["s"], _report(r)["quadrature_n"]) == (2.0, 1024)
+    assert run(["compute", *paper]) == 0
+    assert (_report(r)["s"], _report(r)["quadrature_n"]) == (1.0, 4096)
+
+    assert run(["compute", "--lambda", "2+sin(alpha)", "--mu", "1", "--nu", "1",
+                "--a", "3", "--report-out", str(r)]) == 0
+    assert run(["sweep", "--a", "2,4", "--report-out", str(r)]) == 0
+    for a in (2, 4):
+        report = _report(tmp_path / f"r_a{a}.json")
+        assert (report["a"], report["s"]) == (a, 1.0)
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "paper", "a": 8}))
+    assert run(["compute", *paper, "--s", "3", "--tol", "1e-6"]) == 0
+    assert run(["compute", "--config", str(cfg), "--report-out", str(r)]) == 0
+    assert (_report(r)["a"], _report(r)["s"]) == (8, 1.0)
+    cfg.write_text(json.dumps({"family": "paper", "a": 8, "s": 2.5}))
+    assert run(["compute", "--config", str(cfg), "--report-out", str(r)]) == 0
+    assert _report(r)["s"] == 2.5
+    capsys.readouterr()
 
 
 def test_distinct_output_paths(tmp_path):
