@@ -39,11 +39,10 @@ Every kernel step is elementwise, so the samples are bit-identical to a
 whole-grid evaluation.  An error in any block falls back to that whole-grid
 evaluation, so the error names the grid's first failing scale and alpha,
 or the first failing op in program order, as it would unblocked.  Smaller
-grids (every ladder level of a certified class, the constructor's 1025
-points, a 4097-point report grid) run the kernel once.  cs_class makes
-one integrate_circle call (:mod:`loopcs.quadrature`) over one period
-2*pi/g, rescaled to [0, 2*pi], which equals the integral over the whole
-circle.  When the metric carries a frequency certificate (g, K)
+grids (every ladder level of a certified class, a 4097-point report grid)
+run the kernel once.  cs_class makes one integrate_circle call
+(:mod:`loopcs.quadrature`) over one period 2*pi/g, rescaled to [0, 2*pi],
+which equals the integral over the whole circle.  When the metric carries a frequency certificate (g, K)
 (BergerMetric.certificate: scales 2*pi/g periodic, sin/cos arguments of
 alpha-frequency at most K), the ladder starts at SAMPLES_PER_PERIOD
 samples per period of the K-th harmonic: a default class value of the

@@ -187,6 +187,11 @@ def _report_json(report: CSReport, a: int | None) -> dict:
         "max_imag": report.max_imag,
         "quadrature_n": report.quadrature_n,
         "samples_evaluated": report.samples_evaluated,
+        # how the metric was accepted: its frequency certificate (g, K) and
+        # the enclosures that proved its scales positive, null when the
+        # constructor's grid decided
+        "certificate": report.metric.certificate,
+        "scale_bounds": report.metric.scale_bounds,
     }
 
 

@@ -23,8 +23,11 @@ need one of each).  A constant adds to or scales a jet as a scalar; only
 the remaining nodes propagate Jet2s.  The same walk collects the
 frequencies ``alpha_frequencies`` reports.  ``evaluate`` compiles and runs
 a fresh program; a BergerMetric compiles its trees once and runs that
-program on every grid.  ``derivative`` differentiates symbolically,
-producing another tree in the same grammar.
+program on every grid.  ``value_bounds`` encloses a tree's values over
+the whole circle by interval arithmetic, one interval per node with every
+endpoint rounded outward, which lets a BergerMetric prove its scales
+positive without sampling them.  ``derivative`` differentiates
+symbolically, producing another tree in the same grammar.
 
 The concrete grammar parsed by :func:`parse_expression`::
 
@@ -38,7 +41,9 @@ Whitespace is insignificant; numbers are decimal literals.
 """
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -208,6 +213,76 @@ def constant_value(e: Expr) -> Optional[float]:
         a = constant_value(e.arg)
         return None if a is None else float(np.cos(a))
     raise TypeError(f"unknown node {type(e).__name__}")
+
+
+# 2*pi rounded up, so [0, _TWO_PI_UP] holds every alpha of the circle
+_TWO_PI_UP = math.nextafter(2.0 * math.pi, math.inf)
+_FLOAT_MAX = sys.float_info.max
+
+
+def value_bounds(e: Expr, a: int = 1) -> Optional[tuple[float, float]]:
+    """An enclosure (lo, hi) of e over alpha in [0, 2*pi], or None.
+
+    One interval per node over the whole circle, in Python floats.  + and -
+    combine the endpoints, * and / take the extremes over the four endpoint
+    products or quotients, and a power takes its endpoints' powers (0 the
+    low end of an even power over an interval holding 0).  Every computed
+    endpoint moves one float outward (math.nextafter), so the enclosure
+    holds the real values of e at every alpha, not only at samples.  sin
+    and cos give [-1, 1] once their argument has an enclosure.  None when
+    some node has none that is finite: a non-finite constant, an overflow,
+    or a denominator or negative power whose interval holds 0.
+    """
+    try:
+        return _enclose(e, float(a))
+    except ArithmeticError:
+        return None
+
+
+def _outward(lo: float, hi: float) -> tuple[float, float]:
+    lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    if not (-_FLOAT_MAX <= lo and hi <= _FLOAT_MAX):
+        raise OverflowError
+    return lo, hi
+
+
+def _enclose(e: Expr, a: float) -> tuple[float, float]:
+    kind = type(e)
+    if kind is Num:
+        if not -_FLOAT_MAX <= e.value <= _FLOAT_MAX:   # False on a NaN too
+            raise OverflowError
+        return e.value, e.value
+    if kind is ParamA:
+        return a, a
+    if kind is Alpha:
+        return 0.0, _TWO_PI_UP
+    if kind is Sin or kind is Cos:
+        _enclose(e.arg, a)   # a non-finite argument would make the value NaN
+        return -1.0, 1.0
+    if kind is Pow:
+        lo, hi = _enclose(e.base, a)
+        k = e.exponent
+        if k < 0 and lo <= 0.0 <= hi:
+            raise ZeroDivisionError
+        x, y = lo ** k, hi ** k   # OverflowError past the float range
+        if k % 2 == 0 and lo < 0.0 < hi:
+            return _outward(0.0, max(x, y))
+        return _outward(min(x, y), max(x, y))
+    if kind is Div:
+        (l0, l1), (r0, r1) = _enclose(e.num, a), _enclose(e.den, a)
+        if r0 <= 0.0 <= r1:
+            raise ZeroDivisionError
+        ends = (l0 / r0, l0 / r1, l1 / r0, l1 / r1)
+        return _outward(min(ends), max(ends))
+    (l0, l1), (r0, r1) = _enclose(e.left, a), _enclose(e.right, a)
+    if kind is Add:
+        return _outward(l0 + r0, l1 + r1)
+    if kind is Sub:
+        return _outward(l0 - r1, l1 - r0)
+    if kind is Mul:
+        ends = (l0 * r0, l0 * r1, l1 * r0, l1 * r1)
+        return _outward(min(ends), max(ends))
+    raise TypeError(f"unknown node {kind.__name__}")
 
 
 def alpha_frequencies(e: Expr, a: int = 1) -> Optional[frozenset]:

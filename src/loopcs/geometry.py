@@ -28,6 +28,13 @@ differentiation of the scale functions, never finite differences).
 A BergerMetric compiles its three scale trees once into a jet program
 (expressions.compile_jets), which also reads off its frequency
 certificate, and every scale_jets call only runs that program.  The
+constructor proves the scales positive from their trees when it can: a
+certified metric whose interval enclosures over the circle
+(expressions.value_bounds, BergerMetric.scale_bounds) all have a positive
+lower end is positive and finite at every alpha, and is built without
+evaluating anything.  Every other metric runs its program once on a fixed
+1025-point grid, which checks positivity and finiteness there and, for
+an uncertified metric, periodicity from the jets at 0 and 2*pi.  The
 class path reads only the scale jets of one scale_jets call: its kernel
 (chern_simons.connection_trace) forms the log-rates lam'/lam and the S^3
 brackets from the (v, d1, d2) jets, evaluating no derivative tree.  The
@@ -48,14 +55,14 @@ from functools import cached_property
 import numpy as np
 
 from .expressions import (Alpha, Cos, Div, Expr, JetProgram, Mul, Num, ParamA, Sin,
-                          Sub, compile_jets, derivative)
+                          Sub, compile_jets, derivative, value_bounds)
 from .jets import Jet1, Jet2, Number
 
 # relative agreement demanded of the scale jets at alpha = 0 and 2*pi
 PERIODICITY_TOLERANCE = 1e-9
 
-# the constructor's check points, alpha = 0 and 2*pi included; read-only,
-# since every metric shares it
+# the constructor's check points, alpha = 0 and 2*pi included, for metrics
+# the scale bounds do not prove; read-only, since every metric shares it
 _CHECK_GRID = np.linspace(0.0, 2.0 * np.pi, 1025)
 _CHECK_GRID.flags.writeable = False
 
@@ -70,7 +77,13 @@ class BergerMetric:
     a: int = 1
 
     def __post_init__(self):
-        # one scale_jets call, which checks positivity at all 1025 points;
+        # proved periodic, positive and finite at every alpha, or else sampled
+        if self.scale_bounds is None:
+            self._check_grid()
+
+    def _check_grid(self):
+        """The checks on the fixed 1025-point grid: positivity (in
+        scale_jets), finiteness and, without a certificate, periodicity."""
         # points 0 and 1024 (alpha = 0 and 2*pi) feed the periodicity check
         grid = _CHECK_GRID
         names = ("lam", "mu", "nu")
@@ -107,6 +120,25 @@ class BergerMetric:
         if found is None:
             return None
         return (math.gcd(*found), max(found)) if found else (1, 0)
+
+    @cached_property
+    def scale_bounds(self) -> tuple[tuple[float, float], ...] | None:
+        """Enclosures (lo, hi) of lam, mu, nu over alpha in [0, 2*pi]
+        (expressions.value_bounds) when they prove the metric: it has a
+        certificate and every scale has lo > 0 (the bounds are finite).
+        Then the scales are positive and finite at every alpha, and the
+        constructor samples nothing.  None otherwise: the constructor's
+        1025-point grid decides, and it checks an uncertified metric's
+        periodicity too."""
+        if self.certificate is None:
+            return None
+        bounds = []
+        for e in (self.lam, self.mu, self.nu):
+            b = value_bounds(e, self.a)
+            if b is None or not b[0] > 0.0:
+                return None
+            bounds.append(b)
+        return tuple(bounds)
 
     def __getstate__(self):
         # the compiled programs hold closures, which do not pickle; a copy

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,36 @@ def test_no_table_no_log_rates_one_evaluate_per_class(a, monkeypatch):
                      "wedge": 0, "evaluate": 1}
 
 
+def _huge_s_class():
+    """The a=2 class at s = 4.9e14, and (s/4) |T_64 - T_32| of its ladder,
+    the last two estimates integrate_circle compares."""
+    cfg, m = CSConfig(s=4.9e14), builtin_family(2)
+    report = cs_class(m, cfg)
+    f = cs_density(m, cfg, circle_grid(64) / 2.0)   # one period, g = 2
+    h = 2.0 * np.pi / 64
+    ends = 0.5 * (f[0] + f[-1])
+    t64, t32 = h * (ends + f[1:-1].sum()), 2.0 * h * (ends + f[2:-1:2].sum())
+    return report, cfg.s / 4.0 * abs(t64 - t32)
+
+
+def test_huge_s_class_value_has_no_resolved_fraction():
+    # the class value (about -3.2e15) has float spacing 0.5, and the
+    # quadrature's own error estimate, scaled by s/4, exceeds 1: its
+    # distance to the integers means nothing
+    report, budget = _huge_s_class()
+    assert report.samples_evaluated == 65
+    assert math.ulp(report.class_value) == 0.5
+    assert budget > 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="the verdict reads only integrality_tol, not "
+                   "the quadrature error or the class value's float spacing "
+                   "(ROADMAP item 2): mod Z 0.5 here is called nontrivial")
+def test_huge_s_verdict_is_not_nontrivial():
+    report, _ = _huge_s_class()
+    assert report.verdict == "indeterminate"
+
+
 def _recording_compiles(monkeypatch) -> list:
     trees = []
     original = loopcs.geometry.compile_jets
@@ -293,14 +325,31 @@ def _recording_compiles(monkeypatch) -> list:
     return trees
 
 
+def _custom(lam: str) -> BergerMetric:
+    return BergerMetric(parse_expression(lam), parse_expression("1"), parse_expression("1"))
+
+
 def test_metric_constructor_evaluates_each_tree_once(monkeypatch):
+    # a metric whose scale bounds prove it evaluates nothing; any other one
+    # runs its compiled program once, on the 1025-point grid
     trees = _recording_compiles(monkeypatch)
     runs = {"evaluate": 0}
     monkeypatch.setattr(JetProgram, "__call__",
                         _counting(runs, "evaluate", JetProgram.__call__))
-    m = builtin_family(8)
-    assert trees == [(m.lam, m.mu, m.nu)]
-    assert runs == {"evaluate": 1}
+    for build, grid_runs in [
+        (lambda: builtin_family(8), 0),
+        (round_metric, 0),
+        # positive, but its one interval over the circle reaches below 0
+        (lambda: _custom("1.5+sin(alpha)-0.8*sin(alpha)"), 1),
+        # provably positive, but uncertified: the grid checks its periodicity
+        (lambda: _custom("2+sin(sin(alpha))"), 1),
+    ]:
+        trees.clear()
+        runs["evaluate"] = 0
+        m = build()
+        assert trees == [(m.lam, m.mu, m.nu)]
+        assert runs == {"evaluate": grid_runs}
+        assert (m.scale_bounds is None) == bool(grid_runs)
 
 
 def test_scale_trees_compile_once_per_metric(monkeypatch):

@@ -43,8 +43,9 @@ def test_compute_builtin_family(tmp_path, capsys):
     assert report["s"] == 1.0
     assert report["quadrature_n"] == 4096
     assert report["max_imag"] < 1e-10
-    assert {"integral", "class_value", "mod_z", "nontrivial", "s", "a",
-            "max_imag", "quadrature_n"} <= set(report)
+    assert set(report) == {"integral", "class_value", "mod_z", "nontrivial", "verdict",
+                           "s", "a", "max_imag", "quadrature_n", "samples_evaluated",
+                           "certificate", "scale_bounds"}
 
     lines = density_path.read_text().splitlines()
     assert lines[0] == "alpha,f"
@@ -299,6 +300,27 @@ def test_report_counts_integral_samples(tmp_path):
     report = json.loads(path.read_text())
     assert report["samples_evaluated"] == 65
     assert report["quadrature_n"] == 4096
+
+
+def test_report_says_how_the_metric_was_accepted(tmp_path):
+    path = tmp_path / "r.json"
+    # certified and proved positive by its scale bounds
+    assert run(["compute", "--family", "paper", "--a", "8", "--report-out", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert report["certificate"] == [8, 8]
+    m = builtin_family(8)
+    assert report["scale_bounds"] == [list(b) for b in m.scale_bounds]
+    assert report["scale_bounds"][0] == [1.0, 1.0]
+    # certified, but only the grid could decide positivity
+    assert run(["compute", "--lambda", "1.5+sin(alpha)-0.8*sin(alpha)", "--mu", "1",
+                "--nu", "2+cos(3*alpha)", "--report-out", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert (report["certificate"], report["scale_bounds"]) == ([1, 3], None)
+    # uncertified: the grid checks periodicity as well
+    assert run(["compute", "--lambda", "2+sin(sin(alpha))", "--mu", "1", "--nu", "1",
+                "--report-out", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert (report["certificate"], report["scale_bounds"]) == (None, None)
 
 
 def test_grid_failure_leaves_no_output(tmp_path, capsys, monkeypatch):

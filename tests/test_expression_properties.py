@@ -10,7 +10,8 @@ evaluate folds constants, keeps linear arguments symbolic and shares
 sin/cos arrays.  Two oracles that do none of that check it: a plain
 recursive walker that makes every node a Jet2 (oracle_evaluate below),
 and central finite differences of evaluate's own values and first
-derivatives.  Skipped when hypothesis, which loopcs does not depend on,
+derivatives.  value_bounds must hold every value evaluate gives on a
+fine grid.  Skipped when hypothesis, which loopcs does not depend on,
 is absent.
 """
 import operator
@@ -21,8 +22,9 @@ import pytest
 
 from loopcs.expressions import (Add, Alpha, Cos, Div, EvalDomainError, Expr, Mul,
                                 Num, ParamA, Pow, Sin, Sub, derivative, evaluate,
-                                parse_expression)
+                                parse_expression, value_bounds)
 from loopcs.jets import Jet2
+from loopcs.verify import random_scale_expression
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -175,3 +177,40 @@ def test_jets_match_central_differences(e, a):
         fd = (4.0 * fine - coarse) / 3.0
         scale = max(1.0, float(np.max(np.abs(jet[k]))), float(np.max(np.abs(jet[k - 1]))))
         assert np.max(np.abs(jet[k] - fd)) <= 1e-6 * scale
+
+
+BOUND_GRID = np.linspace(0.0, 2.0 * np.pi, 4097)
+# some samples off the grid's points, the bound's endpoint 2*pi among them
+BOUND_ALPHAS = np.concatenate([BOUND_GRID, [np.nextafter(2.0 * np.pi, 0.0), 1e-300]])
+
+
+def assert_bound_holds(e: Expr, a: int):
+    bound = value_bounds(e, a)
+    if bound is None:
+        return
+    lo, hi = bound
+    assert np.isfinite(lo) and np.isfinite(hi) and lo <= hi
+    # a bound rules out poles (EvalDomainError) and non-finite values; the
+    # derivatives may still overflow or underflow
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(evaluate(e, BOUND_ALPHAS, a).v, BOUND_ALPHAS.shape)
+    assert np.all((lo <= values) & (values <= hi)), (str(e), a, bound)
+
+
+@SETTINGS
+@hypothesis.given(trees(MODERATE), st.sampled_from([-3, 1, 2, 8]))
+@hypothesis.example(parse_expression("1/(2+sin(alpha))^2 - cos(3*alpha)^-3*0"), 1)
+@hypothesis.example(parse_expression("(alpha-3)^-2 + sin(cos(a*alpha))^4"), 2)
+@hypothesis.example(parse_expression("(cos(alpha)-1.5)^-3*a"), -3)
+def test_value_bounds_hold_every_value(e, a):
+    # unrestricted trees: denominators, negative and even powers, nested
+    # trig, alpha outside any trig function
+    assert_bound_holds(e, a)
+
+
+@SETTINGS
+@hypothesis.given(st.integers(0, 2**32 - 1), st.sampled_from([-3, 1, 2, 8]))
+def test_value_bounds_hold_on_random_scales(seed, a):
+    e = random_scale_expression(np.random.default_rng(seed))
+    assert_bound_holds(e, a)
+    assert_bound_holds(e * Cos(ParamA() * Alpha()) / (Num(1.25) + Sin(Alpha() * 3.0)), a)

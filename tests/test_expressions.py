@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from loopcs.expressions import (EvalDomainError, ParseError, derivative,
-                                evaluate, parse_expression)
+from loopcs.expressions import (Add, Alpha, Div, EvalDomainError, Mul, Num, ParseError,
+                                Pow, Sub, derivative, evaluate, parse_expression,
+                                value_bounds)
 from loopcs.geometry import builtin_family
 from loopcs.verify import random_scale_expression
 
@@ -122,3 +125,49 @@ def test_pole_in_denominator_and_numerator_reports_the_denominator():
     with pytest.raises(EvalDomainError) as err:
         evaluate(e, np.array([1.0, 2.0]))
     assert str(err.value) == "negative power of zero in '((alpha - 1.0))^-2'"
+
+
+def test_value_bounds_of_the_builtin_family():
+    for a in (2, 8, 32, 4096, -3):
+        m = builtin_family(a)
+        lam, mu, nu = (value_bounds(e, a) for e in (m.lam, m.mu, m.nu))
+        assert lam == (1.0, 1.0)
+        # |(1/a) cos sin| <= 1/|a|, and nu in [1, 3], each widened by a few ulps
+        assert 2.0 - 1.0 / abs(a) - 1e-14 < mu[0] <= 2.0 - 1.0 / abs(a)
+        assert 2.0 + 1.0 / abs(a) <= mu[1] < 2.0 + 1.0 / abs(a) + 1e-14
+        assert 1.0 - 1e-15 < nu[0] < 1.0 and 3.0 < nu[1] < 3.0 + 1e-14
+
+
+def test_value_bounds_hold_the_real_value():
+    # the float result of each op is rounded; the enclosure must hold the
+    # exact real value as well, which lies on either side of it
+    x, y = Num(0.1), Num(0.2)
+    for e, exact in ((Add(x, y), Fraction(0.1) + Fraction(0.2)),
+                     (Sub(x, y), Fraction(0.1) - Fraction(0.2)),
+                     (Mul(x, y), Fraction(0.1) * Fraction(0.2)),
+                     (Div(x, Num(3.0)), Fraction(0.1) / 3),
+                     (Pow(x, 3), Fraction(0.1) ** 3),
+                     (Pow(Num(-0.1), -3), Fraction(-0.1) ** -3)):
+        lo, hi = value_bounds(e)
+        assert lo < exact < hi, e
+
+
+def test_value_bounds_that_prove_nothing():
+    nan = float("nan")
+    # a NaN constant in a product, whichever side (min and max of a list
+    # holding NaN depend on its position)
+    for e in (Mul(Num(1.0), Num(nan)), Mul(Num(nan), Num(1.0)),
+              Mul(Alpha(), Num(nan)), parse_expression("2+sin(alpha)") * Num(nan)):
+        assert value_bounds(e) is None
+    assert value_bounds(parse_expression("a^400"), 8) is None     # overflows
+    assert value_bounds(parse_expression("a^400-a^400"), 8) is None
+    assert value_bounds(parse_expression("2+sin(alpha+a^400)"), 8) is None
+    assert value_bounds(parse_expression("a^400"), 2) is not None
+    for src, a in (("1/(a-2)", 2), ("1/(1-cos(alpha))^2", 1), ("1/(0.5+cos(alpha))", 1),
+                   ("(sin(alpha))^-2", 1), ("1/(alpha-1)", 1)):
+        assert value_bounds(parse_expression(src), a) is None, src
+    # enclosures that reach 0 or below: not a proof of positivity
+    for src in ("0.5+cos(alpha)", "1-2*sin(512*alpha)^2", "cos(alpha)^2",
+                "1-2*cos(alpha-0.001)^2000000000", "1.5+sin(alpha)-0.8*sin(alpha)"):
+        lo, hi = value_bounds(parse_expression(src))
+        assert lo <= 0.0 < hi, src

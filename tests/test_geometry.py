@@ -3,7 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
-from loopcs.expressions import alpha_frequencies, parse_expression
+from loopcs.expressions import alpha_frequencies, parse_expression, value_bounds
 from loopcs.geometry import (BergerMetric, builtin_family, christoffel_koszul,
                              christoffel_table, coefficient_set, round_metric,
                              structure_constants)
@@ -147,6 +147,21 @@ def test_periodicity_enforced():
     rng = np.random.default_rng(20240)
     for _ in range(50):
         random_metric(rng)
+
+
+def test_proved_metrics_pass_the_grid_check():
+    # every metric the scale bounds prove passes the 1025-point check the
+    # constructor runs on the others
+    rng = np.random.default_rng(20241)
+    metrics = [builtin_family(a) for a in (1, 2, 3, 8, 32, 4096, -5)]
+    metrics += [random_metric(rng) for _ in range(40)]
+    metrics += [metric("1.0001+sin(alpha)", "1-0.999*cos(alpha)^2", "1.02+sin(64*alpha)"),
+                metric("1/(2+sin(3*alpha))^2", "(cos(alpha)-1.5)^-3*(0-1)", "2+cos(alpha)^7")]
+    for m in metrics:
+        assert m.scale_bounds is not None, m
+        m._check_grid()
+        for e, (lo, hi) in zip((m.lam, m.mu, m.nu), m.scale_bounds):
+            assert (lo, hi) == value_bounds(e, m.a) and 0.0 < lo <= hi
 
 
 @pytest.mark.parametrize("src", ["alpha", "sin(0.5*alpha)", "sin(sin(alpha))",

@@ -5,11 +5,15 @@ nonzero Christoffel symbols by the closed-form coefficient formulas
 (differentiated by sympy), form sigma_0 and sigma_-1 with their generic
 dense formulas as sympy matrices, expand the cyclic sum
 Tr(M_i [S_j, S_k]) and compare it with connection_trace fed the scale
-jets (lam, lam', lam'') and so on.  Then derive why the curvature trace
+jets (lam, lam', lam'') and so on.  Derive that the leading-order trace
+Tr(sigma_0^3) vanishes because every sigma_0 coefficient matrix is
+symmetric.  Then derive why the curvature trace
 Tr[sigma_0 ^ sigma_-1(Omega)] is left out of the density: the order-(-1)
 curvature symbol vanishes on every pair of S^3 tangents.  Skipped when
 sympy, which loopcs does not depend on, is absent.
 """
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -90,6 +94,33 @@ def test_kernel_identities():
         assert sp.cancel(sp.diff(P, alpha) - P * (X[j] + X[k] - X[i])) == 0
         assert sp.cancel(sp.diff(X[i], alpha) - X[i] ** 2
                          - (sp.diff(s[i], alpha, 2) / s[i] - 2 * X[i] ** 2)) == 0
+
+
+def test_leading_order_trace_vanishes_by_symmetry():
+    # sigma_0 = sum_p S_p psi^p, so the psi^p ^ psi^q ^ psi^r coefficient
+    # of Tr(sigma_0 ^ sigma_0 ^ sigma_0) is the alternating sum of
+    # Tr(S_i S_j S_k) over the orderings of (p, q, r)
+    def alternating_trace(S):
+        return sp.expand(sum(
+            (-1) ** sum(x > y for n, x in enumerate(order) for y in order[n + 1:])
+            * (S[order[0]] * S[order[1]] * S[order[2]]).trace()
+            for order in permutations(range(3))))
+
+    def matrix(name, symmetric):
+        return sp.Matrix(4, 4, lambda a, b: sp.Symbol(
+            f"{name}{min(a, b)}{max(a, b)}" if symmetric else f"{name}{a}{b}"))
+
+    # for any three symmetric matrices it is 0: the transpose of a product
+    # reverses it, an odd reordering, while cyclic ones keep the trace
+    assert alternating_trace([matrix(n, True) for n in "PQR"]) == 0
+    assert alternating_trace([matrix(n, False) for n in "PQR"]) != 0
+    # and sigma_0's matrices, (gamma[a,b,p] + gamma[b,a,p]) / 2 from the
+    # generic Christoffel placement, are symmetric in every direction p
+    alpha = sp.Symbol("alpha")
+    g = placed(*(sp.Function(n)(alpha) for n in ("p", "q", "r", "A", "B", "C")))
+    for p in range(4):
+        S = sp.Matrix(4, 4, lambda a, b: (g[a][b][p] + g[b][a][p]) / 2)
+        assert S == S.T and S != sp.zeros(4, 4)
 
 
 def curvature_bilinear_map():
