@@ -1,24 +1,34 @@
 """Command-line front end: compute, sweep and verify.
 
 Exit codes: 0 success, 1 configuration error (bad flags or config file,
-a non-finite s or tolerance, or a metric that is not positive, not
-periodic or has a pole), 2 expression
-parse error (including a constant power that overflows a float), 3
-numerical error (quadrature non-convergence, a non-finite density, or a
-constant chain with an imaginary part), 4 invariant-suite failure.
+a non-finite s or tolerance, a metric that is not positive, not
+periodic or has a pole, or an output file that cannot be written), 2
+expression parse error (including a constant power that overflows a
+float), 3 numerical error (quadrature non-convergence, a non-finite
+density, or a constant chain with an imaginary part), 4 invariant-suite
+failure.
 
 The density CSV holds every value exactly as '%.17g' % value prints it,
 formatted in numpy for up to 2**16 rows at a time (_format_g17).  The
 argument parser is built on the first main() call and reused by later
 calls in the same process.
+
+Both output files are written in place over any old file (_overwrite):
+from offset 0, then cut at the new end, never truncated to zero first.
+The CLI calls no fsync and promises no durability; the outputs can be
+regenerated, and a run that does not exit 0 leaves them undefined.  A
+run killed mid-write leaves the new file's prefix followed by the old
+file's tail.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -195,8 +205,28 @@ def _report_json(report: CSReport, a: int | None) -> dict:
     }
 
 
+def _overwrite(path: str, chunks: Iterable[bytes]) -> None:
+    """Write chunks over the file at path from offset 0, creating it if
+    need be (mode 0o666 less the umask, as open() does), then cut a regular
+    file's stale tail.  Unlike open(path, "wb") this never truncates the
+    file to zero first: ext4 starts writing back a file truncated to zero
+    when it is closed, which costs more than the write itself.  The inode,
+    its permission bits and links are kept; a special file (/dev/null, a
+    FIFO) is written and never truncated.  An OSError becomes a
+    ConfigError naming the path."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "wb") as fh:
+            fh.writelines(chunks)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
 def _write_report(path: str, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _overwrite(path, (text.encode("ascii"),))
 
 
 # '%.17g' % v in numpy, byte for byte.  A finite v with 1e-4 <= |v| < 1e17
@@ -355,8 +385,7 @@ def _density_csv(report: CSReport) -> Iterator[bytes]:
 
 
 def _write_density_csv(path: str, report: CSReport) -> None:
-    with open(path, "wb") as fh:
-        fh.writelines(_density_csv(report))
+    _overwrite(path, _density_csv(report))
 
 
 def _check_out_paths(opts: dict) -> None:

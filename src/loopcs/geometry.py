@@ -87,7 +87,9 @@ class BergerMetric:
         # points 0 and 1024 (alpha = 0 and 2*pi) feed the periodicity check
         grid = _CHECK_GRID
         names = ("lam", "mu", "nu")
-        jets = self.scale_jets(grid)
+        # a scale that overflows or turns NaN is reported below, not warned of
+        with np.errstate(invalid="ignore", over="ignore"):
+            jets = self.scale_jets(grid)
         # scale_jets leaves no -inf, so the largest scale is finite exactly
         # where all three are
         top = np.maximum(np.maximum(jets[0].v, jets[1].v), jets[2].v)

@@ -16,7 +16,8 @@ from loopcs.expressions import EvalDomainError, JetProgram, parse_expression
 from loopcs.forms import MatrixForm, evaluate3, trace, wedge
 from loopcs.geometry import (BergerMetric, builtin_family, christoffel_table,
                              round_metric)
-from loopcs.quadrature import QuadratureSpec, circle_grid, integrate_circle
+from loopcs.quadrature import (QuadratureConvergenceError, QuadratureSpec, circle_grid,
+                               integrate_circle)
 from loopcs.symbols import sigma0_connection, sigma_minus1_connection_beta
 from loopcs.verify import (check_density_reality, check_leading_order_vanishing,
                            random_metric)
@@ -284,9 +285,21 @@ def test_no_table_no_log_rates_one_evaluate_per_class(a, monkeypatch):
 
 
 def _huge_s_class():
-    """The a=2 class at s = 4.9e14, and (s/4) |T_64 - T_32| of its ladder,
-    the last two estimates integrate_circle compares."""
-    cfg, m = CSConfig(s=4.9e14), builtin_family(2)
+    """The a=2 class at an s near 5.2e14 chosen from the computed integral
+    so that the class value is a half-integer of float spacing 0.5, and
+    (s/4) |T_64 - T_32| of its ladder, the last two estimates
+    integrate_circle compares.  Deriving s keeps the class value's
+    fraction at 0.5 whatever the integral's last bits are."""
+    m = builtin_family(2)
+    integral = cs_class(m).integral
+    target = -3 * 2.0 ** 50 - 0.5   # in [2**51, 2**52) the float spacing is 0.5
+    # one step of s/4 moves (s/4) * integral by ~0.4, so target / integral
+    # or a neighbour rounds to the target
+    quarter = target / integral
+    quarter = next(q for q in (quarter, math.nextafter(quarter, 0.0),
+                               math.nextafter(quarter, math.inf))
+                   if q * integral == target)
+    cfg = CSConfig(s=4.0 * quarter)
     report = cs_class(m, cfg)
     f = cs_density(m, cfg, circle_grid(64) / 2.0)   # one period, g = 2
     h = 2.0 * np.pi / 64
@@ -296,11 +309,12 @@ def _huge_s_class():
 
 
 def test_huge_s_class_value_has_no_resolved_fraction():
-    # the class value (about -3.2e15) has float spacing 0.5, and the
-    # quadrature's own error estimate, scaled by s/4, exceeds 1: its
-    # distance to the integers means nothing
+    # the class value (about -3.4e15) is a half-integer of float spacing
+    # 0.5, and the quadrature's own error estimate, scaled by s/4, exceeds
+    # 1: its distance to the integers means nothing
     report, budget = _huge_s_class()
     assert report.samples_evaluated == 65
+    assert report.mod_z == 0.5
     assert math.ulp(report.class_value) == 0.5
     assert budget > 1.0
 
@@ -311,6 +325,20 @@ def test_huge_s_class_value_has_no_resolved_fraction():
 def test_huge_s_verdict_is_not_nontrivial():
     report, _ = _huge_s_class()
     assert report.verdict == "indeterminate"
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureConvergenceError,
+                   reason="the ladder's tol is absolute (ROADMAP item 2): two "
+                   "estimates of ~2.2e12 that agree to ~1e-13 relative never "
+                   "differ by less than 1e-8")
+def test_large_integral_ladder_converges():
+    # a valid, provably positive metric whose integral is ~2.2e12; two
+    # doublings leave T_N and T_N/2 at ...189.169 and ...188.870
+    m = BergerMetric(parse_expression("1.0001+sin(alpha)"),
+                     parse_expression("1-0.999*cos(alpha)^2"),
+                     parse_expression("1.02+sin(64*alpha)"))
+    report = cs_class(m, CSConfig(quadrature=QuadratureSpec(max_refinements=2)))
+    assert report.integral == pytest.approx(2.2127291441889e12, rel=1e-12)
 
 
 def _recording_compiles(monkeypatch) -> list:

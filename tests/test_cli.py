@@ -5,7 +5,9 @@ import json
 import math
 import os
 import subprocess
+import stat
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +413,100 @@ def test_distinct_output_paths(tmp_path):
     code = run(["compute", "--family", "paper", "--a", "2",
                 "--report-out", same, "--density-out", same])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", [["compute", "--family", "paper", "--a", "2"],
+                                     ["sweep", "--a", "2,4"]])
+@pytest.mark.parametrize("flag", ["--density-out", "--report-out"])
+def test_unwritable_output_exits_config(tmp_path, capsys, command, flag):
+    name = "out_a2.txt" if command[0] == "sweep" else "out.txt"   # sweep's file for a = 2
+    (tmp_path / "dir" / name).mkdir(parents=True)   # a directory where the file goes
+    for parent, why in ((tmp_path / "missing", "No such file or directory"),
+                        (tmp_path / "dir", "Is a directory")):
+        assert run([*command, flag, str(parent / "out.txt")]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {str(parent / name)!r}: {why}\n"
+
+
+_CUSTOM_A8 = ["compute", "--lambda", "2+sin(alpha)", "--mu", "1-0.5*cos(alpha)^2",
+              "--nu", "1.5+cos(3*alpha)", "--a", "8"]
+
+
+def _compute_outputs(tmp_path, name, samples="16"):
+    """Report and CSV bytes of one run writing to fresh files."""
+    report, density = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+    assert run([*_CUSTOM_A8, "--samples", samples,
+                "--report-out", str(report), "--density-out", str(density)]) == 0
+    return report.read_bytes(), density.read_bytes()
+
+
+def test_outputs_written_over_longer_files_equal_fresh_ones(tmp_path, capsys):
+    fresh = {n: _compute_outputs(tmp_path, f"fresh{n}", n) for n in ("16", "4096")}
+    report, density = tmp_path / "r.json", tmp_path / "d.csv"
+    outputs = ["--report-out", str(report), "--density-out", str(density)]
+    # a 17-row CSV and its report over a 4097-row CSV and a long report,
+    # then back
+    report.write_bytes(b"x" * 10000)
+    for n in ("4096", "16", "4096", "16"):
+        assert run([*_CUSTOM_A8, "--samples", n, *outputs]) == 0
+        assert (report.read_bytes(), density.read_bytes()) == fresh[n]
+    capsys.readouterr()
+
+
+def test_outputs_keep_the_inode_mode_and_links(tmp_path, capsys):
+    fresh_report, fresh_density = _compute_outputs(tmp_path, "fresh")
+    report, density = tmp_path / "r.json", tmp_path / "d.csv"
+    for path in (report, density):
+        path.write_bytes(b"old contents\n" * 1000)
+        path.chmod(0o604)
+    before = {p: p.stat().st_ino for p in (report, density)}
+    target, hard, link = tmp_path / "target.csv", tmp_path / "hard.csv", tmp_path / "link.csv"
+    target.write_bytes(b"old\n" * 1000)
+    os.link(target, hard)
+    link.symlink_to(target)
+    assert run([*_CUSTOM_A8, "--samples", "16", "--report-out", str(report),
+                "--density-out", str(density)]) == 0
+    assert run([*_CUSTOM_A8, "--samples", "16", "--density-out", str(link)]) == 0
+    assert (report.read_bytes(), density.read_bytes()) == (fresh_report, fresh_density)
+    for path in (report, density):
+        assert path.stat().st_ino == before[path]
+        assert stat.S_IMODE(path.stat().st_mode) == 0o604
+    # the symlink is written through, and the hard link sees the new bytes
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == hard.read_bytes() == fresh_density
+    capsys.readouterr()
+
+
+def test_new_output_mode_follows_the_umask(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "by_open", "wb"):
+            pass
+        assert run([*_CUSTOM_A8, "--samples", "16",
+                    "--report-out", str(tmp_path / "r.json")]) == 0
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "by_open").stat().st_mode)
+    assert mode == 0o640
+    assert stat.S_IMODE((tmp_path / "r.json").stat().st_mode) == mode
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--density-out", "--report-out"])
+def test_outputs_to_devnull(capsys, flag):
+    assert run(["compute", "--family", "paper", "--a", "2", flag, os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("lam", ["2+sin(alpha+a^400)", "2+cos(a^400*alpha)"])
+def test_non_finite_scale_prints_one_line_and_no_warning(capsys, lam):
+    # numpy reports the inf/NaN arithmetic through warnings; none may reach
+    # stderr before the one error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["compute", "--lambda", lam, "--mu", "1", "--nu", "1", "--a", "8"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: lam is not finite on [0, 2*pi)\n"
 
 
 def test_sweep(tmp_path, capsys):
