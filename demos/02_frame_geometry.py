@@ -8,10 +8,9 @@ derivation.
 """
 import numpy as np
 
-from loopcs import (builtin_family, christoffel_koszul, christoffel_table,
-                    coefficient_set, parse_expression, round_metric,
-                    structure_constants)
-from loopcs.geometry import BergerMetric
+from loopcs import BergerMetric, builtin_family, parse_expression, round_metric
+from loopcs.oracle import (christoffel_koszul, christoffel_table, sigma0_connection,
+                           structure_constants)
 
 FRAME = ("F1", "F2", "F3", "F4")
 
@@ -58,13 +57,25 @@ print("=" * 72)
 print("Coefficient functions U, V, W, A, B, C")
 print("=" * 72)
 
-cs = coefficient_set(family, 0.0)
-print("built-in family, a=2, at alpha=0 (mu=2, nu=1):")
-print(f"  U = {cs.U.v:+.6f}   V = {cs.V.v:+.6f}   W = {cs.W.v:+.6f}")
-print(f"  A = {cs.A.v:+.6f}   B = {cs.B.v:+.6f}   C = {cs.C.v:+.6f}")
-print("  (U', V', ... are carried alongside, exactly; e.g. "
-      f"U' = {cs.U.d1:+.6f})")
 
-round_cs = coefficient_set(round_metric(), 1.0)
-print(f"\nround metric: U = V = W = {round_cs.U.v}, {round_cs.V.v}, "
-      f"{round_cs.W.v} (equal scales degenerate)")
+
+def coefficients(m, alpha):
+    """U, V, W, A, B, C read off the order-0 connection symbol: U, -V, W are
+    its psi^3 (1,2), psi^2 (1,3) and psi^1 (2,3) entries, A/2, B/2, C/2 its
+    psi^p (p,4) entries."""
+    s0 = sigma0_connection(m, alpha)
+    # 0 - x rather than -x: a vanishing V prints as 0, not -0
+    return (s0.coeff((3,))[0, 1], 0.0 - s0.coeff((2,))[0, 2], s0.coeff((1,))[1, 2],
+            *(2.0 * s0.coeff((p,))[p - 1, 3] for p in (1, 2, 3)))
+
+
+U, V, W, A, B, C = coefficients(family, 0.0)
+print("built-in family, a=2, at alpha=0 (mu=2, nu=1):")
+print(f"  U = {U:+.6f}   V = {V:+.6f}   W = {W:+.6f}")
+print(f"  A = {A:+.6f}   B = {B:+.6f}   C = {C:+.6f}")
+gd = christoffel_table(family, 0.0).gamma.d1
+print("  (the table carries d/dalpha alongside, exactly; e.g. "
+      f"U' = {(gd[0, 1, 2] + gd[1, 0, 2]) / 2.0:+.6f})")
+
+U, V, W = coefficients(round_metric(), 1.0)[:3]
+print(f"\nround metric: U = V = W = {U}, {V}, {W} (equal scales degenerate)")

@@ -10,9 +10,9 @@ symbolically in tests/test_kernel_derivation.py.
 """
 import numpy as np
 
-from loopcs import (builtin_family, christoffel_table, leading_order_density,
-                    round_metric, sigma0_connection, sigma_minus1_connection_beta,
-                    sigma_minus1_connection_dot)
+from loopcs import builtin_family, round_metric
+from loopcs.oracle import (christoffel_table, leading_order_density, sigma0_connection,
+                           sigma_minus1_connection_beta, sigma_minus1_connection_dot)
 from loopcs.verify import random_metric
 
 m = builtin_family(2)

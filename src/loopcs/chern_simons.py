@@ -24,7 +24,9 @@ scale_jets call, evaluating no derivative tree: in terms of the log-rates
 X_i = s_i'/s_i and the halved S^3 brackets P_i = s_j s_k / s_i, each
 cyclic term of the sum is a handful of scalar products.
 tests/test_kernel_derivation.py derives that identity symbolically, and
-the verify suite checks it against the generic wedge algebra.  The
+the verify suite checks it against the generic wedge algebra over the
+reference tables and symbols of loopcs.oracle, which this module does
+not import.  The
 complex constant chain kappa(s) multiplying T_conn must collapse to a
 real scalar; a residual imaginary part signals a convention bug and is
 rejected.
@@ -60,11 +62,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .forms import evaluate3, trace, wedge
 from .geometry import BergerMetric, builtin_family
 from .jets import Jet2
 from .quadrature import QuadratureSpec, circle_grid, integrate_circle
-from .symbols import sigma0_connection
 
 # Constants of the transgression expansion for the first (l=2) class:
 # TP = 2 * int_0^1 P(theta ^ phi_t) dt splits into a curvature trace and a
@@ -324,18 +324,6 @@ def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
         samples_evaluated=samples,
         _grid_densities=first_level if (g, n) == (1, spec.n) else None,
     )
-
-
-def leading_order_density(m: BergerMetric, alpha):
-    """Tr[sigma_0 ^ sigma_0 ^ sigma_0] on the S^3 frame.
-
-    Identically zero for this metric family (the order-0 symbol is a
-    symmetric matrix of one-forms); the function exists to verify that the
-    leading-order secondary class vanishes, which is what forces the
-    computation down to the Wodzicki-residue level.
-    """
-    s0 = sigma0_connection(m, alpha)
-    return evaluate3(trace(wedge(wedge(s0, s0), s0)))
 
 
 def sweep(a_values, cfg: CSConfig = CSConfig()):

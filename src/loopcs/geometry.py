@@ -13,17 +13,8 @@ orthonormal, where lam, mu, nu are positive functions of the circle
 coordinate alpha.  Everything downstream (structure constants, Christoffel
 symbols, connection symbols) is a function of alpha alone: the frame is
 left-invariant on the S^3 factor, so spatial derivatives of all these
-quantities vanish identically.
-
-Index conventions for the rank-3 tables, with 0-based array axes
-[component, direction, vector] corresponding to frame labels 1..4:
-
-    c[k,i,j]     = <[F_i, F_j], F_k>
-    gamma[k,i,j] = <nabla_{F_i} F_j, F_k>
-
-All tables are carried as value / first derivative arrays; the
-derivatives are exact (propagated through jets and symbolic
-differentiation of the scale functions, never finite differences).
+quantities vanish identically.  Rank-3 tables of them index the frame
+labels 1..4 by 0-based array axes (loopcs.oracle builds them).
 
 A BergerMetric compiles its three scale trees once into a jet program
 (expressions.compile_jets), which also reads off its frequency
@@ -37,14 +28,11 @@ evaluating anything.  Every other metric runs its program once on a fixed
 an uncertified metric, periodicity from the jets at 0 and 2*pi.  The
 class path reads only the scale jets of one scale_jets call: its kernel
 (chern_simons.connection_trace) forms the log-rates lam'/lam and the S^3
-brackets from the (v, d1, d2) jets, evaluating no derivative tree.  The
-dense tables (christoffel_table, structure_constants, coefficient_set)
-take the log-rates instead from the symbolically differentiated trees
-(compiled once, on first use) and serve as the oracle routes.
+brackets from the (v, d1, d2) jets, evaluating no derivative tree;
+the derivatives are exact, never finite differences.
 
-Every function here is pure over immutable inputs and accepts either a
-scalar alpha or a grid of alphas (leading batch axes on the tables), so
-evaluation parallelizes trivially.
+scale_jets is pure over immutable inputs and accepts either a scalar
+alpha or a grid of alphas, so evaluation parallelizes trivially.
 """
 from __future__ import annotations
 
@@ -55,8 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from .expressions import (Alpha, Cos, Div, Expr, JetProgram, Mul, Num, ParamA, Sin,
-                          Sub, compile_jets, derivative, value_bounds)
-from .jets import Jet1, Jet2, Number
+                          Sub, compile_jets, value_bounds)
+from .jets import Number
 
 # relative agreement demanded of the scale jets at alpha = 0 and 2*pi
 PERIODICITY_TOLERANCE = 1e-9
@@ -143,18 +131,13 @@ class BergerMetric:
         return tuple(bounds)
 
     def __getstate__(self):
-        # the compiled programs hold closures, which do not pickle; a copy
+        # the compiled program holds closures, which do not pickle; a copy
         # compiles its own on first use
-        return {k: v for k, v in self.__dict__.items() if k not in ("_scales", "_rates")}
+        return {k: v for k, v in self.__dict__.items() if k != "_scales"}
 
     @cached_property
     def _scales(self) -> JetProgram:
         return compile_jets((self.lam, self.mu, self.nu), self.a)
-
-    @cached_property
-    def _rates(self) -> JetProgram:
-        return compile_jets(tuple(derivative(e) for e in (self.lam, self.mu, self.nu)),
-                            self.a)
 
     def scale_jets(self, alpha: Number):
         """Jets of (lam, mu, nu) at alpha from one run of the program the
@@ -172,15 +155,6 @@ class BergerMetric:
                     bad = float(alphas[values <= 0.0].flat[0])
                     raise ValueError(f"{name} is not positive at alpha={bad:.6f}")
         return jets
-
-    def log_rate_jets(self, alpha: Number, scales):
-        """Jets of (lam'/lam, mu'/mu, nu'/nu): the symbolically
-        differentiated trees, compiled once, over the scale jets the caller
-        holds (from scale_jets at the same alpha), so even the second
-        derivatives are exact.  The oracle tables use it; the class path
-        takes the log-rates from the scale jets alone
-        (chern_simons.connection_trace)."""
-        return tuple(dotted / scale for dotted, scale in zip(self._rates(alpha), scales))
 
 
 # the built-in one-parameter family: lam = 1, mu = 2 + (1/a) cos(a alpha)
@@ -200,171 +174,3 @@ def builtin_family(a: int) -> BergerMetric:
 
 def round_metric() -> BergerMetric:
     return BergerMetric(Num(1.0), Num(1.0), Num(1.0))
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """The six scalar functions populating the order-0 symbol.
-
-    U, V, W are the shear-type combinations of the scales; A, B, C are the
-    logarithmic derivatives lam'/lam, mu'/mu, nu'/nu.  V carries nu^2-lam^2
-    (the combination consistent with the Christoffel table: the (1,3) entry
-    of the order-0 symbol is -(Gamma^1_32 + Gamma^3_12)/2 = -V psi^2).
-    """
-
-    U: Jet2
-    V: Jet2
-    W: Jet2
-    A: Jet2
-    B: Jet2
-    C: Jet2
-
-
-def coefficient_set(m: BergerMetric, alpha: Number) -> CoefficientSet:
-    scales = m.scale_jets(alpha)
-    lam, mu, nu = scales
-    A, B, C = m.log_rate_jets(alpha, scales)
-    lmn = lam * mu * nu
-    return CoefficientSet(
-        U=nu ** 2 * (mu ** 2 - lam ** 2) / lmn,
-        V=mu ** 2 * (nu ** 2 - lam ** 2) / lmn,
-        W=lam ** 2 * (nu ** 2 - mu ** 2) / lmn,
-        A=A, B=B, C=C,
-    )
-
-
-def _jet_tensor(batch_shape) -> Jet1:
-    shape = tuple(batch_shape) + (4, 4, 4)
-    return Jet1(np.zeros(shape), np.zeros(shape))
-
-
-def _set(tensor: Jet1, k: int, i: int, j: int, value: Jet2):
-    tensor.v[..., k, i, j] = value.v
-    tensor.d1[..., k, i, j] = value.d1
-
-
-@dataclass(frozen=True)
-class StructureConstants:
-    """Brackets of the orthonormal frame, c[k,i,j] = <[F_i,F_j], F_k>."""
-
-    c: Jet1
-
-
-@dataclass(frozen=True)
-class ChristoffelTable:
-    """gamma[k,i,j] = <nabla_{F_i} F_j, F_k> with its exact alpha-derivative."""
-
-    gamma: Jet1
-
-
-def structure_constants(m: BergerMetric, alpha: Number) -> StructureConstants:
-    """Brackets of the scaled frame at alpha.
-
-    [F1,F2] = (2 lam mu / nu) F3 and cyclic partners from the S^3 relations;
-    brackets with F4 = d/drho pick up the scale rates, e.g.
-    [F4, F1] = (lam'/lam) F1.
-    """
-    scales = m.scale_jets(alpha)
-    lam, mu, nu = scales
-    A, B, C = m.log_rate_jets(alpha, scales)
-    c = _jet_tensor(np.shape(np.asarray(alpha)))
-    pairs = [
-        (2, 0, 1, 2.0 * lam * mu / nu),   # c^3_12
-        (0, 1, 2, 2.0 * mu * nu / lam),   # c^1_23
-        (1, 0, 2, -2.0 * lam * nu / mu),  # c^2_13
-        (0, 3, 0, A),                     # c^1_41
-        (1, 3, 1, B),                     # c^2_42
-        (2, 3, 2, C),                     # c^3_43
-    ]
-    for k, i, j, value in pairs:
-        _set(c, k, i, j, value)
-        _set(c, k, j, i, -value)
-    return StructureConstants(c)
-
-
-def christoffel_koszul(m: BergerMetric, alpha: Number) -> ChristoffelTable:
-    """Christoffel symbols from the Koszul formula, structure constants only.
-
-    In an orthonormal frame the inner products are constant, so
-
-        gamma^k_ij = (c^k_ij - c^i_jk + c^j_ki) / 2.
-
-    Independent of :func:`christoffel_table`; the two are each other's
-    correctness oracle.
-    """
-    c = structure_constants(m, alpha).c
-
-    def koszul(x):
-        t2 = np.einsum("...ijk->...kij", x)  # t2[k,i,j] = x[i,j,k]
-        t3 = np.einsum("...jki->...kij", x)  # t3[k,i,j] = x[j,k,i]
-        return 0.5 * (x - t2 + t3)
-
-    return ChristoffelTable(Jet1(koszul(c.v), koszul(c.d1)))
-
-
-@dataclass(frozen=True)
-class ChristoffelCoefficients:
-    """The six functions of alpha behind the twelve nonzero Christoffel
-    symbols (frame labels 1..4):
-
-        p = gamma^3_12 = -gamma^2_13,   q = gamma^3_21 = -gamma^1_23,
-        r = gamma^2_31 = -gamma^1_32,
-        A = gamma^4_11 = -gamma^1_14 = lam'/lam,  B, C likewise for mu, nu.
-
-    christoffel_coefficients gives them as 2-jets for the dense oracle table.
-    """
-
-    p: Jet2
-    q: Jet2
-    r: Jet2
-    A: Jet2
-    B: Jet2
-    C: Jet2
-
-
-def christoffel_coefficients(m: BergerMetric, alpha: Number) -> ChristoffelCoefficients:
-    """p, q, r and the log-rates A, B, C as 2-jets, for the dense oracle
-    table:
-
-        p = ( lam^2 mu^2 - mu^2 nu^2 + nu^2 lam^2) / (lam mu nu)
-        q = (-lam^2 mu^2 - mu^2 nu^2 + nu^2 lam^2) / (lam mu nu)
-        r = ( nu^2 lam^2 - lam^2 mu^2 + mu^2 nu^2) / (lam mu nu)
-
-    The log-rates come from the symbolically differentiated trees
-    (log_rate_jets), a derivative route independent of the class path's
-    kernel, which reads them off the scale jets.
-    """
-    scales = m.scale_jets(alpha)
-    lam, mu, nu = scales
-    A, B, C = m.log_rate_jets(alpha, scales)
-    lmn = lam * mu * nu
-    l2, m2, n2 = lam ** 2, mu ** 2, nu ** 2
-    return ChristoffelCoefficients(
-        p=(l2 * m2 - m2 * n2 + n2 * l2) / lmn,
-        q=(-l2 * m2 - m2 * n2 + n2 * l2) / lmn,
-        r=(n2 * l2 - l2 * m2 + m2 * n2) / lmn,
-        A=A, B=B, C=C,
-    )
-
-
-def christoffel_table(m: BergerMetric, alpha: Number) -> ChristoffelTable:
-    """The closed-form Christoffel table of the scaled orthonormal frame:
-    the dense placement of christoffel_coefficients.
-
-    Every gamma^i_4j, gamma^i_44 and gamma^4_4j vanishes: F4-directed
-    derivatives of the orthonormal frame are zero, i.e. the frame is
-    parallel along the circle fibers.
-    """
-    c = christoffel_coefficients(m, alpha)
-    p, q, r, A, B, C = c.p, c.q, c.r, c.A, c.B, c.C
-    g = _jet_tensor(np.shape(np.asarray(alpha)))
-    for k, i, j, value in [
-        (2, 0, 1, p), (1, 0, 2, -p),
-        (2, 1, 0, q), (0, 1, 2, -q),
-        (1, 2, 0, r), (0, 2, 1, -r),
-        (0, 0, 3, -A), (3, 0, 0, A),
-        (1, 1, 3, -B), (3, 1, 1, B),
-        (2, 2, 3, -C), (3, 2, 2, C),
-    ]:
-        _set(g, k, i, j, value)
-    return ChristoffelTable(g)

@@ -5,8 +5,7 @@ with respect to the circle coordinate alpha.  Arithmetic implements the
 Leibniz and chain rules exactly, so derivative information never degrades
 through the rational/trigonometric formulas built on top.  Components may
 be floats or numpy arrays of matching shape (evaluation on a grid of
-alpha values is just arithmetic on arrays).  A Jet1 holds only the value
-and first derivative, for results whose second derivative nobody reads.
+alpha values is just arithmetic on arrays).
 """
 from __future__ import annotations
 
@@ -16,15 +15,6 @@ from typing import Union
 import numpy as np
 
 Number = Union[int, float, np.ndarray]
-
-
-@dataclass(frozen=True)
-class Jet1:
-    """(value, first derivative), no arithmetic: what a consumer that reads
-    no second derivative is handed."""
-
-    v: Number
-    d1: Number
 
 
 @dataclass(frozen=True)

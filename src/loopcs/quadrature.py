@@ -20,6 +20,7 @@ from that one array call.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,8 +57,9 @@ class QuadratureSpec:
             raise ValueError("sample count must be an even integer >= 16")
         if self.n > MAX_SAMPLES:
             raise ValueError(f"sample count must be at most 2**20 = {MAX_SAMPLES}")
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
+        # at tol = inf the ladder would accept any two estimates unchecked
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValueError("tolerance must be finite and positive")
         if self.max_refinements < 1:
             raise ValueError("need at least one refinement")
 

@@ -5,11 +5,10 @@ seed so the CLI `verify` subcommand (and the test suite, which reuses
 these) is reproducible.  Checks compare independent computational routes
 wherever one exists: closed-form Christoffel table against the Koszul
 formula, vectorized symbol assembly against naive loops, jets against
-finite differences, displayed symbol matrix against its Christoffel
-definition, the scale-jet connection-trace kernel of the density against the
-generic wedge algebra, the density's constant chain against its derived
-value +1.  Every check is one that a plausible mutation of the code
-makes fail.
+finite differences, the scale-jet connection-trace kernel of the density
+against the generic wedge algebra over the reference symbols of
+loopcs.oracle, the density's constant chain against its derived value
++1.  Every check is one that a plausible mutation of the code makes fail.
 """
 from __future__ import annotations
 
@@ -20,16 +19,14 @@ from typing import Callable, List
 import numpy as np
 
 from .chern_simons import (CSConfig, _constant_chain, connection_trace,
-                           cs_class, cs_density, leading_order_density,
-                           reduce_mod_z)
+                           cs_class, cs_density, reduce_mod_z)
 from .expressions import Alpha, Cos, Expr, Num, Sin, evaluate
 from .forms import MatrixForm, evaluate3, trace, wedge
-from .geometry import (BergerMetric, builtin_family, christoffel_koszul,
-                       christoffel_table, coefficient_set,
-                       structure_constants)
+from .geometry import BergerMetric, builtin_family
+from .oracle import (christoffel_koszul, christoffel_table, leading_order_density,
+                     sigma0_connection, sigma_minus1_connection_beta,
+                     sigma_minus1_connection_dot, structure_constants)
 from .quadrature import TWO_PI, QuadratureSpec, integrate_circle
-from .symbols import (sigma0_connection, sigma0_from_christoffel,
-                      sigma_minus1_connection_beta, sigma_minus1_connection_dot)
 
 
 @dataclass(frozen=True)
@@ -188,8 +185,11 @@ def check_round_degeneracy(rng: np.random.Generator) -> CheckResult:
     for _ in range(10):
         e = random_scale_expression(rng)
         m = BergerMetric(e, e, e)
-        cs = coefficient_set(m, rng.uniform(0.0, TWO_PI, 20))
-        worst = max(worst, float(np.max(np.abs([cs.U.v, cs.V.v, cs.W.v]))))
+        s0 = sigma0_connection(m, rng.uniform(0.0, TWO_PI, 20))
+        # U, V, W sit at psi^3 (1,2), psi^2 (1,3) and psi^1 (2,3)
+        uvw = [s0.coeff((3,))[..., 0, 1], s0.coeff((2,))[..., 0, 2],
+               s0.coeff((1,))[..., 1, 2]]
+        worst = max(worst, float(np.max(np.abs(uvw))))
     return CheckResult("equal scales degenerate to U=V=W=0", worst < 1e-12,
                        f"max |U,V,W| {worst:.2e} (tol 1e-12)")
 
@@ -236,19 +236,6 @@ def check_wedge_bilinearity(rng: np.random.Generator) -> CheckResult:
                        f"max violation {worst:.2e} (tol 1e-11)")
 
 
-def check_sigma0_routes(rng: np.random.Generator) -> CheckResult:
-    """Coefficient-set display matrix vs Christoffel-assembled order-0 symbol."""
-    worst = 0.0
-    for _ in range(100):
-        m = random_metric(rng)
-        alpha = float(rng.uniform(0.0, TWO_PI))
-        display = sigma0_connection(m, alpha)
-        table = sigma0_from_christoffel(christoffel_table(m, alpha))
-        worst = max(worst, (display - table).max_abs())
-    return CheckResult("sigma0 display equals christoffel route", worst < 1e-12,
-                       f"max entry diff {worst:.2e} over 100 metrics (tol 1e-12)")
-
-
 def check_sigma_minus1_routes(rng: np.random.Generator) -> CheckResult:
     """Vectorized beta-restricted symbol vs naive per-vector loops at xdot=0."""
     worst = 0.0
@@ -267,12 +254,12 @@ def check_density_traces_oracle(rng: np.random.Generator) -> CheckResult:
     """The class path's scale-jet kernel vs the generic MatrixForm wedge.
 
     connection_trace over the scale jets is compared with
-    Tr(sigma_-1 ^ sigma_0 ^ sigma_0).  The wedge route takes sigma_0 from
-    the coefficient-set display route and sigma_-1 from the dense table, so
-    it shares no symbol or trace code with the kernel it checks, nor
-    derivative code: its log-rate derivatives come from symbolically
-    differentiated trees, the kernel's from the scale jets.  Errors are
-    relative to max(1, max |T|) over the sample grid of each metric.
+    Tr(sigma_-1 ^ sigma_0 ^ sigma_0).  The wedge route takes both symbols
+    from the dense Christoffel table, so it shares no symbol or trace code
+    with the kernel it checks, nor derivative code: its log-rate
+    derivatives come from symbolically differentiated trees, the kernel's
+    from the scale jets.  Errors are relative to max(1, max |T|) over the
+    sample grid of each metric.
     """
     worst = 0.0
     alphas = rng.uniform(0.0, TWO_PI, 50)
@@ -380,7 +367,6 @@ ALL_CHECKS: List[Callable[[np.random.Generator], CheckResult]] = [
     check_wedge_associativity,
     check_trace_cyclicity,
     check_wedge_bilinearity,
-    check_sigma0_routes,
     check_sigma_minus1_routes,
     check_density_traces_oracle,
     check_leading_order_vanishing,

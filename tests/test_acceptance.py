@@ -13,13 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from loopcs.chern_simons import (CSConfig, RESIDUE_CONVENTION, cs_class,
-                                 cs_density, leading_order_density)
+from loopcs.chern_simons import CSConfig, RESIDUE_CONVENTION, cs_class, cs_density
 from loopcs.expressions import parse_expression
-from loopcs.geometry import (BergerMetric, builtin_family, christoffel_koszul,
-                             christoffel_table, round_metric,
-                             structure_constants)
-from loopcs.symbols import sigma0_connection
+from loopcs.geometry import BergerMetric, builtin_family, round_metric
+from loopcs.oracle import (christoffel_koszul, christoffel_table, leading_order_density,
+                           sigma0_connection, structure_constants)
 from loopcs.verify import (check_jet_finite_differences, check_quadrature_stability,
                            random_metric)
 

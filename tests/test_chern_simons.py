@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,23 +10,23 @@ import pytest
 import loopcs.chern_simons
 import loopcs.expressions
 import loopcs.geometry
-import loopcs.symbols
+import loopcs.oracle
 from loopcs.chern_simons import (BLOCK, SAMPLES_PER_PERIOD, CSConfig,
                                  NonFiniteDensityError, ResidueConventionError,
                                  _constant_chain, connection_trace, cs_class,
-                                 cs_density, leading_order_density, reduce_mod_z,
-                                 sweep)
+                                 cs_density, reduce_mod_z, sweep)
 from loopcs.expressions import EvalDomainError, JetProgram, parse_expression
-from loopcs.forms import MatrixForm, evaluate3, trace, wedge
-from loopcs.geometry import (BergerMetric, builtin_family, christoffel_table,
-                             round_metric)
+from loopcs.forms import evaluate3, trace, wedge
+from loopcs.geometry import BergerMetric, builtin_family, round_metric
+from loopcs.oracle import (christoffel_table, leading_order_density, sigma0_connection,
+                           sigma_minus1_connection_beta)
 from loopcs.quadrature import (QuadratureConvergenceError, QuadratureSpec, circle_grid,
                                integrate_circle)
-from loopcs.symbols import sigma0_connection, sigma_minus1_connection_beta
 from loopcs.verify import (check_density_reality, check_leading_order_vanishing,
                            random_metric)
 
 CFG = CSConfig()
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Density values for the a=2 family, frozen from an independent symbolic
 # derivation (sympy expression trees for the full Christoffel/symbol/trace
@@ -57,8 +61,8 @@ def test_density_vectorized_matches_scalar():
 
 def test_connection_trace_matches_wedge_route():
     # the class path's kernel reads the scale jets; the wedge route takes
-    # sigma_0 from the coefficient set and sigma_-1 from the dense table,
-    # both with log-rates from symbolically differentiated trees
+    # sigma_0 and sigma_-1 from the dense table, with log-rates from
+    # symbolically differentiated trees
     rng = np.random.default_rng(7)
     metrics = [builtin_family(a) for a in (2, 8, 32, 256)]
     metrics += [random_metric(rng) for _ in range(40)]
@@ -138,7 +142,7 @@ def test_leading_order_density_vanishes():
 
 def test_leading_order_check_sees_an_asymmetric_sigma0(monkeypatch):
     assert check_leading_order_vanishing(np.random.default_rng(20240)).passed
-    original = loopcs.chern_simons.sigma0_connection
+    original = loopcs.oracle.sigma0_connection
 
     def asymmetric(m, alpha):
         # the psi^3 entry U loses its symmetric partner by one part in 1e12
@@ -146,7 +150,7 @@ def test_leading_order_check_sees_an_asymmetric_sigma0(monkeypatch):
         s0.coeff((3,))[..., 1, 0] *= 1.0 + 1e-12
         return s0
 
-    monkeypatch.setattr(loopcs.chern_simons, "sigma0_connection", asymmetric)
+    monkeypatch.setattr(loopcs.oracle, "sigma0_connection", asymmetric)
     assert not check_leading_order_vanishing(np.random.default_rng(20240)).passed
 
 
@@ -264,24 +268,37 @@ def _counting(calls, name, fn):
 
 @pytest.mark.parametrize("a", [2, 8, 32])
 def test_no_table_no_log_rates_one_evaluate_per_class(a, monkeypatch):
+    # that the class path uses no table, log-rate program or wedge is a fact
+    # of the import graph (test_class_path_imports_no_oracle); this counts
+    # what it does run
     m = builtin_family(a)  # the constructor's own evaluations are not counted
-    calls = {"christoffel_table": 0, "scale_jets": 0, "log_rate_jets": 0,
-             "wedge": 0, "evaluate": 0}
-    table = _counting(calls, "christoffel_table", loopcs.geometry.christoffel_table)
-    for module in (loopcs.geometry, loopcs.symbols, loopcs.chern_simons):
-        if hasattr(module, "christoffel_table"):
-            monkeypatch.setattr(module, "christoffel_table", table)
-    for name in ("scale_jets", "log_rate_jets"):
-        monkeypatch.setattr(BergerMetric, name,
-                            _counting(calls, name, getattr(BergerMetric, name)))
-    monkeypatch.setattr(MatrixForm, "wedge", _counting(calls, "wedge", MatrixForm.wedge))
-    # runs of a compiled program over the scale trees or their derivatives:
-    # the three scale trees go in one run
+    calls = {"scale_jets": 0, "evaluate": 0}
+    monkeypatch.setattr(BergerMetric, "scale_jets",
+                        _counting(calls, "scale_jets", BergerMetric.scale_jets))
+    # runs of a compiled program: the three scale trees go in one run
     monkeypatch.setattr(JetProgram, "__call__",
                         _counting(calls, "evaluate", JetProgram.__call__))
     cs_class(m, CFG)
-    assert calls == {"christoffel_table": 0, "scale_jets": 1, "log_rate_jets": 0,
-                     "wedge": 0, "evaluate": 1}
+    assert calls == {"scale_jets": 1, "evaluate": 1}
+
+
+def test_class_path_imports_no_oracle():
+    # in a fresh interpreter: compute loads none of the reference routes,
+    # and verify still loads them and passes
+    script = (
+        "import sys, loopcs, loopcs.cli\n"
+        "code = loopcs.cli.main(['compute', '--family', 'paper', '--a', '2'])\n"
+        "loaded = [n for n in ('loopcs.oracle', 'loopcs.forms', 'loopcs.verify')\n"
+        "          if n in sys.modules]\n"
+        "assert (code, loaded) == (0, []), (code, loaded)\n"
+        "assert loopcs.cli.main(['verify']) == 0\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def _huge_s_class():

@@ -233,10 +233,12 @@ def test_nan_scale_does_not_hide_a_negative_one(capsys):
 
 
 @pytest.mark.parametrize("flags", [["--s", "inf"], ["--s", "nan"], ["--int-tol", "inf"],
-                                   ["--int-tol", "nan"]])
+                                   ["--int-tol", "nan"], ["--tol", "inf"],
+                                   ["--tol", "nan"]])
 def test_non_finite_config_values_rejected(capsys, flags):
-    # inf s used to surface as an inconsistent constant chain (exit 3), and
-    # an infinite tolerance made every verdict "indeterminate"
+    # inf s used to surface as an inconsistent constant chain (exit 3), an
+    # infinite integrality tolerance made every verdict "indeterminate", and
+    # an infinite ladder tolerance accepted estimates it never compared
     assert run(["compute", "--family", "paper", "--a", "2", *flags]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from loopcs.expressions import alpha_frequencies, parse_expression, value_bounds
-from loopcs.geometry import (BergerMetric, builtin_family, christoffel_koszul,
-                             christoffel_table, coefficient_set, round_metric,
-                             structure_constants)
+from loopcs.geometry import BergerMetric, builtin_family, round_metric
+from loopcs.oracle import (christoffel_koszul, christoffel_table, log_rate_jets,
+                           sigma0_connection, structure_constants)
 from loopcs.verify import (check_christoffel_oracle, check_jacobi_identity,
                            check_metric_compatibility, check_round_degeneracy,
                            check_torsion_freedom, random_metric)
@@ -100,32 +100,41 @@ def test_metric_compatibility_and_torsion():
 
 # -------------------------------------------------------------- coefficients
 
+def coefficients(m, alpha):
+    """U, V, W and the log-rates A, B, C, read off the order-0 symbol."""
+    s0 = sigma0_connection(m, alpha)
+    return (s0.coeff((3,))[0, 1], -s0.coeff((2,))[0, 2], s0.coeff((1,))[1, 2],
+            *(2.0 * s0.coeff((p,))[p - 1, 3] for p in (1, 2, 3)))
+
+
 def test_coefficient_values_constant_scales():
-    cs = coefficient_set(metric("1", "2", "3"), 0.7)
-    assert abs(cs.U.v - 4.5) < 1e-14          # nu^2 (mu^2-lam^2) / (lam mu nu)
-    assert abs(cs.W.v - 5.0 / 6.0) < 1e-14    # lam^2 (nu^2-mu^2) / (lam mu nu)
+    U, V, W, A, B, C = coefficients(metric("1", "2", "3"), 0.7)
+    assert abs(U - 4.5) < 1e-14          # nu^2 (mu^2-lam^2) / (lam mu nu)
+    assert abs(W - 5.0 / 6.0) < 1e-14    # lam^2 (nu^2-mu^2) / (lam mu nu)
     # V = mu^2 (nu^2 - lam^2) / (lam mu nu): the combination the Christoffel
-    # table produces, -(gamma^1_32 + gamma^3_12)/2 = -(-41/6 - 23/6)/2 = 16/3
+    # table produces, -(gamma^1_32 + gamma^3_12)/2 = -(-41/6 - 23/6)/2 = 16/3,
+    # here from the Koszul route
     g = christoffel_koszul(metric("1", "2", "3"), 0.7).gamma.v
-    assert abs(cs.V.v - 16.0 / 3.0) < 1e-14
-    assert abs(cs.V.v - (-(g[0, 2, 1] + g[2, 0, 1]) / 2.0)) < 1e-14
-    assert cs.A.v == cs.B.v == cs.C.v == 0.0
+    assert abs(V - 16.0 / 3.0) < 1e-14
+    assert abs(V - (-(g[0, 2, 1] + g[2, 0, 1]) / 2.0)) < 1e-14
+    assert A == B == C == 0.0
 
 
 def test_round_metric_coefficients_vanish():
-    cs = coefficient_set(round_metric(), 1.3)
-    assert cs.U.v == cs.V.v == cs.W.v == 0.0
+    U, V, W = coefficients(round_metric(), 1.3)[:3]
+    assert U == V == W == 0.0
     result = check_round_degeneracy(np.random.default_rng(20240))
     assert result.passed, result.detail
 
 
 def test_log_rate():
     m = metric("1", "1", "2-cos(alpha)")
-    cs = coefficient_set(m, np.pi / 2.0)
-    assert abs(cs.C.v - 0.5) < 1e-15  # nu'/nu = 1/2 at pi/2
+    C = coefficients(m, np.pi / 2.0)[5]
+    assert abs(C - 0.5) < 1e-15  # nu'/nu = 1/2 at pi/2
     lam, mu, nu = m.scale_jets(np.pi / 2.0)
-    assert abs(cs.C.v - nu.d1 / nu.v) < 1e-15
-    assert abs(cs.C.d1 - (nu.d2 / nu.v - (nu.d1 / nu.v) ** 2)) < 1e-15
+    assert abs(C - nu.d1 / nu.v) < 1e-15
+    rate = log_rate_jets(m, np.pi / 2.0, (lam, mu, nu))[2]
+    assert abs(rate.d1 - (nu.d2 / nu.v - (nu.d1 / nu.v) ** 2)) < 1e-15
 
 
 # ------------------------------------------------------------------ metrics
@@ -183,7 +192,7 @@ def test_frequency_certificate():
 def test_metric_pickles_without_its_compiled_programs():
     m = builtin_family(8)
     grid = np.linspace(0.0, 2 * np.pi, 17)
-    christoffel_table(m, grid)   # compiles the derivative trees too
+    christoffel_table(m, grid)   # its derivative program is kept off the metric
     copy = pickle.loads(pickle.dumps(m))
     assert copy == m and copy.certificate == m.certificate
     for got, want in zip(copy.scale_jets(grid), m.scale_jets(grid)):

@@ -2,7 +2,8 @@
 
 From generic scale functions lam, mu, nu of alpha, place the twelve
 nonzero Christoffel symbols by the closed-form coefficient formulas
-(differentiated by sympy), form sigma_0 and sigma_-1 with their generic
+(differentiated by sympy; the same formulas, fed numbers, rebuild
+loopcs.oracle.christoffel_table), form sigma_0 and sigma_-1 with their generic
 dense formulas as sympy matrices, expand the cyclic sum
 Tr(M_i [S_j, S_k]) and compare it with connection_trace fed the scale
 jets (lam, lam', lam'') and so on.  Derive that the leading-order trace
@@ -18,9 +19,9 @@ import numpy as np
 import pytest
 
 from loopcs.chern_simons import connection_trace
-from loopcs.geometry import (builtin_family, christoffel_coefficients,
-                             christoffel_table)
+from loopcs.geometry import builtin_family
 from loopcs.jets import Jet2
+from loopcs.oracle import christoffel_table, log_rate_jets
 from loopcs.verify import random_metric
 
 sp = pytest.importorskip("sympy")
@@ -43,25 +44,36 @@ def placed(p, q, r, A, B, C, zero=0):
     return g
 
 
+def coefficients(scales, log_rates):
+    """p, q, r and the log-rates A, B, C of the twelve nonzero Christoffel
+    symbols, by the formulas of christoffel_table, from the scales and
+    their log-rates (numbers or sympy expressions)."""
+    lam, mu, nu = scales
+    lmn = lam * mu * nu
+    l2, m2, n2 = lam ** 2, mu ** 2, nu ** 2
+    return ((l2 * m2 - m2 * n2 + n2 * l2) / lmn,
+            (-l2 * m2 - m2 * n2 + n2 * l2) / lmn,
+            (n2 * l2 - l2 * m2 + m2 * n2) / lmn,
+            *log_rates)
+
+
 def test_placement_is_the_christoffel_table():
+    # the log-rates come from the table's own derivative route: the scale
+    # jets' d1/v differs from it in the last bits
     for m in (builtin_family(2), random_metric(np.random.default_rng(3))):
-        c = christoffel_coefficients(m, 0.7)
-        values = placed(*(x.v for x in (c.p, c.q, c.r, c.A, c.B, c.C)), zero=0.0)
+        jets = m.scale_jets(0.7)
+        rates = log_rate_jets(m, 0.7, jets)
+        values = placed(*coefficients([x.v for x in jets], [x.v for x in rates]),
+                        zero=0.0)
         assert np.array_equal(np.array(values), christoffel_table(m, 0.7).gamma.v)
 
 
 def test_sparse_kernel_matches_dense_symbolic_traces():
     alpha = sp.Symbol("alpha")
-    lam, mu, nu = scales = [sp.Function(n)(alpha) for n in ("lam", "mu", "nu")]
-    # the six coefficients by the formulas of christoffel_coefficients
-    lmn = lam * mu * nu
-    l2, m2, n2 = lam ** 2, mu ** 2, nu ** 2
-    coefficients = ((l2 * m2 - m2 * n2 + n2 * l2) / lmn,
-                    (-l2 * m2 - m2 * n2 + n2 * l2) / lmn,
-                    (n2 * l2 - l2 * m2 + m2 * n2) / lmn,
-                    *(sp.diff(x, alpha) / x for x in scales))
-    g = placed(*coefficients)
-    gd = placed(*(sp.diff(c, alpha) for c in coefficients))
+    scales = [sp.Function(n)(alpha) for n in ("lam", "mu", "nu")]
+    six = coefficients(scales, [sp.diff(x, alpha) / x for x in scales])
+    g = placed(*six)
+    gd = placed(*(sp.diff(c, alpha) for c in six))
     t = 3  # the circle direction, frame label 4
 
     def sigma0(p):
@@ -69,7 +81,7 @@ def test_sparse_kernel_matches_dense_symbolic_traces():
 
     def sigma_minus1(l):
         # the generic order-(-1) coefficient in direction l, as documented
-        # in loopcs.symbols.sigma_minus1_connection_beta
+        # in loopcs.oracle.sigma_minus1_connection_beta
         return sp.Matrix(4, 4, lambda a, b: sum(
             g[a][l][k] * g[k][b][t] - g[a][k][t] * g[k][l][b]
             - g[b][k][t] * g[k][a][l] - g[a][k][t] * g[b][k][l]

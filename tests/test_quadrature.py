@@ -85,3 +85,5 @@ def test_spec_validation():
         QuadratureSpec(n=MAX_SAMPLES + 2)
     with pytest.raises(ValueError):
         QuadratureSpec(tol=0.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        QuadratureSpec(tol=float("inf"))
