@@ -53,6 +53,16 @@ certificate, or when that first level would exceed the report grid's N,
 the period is the whole circle and the ladder starts on the report grid.
 The report grid itself (CSReport.alphas, .densities) is evaluated the
 first time it is read, unless the integral already sampled it.
+
+A certified class value samples 65 points, so it costs one kernel pass
+plus a fixed number of numpy and Python calls around it, not per-sample
+arithmetic.  The wrappers therefore make only the calls their result
+needs: cs_density broadcasts the trace to alpha's shape only when it is
+not already an array of that shape (a constant metric's trace is a
+scalar), and cs_class reduces max|f| only when Im kappa(s) is nonzero,
+which no accepted s gives: CSConfig keeps s below 2**1023, where the
+chain's 2 i s would overflow.  The first ladder level reads quadrature's
+shared grid of each n, copied rather than rebuilt by np.linspace.
 """
 from __future__ import annotations
 
@@ -87,6 +97,9 @@ RESIDUE_CONVENTION = -4.0 * math.pi
 
 IMAG_TOLERANCE = 1e-10
 
+# Sobolev exponents s must lie below this bound (CSConfig)
+MAX_S = 2.0 ** 1023
+
 # First ladder level of a certified metric, in samples per period of its
 # highest harmonic K.  The density's harmonics decay exponentially past K,
 # so T_64 and T_32 of one period both resolve it (for the built-in family
@@ -110,6 +123,10 @@ class NonFiniteDensityError(ArithmeticError):
     """The density overflowed or hit a pole at some sample."""
 
 
+class NonFiniteClassError(ArithmeticError):
+    """The class value (s/4) * integral overflowed a float."""
+
+
 @dataclass(frozen=True)
 class CSConfig:
     """Sobolev exponent, quadrature choice and integrality tolerance."""
@@ -119,12 +136,14 @@ class CSConfig:
     integrality_tol: float = 1e-3
 
     def __post_init__(self):
-        # a non-finite s or tolerance would pass the bounds below and come
-        # out as a broken constant chain or a verdict that is never decided
-        if not (self.s > 0.5 and math.isfinite(self.s)):
-            raise ValueError("Sobolev exponent s must be a finite number above 1/2")
-        if not (self.integrality_tol > 0.0 and math.isfinite(self.integrality_tol)):
-            raise ValueError("integrality tolerance must be finite and positive")
+        # from s = 2**1023 on, the 2 i s of the constant chain overflows and
+        # kappa(s) comes out NaN; a NaN fails both comparisons
+        if not 0.5 < self.s < MAX_S:
+            raise ValueError("Sobolev exponent s must be above 1/2 and below 2**1023")
+        # a distance to the integers is at most 1/2, so a tolerance of 1/2
+        # or more would call every class "indeterminate"
+        if not 0.0 < self.integrality_tol < 0.5:
+            raise ValueError("integrality tolerance must be above 0 and below 1/2")
 
 
 @dataclass(frozen=True)
@@ -189,12 +208,13 @@ def connection_trace(lam: Jet2, mu: Jet2, nu: Jet2):
     s = (lam, mu, nu)
     cyclic = [(i, (i + 1) % 3, (i + 2) % 3) for i in range(3)]
     X = [x.d1 / x.v for x in s]
+    Xjk = [X[j] + X[k] for i, j, k in cyclic]
     P = [s[j].v * s[k].v / s[i].v for i, j, k in cyclic]
-    dP = [P[i] * (X[j] + X[k] - X[i]) for i, j, k in cyclic]
+    dP = [P[i] * (Xjk[i] - X[i]) for i, j, k in cyclic]
     Y = [2 * (P[j] - P[k]) for i, j, k in cyclic]
     total = 0
     for i, j, k in cyclic:
-        a = 2 * ((X[j] + X[k]) * P[i] + dP[j] + dP[k])
+        a = 2 * (Xjk[i] * P[i] + dP[j] + dP[k])
         b = s[i].d2 / s[i].v - 2 * X[i] * X[i]
         total += (X[j] * X[k] - Y[j] * Y[k]) * a + (Y[j] * X[k] - X[j] * Y[k]) * b
     return total / 4
@@ -211,7 +231,8 @@ def _blocked_density(m: BergerMetric, scale: float, alpha):
     """scale * T_conn on a 1-D grid of at least 2 * BLOCK points, in
     len // BLOCK equal blocks written into one array; None for any other
     alpha."""
-    if np.ndim(alpha) != 1 or np.size(alpha) < 2 * BLOCK:
+    shape = alpha.shape if isinstance(alpha, np.ndarray) else np.shape(alpha)
+    if len(shape) != 1 or shape[0] < 2 * BLOCK:
         return None
     alpha = np.asarray(alpha)
     f = np.empty(alpha.shape, np.result_type(alpha, scale))
@@ -244,9 +265,14 @@ def cs_density(m: BergerMetric, cfg: CSConfig, alpha):
             f = None
         if f is None:
             t_conn = connection_trace(*m.scale_jets(alpha))
-            f = kappa.real * np.broadcast_to(t_conn, np.shape(alpha))
+            # a constant metric's trace is a scalar; a scalar alpha keeps
+            # the 0-d broadcast, so f is a numpy scalar as for any metric
+            if not (type(t_conn) is np.ndarray and type(alpha) is np.ndarray
+                    and t_conn.shape == alpha.shape):
+                t_conn = np.broadcast_to(t_conn, np.shape(alpha))
+            f = kappa.real * t_conn
     finite = np.isfinite(f)
-    if not np.all(finite):
+    if not finite.all():
         raise NonFiniteDensityError(
             f"density is not finite at {np.size(finite) - np.count_nonzero(finite)} "
             f"of {np.size(finite)} samples; the metric overflows or hits a pole")
@@ -291,6 +317,7 @@ def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
     """
     spec = cfg.quadrature
     g, n = _ladder_start(m, spec)
+    imag = abs(_constant_chain(cfg.s).imag)
     samples, max_abs, first_level = 0, 0.0, None
 
     def density(x):
@@ -299,12 +326,19 @@ def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
         f = cs_density(m, cfg, x / g)
         if first_level is None:
             first_level = f
-        samples += np.size(f)
-        max_abs = max(max_abs, float(np.max(np.abs(f))))
+        samples += f.size
+        # max|f| only scales Im kappa, which is exactly 0.0 for every s
+        # CSConfig accepts; 0.0 * max|f| would be 0.0 anyway
+        if imag:
+            max_abs = max(max_abs, float(np.max(np.abs(f))))
         return f
 
     integral = integrate_circle(density, QuadratureSpec(n, spec.tol, spec.max_refinements))
     value = cfg.s / 4.0 * integral
+    if not math.isfinite(value):
+        raise NonFiniteClassError(
+            f"class value (s/4) * integral overflows a float (s = {cfg.s:.6g}, "
+            f"integral {integral:.6f})")
     mod_z = reduce_mod_z(value)
     distance = min(mod_z, 1.0 - mod_z)
     nontrivial = distance > cfg.integrality_tol
@@ -319,7 +353,7 @@ def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
         s=cfg.s,
         a=m.a,
         # the imaginary part the density would carry: |Im kappa| max |f|
-        max_imag=abs(_constant_chain(cfg.s).imag) * max_abs,
+        max_imag=imag * max_abs,
         quadrature_n=spec.n,
         samples_evaluated=samples,
         _grid_densities=first_level if (g, n) == (1, spec.n) else None,

@@ -1,12 +1,13 @@
 """Command-line front end: compute, sweep and verify.
 
 Exit codes: 0 success, 1 configuration error (bad flags or config file,
-a non-finite s or tolerance, a metric that is not positive, not
-periodic or has a pole, or an output file that cannot be written), 2
+an s outside (1/2, 2**1023), a non-finite ladder tolerance, an
+integrality tolerance outside (0, 1/2), a metric that is not positive,
+not periodic or has a pole, or an output file that cannot be written), 2
 expression parse error (including a constant power that overflows a
 float), 3 numerical error (quadrature non-convergence, a non-finite
-density, or a constant chain with an imaginary part), 4 invariant-suite
-failure.
+density, a class value (s/4) * integral that overflows a float, or a
+constant chain with an imaginary part), 4 invariant-suite failure.
 
 The density CSV holds every value exactly as '%.17g' % value prints it,
 formatted in numpy for up to 2**16 rows at a time (_format_g17).  The
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chern_simons import (CSConfig, CSReport, NonFiniteDensityError,
+from .chern_simons import (CSConfig, CSReport, NonFiniteClassError, NonFiniteDensityError,
                            ResidueConventionError, cs_class, reduce_mod_z, sweep)
 from .expressions import EvalDomainError, ParseError, parse_expression
 from .geometry import BergerMetric, builtin_family
@@ -73,7 +74,7 @@ def parse_metric_exprs(lam_src: str, mu_src: str, nu_src: str, a: int = 1) -> Be
 def _add_common(p: argparse.ArgumentParser):
     default = CSConfig()
     p.add_argument("--s", type=float, default=None,
-                   help=f"Sobolev exponent (> 1/2, default {default.s})")
+                   help=f"Sobolev exponent, above 1/2 and below 2**1023 (default {default.s})")
     p.add_argument("--samples", type=int, default=None,
                    help=f"report grid N, even, from 16 to {MAX_SAMPLES}: the "
                         f"density CSV has N+1 rows (default {default.quadrature.n}); "
@@ -83,8 +84,8 @@ def _add_common(p: argparse.ArgumentParser):
                    help="absolute tolerance on |T_N - T_N/2| of the trapezoid "
                         f"ladder (default {default.quadrature.tol})")
     p.add_argument("--int-tol", dest="int_tol", type=float, default=None,
-                   help=f"integrality tolerance for the verdict (default "
-                        f"{default.integrality_tol})")
+                   help=f"integrality tolerance for the verdict, above 0 and below "
+                        f"1/2 (default {default.integrality_tol})")
     p.add_argument("--density-out", dest="density_out", default=None,
                    help="write density samples as CSV (header alpha,f)")
     p.add_argument("--report-out", dest="report_out", default=None,
@@ -472,7 +473,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (QuadratureConvergenceError, NonFiniteDensityError,
+    except (QuadratureConvergenceError, NonFiniteDensityError, NonFiniteClassError,
             ResidueConventionError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -389,11 +389,15 @@ class JetProgram:
 
     def __init__(self, ops: list, outputs: tuple, frequencies: Optional[frozenset]):
         self.outputs, self.frequencies = outputs, frequencies
-        last = {i: n for n, (_, ins) in enumerate(ops, 1) for i in ins if i not in outputs}
-        dead = {}   # registers by the op that reads them last
+        last = {}   # the op that reads each register last
+        for n, (_, ins) in enumerate(ops, 1):
+            for i in ins:
+                last[i] = n
+        dead = [()] * (len(ops) + 1)   # registers by the op that reads them last
         for i, n in last.items():
-            dead[n] = dead.get(n, ()) + (i,)
-        self.ops = tuple((n, fn, ins, dead.get(n, ())) for n, (fn, ins) in enumerate(ops, 1))
+            if i not in outputs:
+                dead[n] += (i,)
+        self.ops = tuple([(n, fn, ins, dead[n]) for n, (fn, ins) in enumerate(ops, 1)])
 
     def __call__(self, alpha: Number) -> tuple:
         regs = [alpha] * (len(self.ops) + 1)
@@ -446,9 +450,10 @@ class _Compiler:
         self.trig_depth = 0              # sin/cos arguments the walk is inside
 
     def walk(self, e: Expr):
-        if type(e) not in _RULES:
+        rule = _RULES.get(type(e))
+        if rule is None:
             raise TypeError(f"unknown node {type(e).__name__}")
-        return _RULES[type(e)](self, e)
+        return rule(self, e)
 
     def alpha(self, e: Alpha):
         if not self.trig_depth:
@@ -460,9 +465,10 @@ class _Compiler:
         return len(self.ops)
 
     def once(self, key: tuple, fn, *ins) -> int:
-        if key not in self.shared:
-            self.shared[key] = self.emit(fn, *ins)
-        return self.shared[key]
+        reg = self.shared.get(key)
+        if reg is None:
+            reg = self.shared[key] = self.emit(fn, *ins)
+        return reg
 
     def line(self, k: float, c: float) -> int:
         return self.once(("line", k, c),
@@ -531,10 +537,14 @@ class _Compiler:
         if k == 0.0:
             with np.errstate(all="ignore"):
                 return 0.0, float(np.sin(c) if sin else np.cos(c))
-        # (s, k*c, -k^2*s) or (c, -k*s, -k^2*c) from one shared s, c pair
-        pair = self.once(("trig", k, c), lambda x: (np.sin(x), np.cos(x)), self.line(k, c))
-        u, w, f = (0, 1, k) if sin else (1, 0, -k)
-        return self.once((type(e), k, c), lambda t: Jet2(t[u], f * t[w], -k * k * t[u]), pair)
+        key = (type(e), k, c)
+        if key not in self.shared:
+            # (s, k*c, -k^2*s) or (c, -k*s, -k^2*c) from one shared s, c pair
+            pair = self.once(("trig", k, c), lambda x: (np.sin(x), np.cos(x)),
+                             self.line(k, c))
+            u, w, f = (0, 1, k) if sin else (1, 0, -k)
+            self.shared[key] = self.emit(lambda t: Jet2(t[u], f * t[w], -k * k * t[u]), pair)
+        return self.shared[key]
 
 
 _RULES = {

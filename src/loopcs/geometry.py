@@ -57,7 +57,23 @@ _CHECK_GRID.flags.writeable = False
 
 @dataclass(frozen=True)
 class BergerMetric:
-    """Scale functions lam, mu, nu of alpha plus the integer parameter a."""
+    """Scale functions lam, mu, nu of alpha plus the integer parameter a.
+
+    The constructor compiles the three trees once into a jet program and
+    sets two attributes from it:
+
+    - certificate: (g, K) read off the trees (alpha_frequencies, collected
+      when they are compiled): the scales are 2*pi/g periodic, and K is
+      the largest alpha-frequency of their sin/cos arguments.  None when
+      some tree shows no period; constant scales give (1, 0).
+    - scale_bounds: enclosures (lo, hi) of lam, mu, nu over alpha in
+      [0, 2*pi] (expressions.value_bounds) when they prove the metric: it
+      has a certificate and every scale has lo > 0 (the bounds are
+      finite).  Then the scales are positive and finite at every alpha,
+      and the constructor samples nothing.  None otherwise: the
+      constructor's 1025-point grid decides, and it checks an uncertified
+      metric's periodicity too.
+    """
 
     lam: Expr
     mu: Expr
@@ -65,9 +81,32 @@ class BergerMetric:
     a: int = 1
 
     def __post_init__(self):
+        # set as plain attributes, not cached properties: every constructor
+        # reads all three, and before Python 3.12 a cached_property's first
+        # read takes a lock
+        program = compile_jets((self.lam, self.mu, self.nu), self.a)
+        found = program.frequencies
+        if found is None:
+            certificate = None
+        else:
+            certificate = (math.gcd(*found), max(found)) if found else (1, 0)
+        self.__dict__.update(_scales=program, certificate=certificate,
+                             scale_bounds=self._prove(certificate))
         # proved periodic, positive and finite at every alpha, or else sampled
         if self.scale_bounds is None:
             self._check_grid()
+
+    def _prove(self, certificate) -> tuple[tuple[float, float], ...] | None:
+        """scale_bounds, from the certificate and the three trees."""
+        if certificate is None:
+            return None
+        bounds = []
+        for e in (self.lam, self.mu, self.nu):
+            b = value_bounds(e, self.a)
+            if b is None or not b[0] > 0.0:
+                return None
+            bounds.append(b)
+        return tuple(bounds)
 
     def _check_grid(self):
         """The checks on the fixed 1025-point grid: positivity (in
@@ -100,36 +139,6 @@ class BergerMetric:
                 raise ValueError(f"{name} is not 2*pi-periodic: its jets at 0 and "
                                  f"2*pi differ by {gap:.3e}")
 
-    @cached_property
-    def certificate(self) -> tuple[int, int] | None:
-        """(g, K) read off the trees (alpha_frequencies, collected when
-        they are compiled): the scales are 2*pi/g periodic, and K is the
-        largest alpha-frequency of their sin/cos arguments.  None when some
-        tree shows no period; constant scales give (1, 0)."""
-        found = self._scales.frequencies
-        if found is None:
-            return None
-        return (math.gcd(*found), max(found)) if found else (1, 0)
-
-    @cached_property
-    def scale_bounds(self) -> tuple[tuple[float, float], ...] | None:
-        """Enclosures (lo, hi) of lam, mu, nu over alpha in [0, 2*pi]
-        (expressions.value_bounds) when they prove the metric: it has a
-        certificate and every scale has lo > 0 (the bounds are finite).
-        Then the scales are positive and finite at every alpha, and the
-        constructor samples nothing.  None otherwise: the constructor's
-        1025-point grid decides, and it checks an uncertified metric's
-        periodicity too."""
-        if self.certificate is None:
-            return None
-        bounds = []
-        for e in (self.lam, self.mu, self.nu):
-            b = value_bounds(e, self.a)
-            if b is None or not b[0] > 0.0:
-                return None
-            bounds.append(b)
-        return tuple(bounds)
-
     def __getstate__(self):
         # the compiled program holds closures, which do not pickle; a copy
         # compiles its own on first use
@@ -137,6 +146,7 @@ class BergerMetric:
 
     @cached_property
     def _scales(self) -> JetProgram:
+        # the constructor sets it; only an unpickled copy compiles here
         return compile_jets((self.lam, self.mu, self.nu), self.a)
 
     def scale_jets(self, alpha: Number):

@@ -25,6 +25,15 @@ class Jet2:
     d1: Number
     d2: Number
 
+    def __init__(self, v: Number, d1: Number, d2: Number):
+        # the fields go straight into the instance dict: every jet op builds
+        # a Jet2, and the generated frozen __init__ calls object.__setattr__
+        # once per field
+        fields = self.__dict__
+        fields["v"] = v
+        fields["d1"] = d1
+        fields["d2"] = d2
+
     @staticmethod
     def constant(c: Number) -> "Jet2":
         c = np.asarray(c, dtype=float) if isinstance(c, np.ndarray) else float(c)

@@ -13,6 +13,12 @@ new midpoints.  integrate_circle is the one entry: cs_class integrates
 every class value through it, over one period rescaled to [0, 2*pi] when
 the metric's trees give one.
 
+A class value samples only a few dozen points, so its fixed per-call cost
+outweighs the per-sample work.  The first-level grid of each n is
+therefore built once by np.linspace and kept read-only; circle_grid, and
+through it every integrand's first level, gets a fresh writable copy, so
+an integrand that writes into its argument changes only its own copy.
+
 Integrands are called on a whole ndarray of points at once and must
 return an array of the same shape (the densities in this package do).  An
 integrand that does not vectorize, or one that rejects its input, raises
@@ -20,6 +26,7 @@ from that one array call.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -64,9 +71,18 @@ class QuadratureSpec:
             raise ValueError("need at least one refinement")
 
 
+@functools.lru_cache(maxsize=8)
+def _shared_grid(n: int) -> np.ndarray:
+    """circle_grid(n), built once per n and read-only, since every caller
+    shares it."""
+    grid = np.linspace(0.0, TWO_PI, n + 1)
+    grid.flags.writeable = False
+    return grid
+
+
 def circle_grid(n: int) -> np.ndarray:
-    """The n + 1 uniform points 0, 2*pi/n, ..., 2*pi."""
-    return np.linspace(0.0, TWO_PI, n + 1)
+    """The n + 1 uniform points 0, 2*pi/n, ..., 2*pi, as a fresh array."""
+    return _shared_grid(n).copy()
 
 
 def _sample(f: Callable, alpha: np.ndarray) -> np.ndarray:

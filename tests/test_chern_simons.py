@@ -11,10 +11,10 @@ import loopcs.chern_simons
 import loopcs.expressions
 import loopcs.geometry
 import loopcs.oracle
-from loopcs.chern_simons import (BLOCK, SAMPLES_PER_PERIOD, CSConfig,
-                                 NonFiniteDensityError, ResidueConventionError,
-                                 _constant_chain, connection_trace, cs_class,
-                                 cs_density, reduce_mod_z, sweep)
+from loopcs.chern_simons import (BLOCK, IMAG_TOLERANCE, MAX_S, SAMPLES_PER_PERIOD, CSConfig,
+                                 NonFiniteClassError, NonFiniteDensityError,
+                                 ResidueConventionError, _constant_chain, connection_trace,
+                                 cs_class, cs_density, reduce_mod_z, sweep)
 from loopcs.expressions import EvalDomainError, JetProgram, parse_expression
 from loopcs.forms import evaluate3, trace, wedge
 from loopcs.geometry import BergerMetric, builtin_family, round_metric
@@ -157,6 +157,60 @@ def test_leading_order_check_sees_an_asymmetric_sigma0(monkeypatch):
 def test_reality_guard():
     report = cs_class(builtin_family(2), CFG)
     assert report.max_imag < 1e-10
+
+
+# s from just above 1/2 to the largest float below 2**1023
+S_SPREAD = [math.nextafter(0.5, 1.0), 0.51, 0.75, 1.0, 2.0, 3.5, 10.0, 1e5, 1e100,
+            1e300, 8.98e307, math.nextafter(MAX_S, 0.0)]
+
+
+@pytest.mark.parametrize("s", S_SPREAD)
+def test_constant_chain_imaginary_part_is_exactly_zero(s):
+    # cs_class skips the max|f| reduction, whose only use is |Im kappa| max|f|,
+    # when Im kappa == 0.0; that holds for every s CSConfig accepts
+    kappa = _constant_chain(CSConfig(s=s).s)
+    assert kappa.imag == 0.0
+    assert kappa.real == pytest.approx(1.0, rel=1e-15)
+
+
+def test_max_imag_is_imag_kappa_times_max_abs_density(monkeypatch):
+    # a constant off by 1e-15 relative gives 0 < |Im kappa| < IMAG_TOLERANCE:
+    # the density is accepted and max_imag must still read |Im kappa| max|f|
+    c = loopcs.chern_simons.CONNECTION_TRACE_CONSTANT
+    monkeypatch.setattr(loopcs.chern_simons, "CONNECTION_TRACE_CONSTANT",
+                        c + 1e-15 * abs(c))
+    imag = abs(_constant_chain(CFG.s).imag)
+    assert 0.0 < imag < IMAG_TOLERANCE
+    for a in (2, 8):
+        m = builtin_family(a)
+        report = cs_class(m, CFG)
+        assert report.samples_evaluated == 65
+        f = cs_density(m, CFG, circle_grid(64) / a)   # the one level it sampled
+        assert report.max_imag == imag * float(np.max(np.abs(f))) > 0.0
+
+
+@pytest.mark.parametrize("metric", [builtin_family(2), round_metric()], ids=["family", "constant"])
+def test_density_type_shape_and_writeability(metric):
+    # a scalar alpha gives a numpy scalar, an array a fresh writable array of
+    # its shape, also for a constant metric whose trace is a scalar
+    for alpha, shape in [(0.3, ()), (np.float64(0.3), ()), (np.array(0.3), ()),
+                         (np.linspace(0.0, 1.0, 5), (5,)),
+                         (np.linspace(0.0, 1.0, 6).reshape(2, 3), (2, 3)),
+                         (np.linspace(0.0, 6.0, 2 * BLOCK + 1), (2 * BLOCK + 1,))]:
+        f = cs_density(metric, CFG, alpha)
+        assert np.shape(f) == shape
+        if shape:
+            assert type(f) is np.ndarray and f.flags.writeable and f.dtype == np.float64
+            assert not np.shares_memory(f, alpha)
+        else:
+            assert type(f) is np.float64
+
+
+def test_class_value_overflow_is_one_error():
+    # s below 2**1023 is accepted, but (s/4) * integral overflows a float
+    for s in (8.98e307, math.nextafter(MAX_S, 0.0)):
+        with pytest.raises(NonFiniteClassError, match="overflows a float"):
+            cs_class(builtin_family(2), CSConfig(s=s))
 
 
 def test_density_reality_check_catches_a_flipped_convention(monkeypatch):
@@ -548,7 +602,14 @@ def test_report_contents():
 
 
 def test_config_validation():
-    for bad in ({"s": 0.5}, {"s": np.inf}, {"s": np.nan}, {"integrality_tol": 0.0},
-                {"integrality_tol": np.inf}, {"integrality_tol": np.nan}):
+    # from s = 2**1023 on, 2 i s overflows and the constant chain is NaN; a
+    # distance to the integers is at most 1/2, so a tolerance of 1/2 or more
+    # would make every verdict "indeterminate"
+    for bad in ({"s": 0.5}, {"s": np.inf}, {"s": np.nan}, {"s": MAX_S}, {"s": 1e308},
+                {"integrality_tol": 0.0}, {"integrality_tol": np.inf},
+                {"integrality_tol": np.nan}, {"integrality_tol": 0.5},
+                {"integrality_tol": 0.6}):
         with pytest.raises(ValueError):
             CSConfig(**bad)
+    assert MAX_S == 2.0 ** 1023
+    CSConfig(s=math.nextafter(MAX_S, 0.0), integrality_tol=math.nextafter(0.5, 0.0))

@@ -244,6 +244,39 @@ def test_non_finite_config_values_rejected(capsys, flags):
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--s", "1e308"], "error: Sobolev exponent s must be above 1/2 and below 2**1023"),
+    (["--s", repr(2.0 ** 1023)], "error: Sobolev exponent s must be above 1/2 and below 2**1023"),
+    (["--int-tol", "0.5"], "error: integrality tolerance must be above 0 and below 1/2"),
+    (["--int-tol", "0.6"], "error: integrality tolerance must be above 0 and below 1/2"),
+])
+def test_out_of_range_config_values_rejected(capsys, flags, message):
+    # s = 1e308 used to exit 3 with a NaN constant chain (2 i s overflows);
+    # --int-tol 0.6 called every class "indeterminate"
+    assert run(["compute", "--family", "paper", "--a", "2", *flags]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_int_tol_just_below_one_half_decides(capsys):
+    # mod Z 0.482830 is 0.48 from the integers: within 0.49, beyond 0.48
+    for tol, verdict in (("0.49", "indeterminate"), ("0.48", "nontrivial")):
+        assert run(["compute", "--family", "paper", "--a", "2", "--int-tol", tol]) == 0
+        assert capsys.readouterr().out.endswith(f"mod Z 0.482830, {verdict}\n")
+
+
+@pytest.mark.parametrize("command", [["compute", "--family", "paper", "--a", "2", "--s", "8.98e307"],
+                                     ["sweep", "--a", "2,8", "--s", "5e307"]])
+def test_overflowing_class_value_is_one_numerical_error(capsys, command):
+    # s is accepted, but (s/4) * integral overflows to -inf; it used to end in
+    # an OverflowError traceback from reduce_mod_z
+    assert run(command) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "numerical error: class value (s/4) * integral overflows a float"), err
+
+
 def test_config_number_too_large_for_a_float(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"s": 1' + "0" * 400 + "}")

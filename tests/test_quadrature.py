@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from loopcs.chern_simons import cs_class
+from loopcs.geometry import builtin_family
 from loopcs.quadrature import (MAX_SAMPLES, QuadratureConvergenceError, QuadratureSpec,
-                               integrate_circle)
+                               circle_grid, integrate_circle)
 from loopcs.verify import check_quadrature_exactness
 
 TWO_PI = 2.0 * np.pi
@@ -87,3 +89,28 @@ def test_spec_validation():
         QuadratureSpec(tol=0.0)
     with pytest.raises(ValueError, match="finite and positive"):
         QuadratureSpec(tol=float("inf"))
+
+
+def test_integrand_writing_its_argument_cannot_corrupt_the_grid():
+    # the first-level grid is built once per n and shared: each integrand,
+    # circle_grid caller and report gets a copy of its own
+    spec = QuadratureSpec(n=64)
+    expected = np.linspace(0.0, TWO_PI, 65)
+
+    def spoiler(x):
+        y = np.sin(x) ** 2
+        x[:] = 7.0
+        return y
+
+    for _ in range(2):
+        assert integrate_circle(spoiler, spec) == pytest.approx(np.pi, abs=1e-12)
+    seen = []
+    integrate_circle(lambda x: seen.append(x.copy()) or np.ones_like(x), spec)
+    assert seen[0].tobytes() == expected.tobytes()
+    grid = circle_grid(64)
+    assert grid.flags.writeable and grid.tobytes() == expected.tobytes()
+    grid[:] = -1.0
+    assert circle_grid(64).tobytes() == expected.tobytes()
+    report = cs_class(builtin_family(2))
+    assert report.alphas.flags.writeable
+    assert report.alphas.tobytes() == np.linspace(0.0, TWO_PI, report.quadrature_n + 1).tobytes()
