@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -169,6 +169,18 @@ class CSReport:
     samples_evaluated: int  # density samples the integral used
     _grid_densities: np.ndarray | None = field(default=None, repr=False)
 
+    def __init__(self, metric: BergerMetric, config: CSConfig, integral: float,
+                 class_value: float, mod_z: float, nontrivial: bool, verdict: str,
+                 s: float, a: int, max_imag: float, quadrature_n: int,
+                 samples_evaluated: int, _grid_densities: np.ndarray | None = None):
+        # the fields go straight into the instance dict, as in Jet2: the
+        # generated frozen __init__ calls object.__setattr__ once per field
+        self.__dict__.update(
+            metric=metric, config=config, integral=integral, class_value=class_value,
+            mod_z=mod_z, nontrivial=nontrivial, verdict=verdict, s=s, a=a,
+            max_imag=max_imag, quadrature_n=quadrature_n,
+            samples_evaluated=samples_evaluated, _grid_densities=_grid_densities)
+
     @property
     def distance_to_integers(self) -> float:
         return min(self.mod_z, 1.0 - self.mod_z)
@@ -203,21 +215,46 @@ def connection_trace(lam: Jet2, mu: Jet2, nu: Jet2):
         a_i = M_i[k,j] - M_i[j,k] = 2 (X_j + X_k) P_i + 2 (P_j' + P_k'),
         b_i = M_i[4,i] = X_i' - X_i^2.
 
-    Only + - * / act on the jet components, so symbolic jets pass through.
+    Only + - * / act on the jet components, so symbolic and complex jets
+    pass through.  The three cyclic terms are written out, one numpy call
+    per operation and no Python number between two arrays: a doubling is
+    y + y, which rounds as 2 * y does, and the sum of the terms gets its
+    + 0.0 and its factor 1/4 last.  Each T_i is the same sequence of
+    operations as the cyclic loop of the derivation, so a float trace is
+    bit-identical to it; the + 0.0 keeps that loop's 0 start, which makes
+    a sum of three -0.0 terms +0.0.
     """
-    s = (lam, mu, nu)
-    cyclic = [(i, (i + 1) % 3, (i + 2) % 3) for i in range(3)]
-    X = [x.d1 / x.v for x in s]
-    Xjk = [X[j] + X[k] for i, j, k in cyclic]
-    P = [s[j].v * s[k].v / s[i].v for i, j, k in cyclic]
-    dP = [P[i] * (Xjk[i] - X[i]) for i, j, k in cyclic]
-    Y = [2 * (P[j] - P[k]) for i, j, k in cyclic]
-    total = 0
-    for i, j, k in cyclic:
-        a = 2 * (Xjk[i] * P[i] + dP[j] + dP[k])
-        b = s[i].d2 / s[i].v - 2 * X[i] * X[i]
-        total += (X[j] * X[k] - Y[j] * Y[k]) * a + (Y[j] * X[k] - X[j] * Y[k]) * b
-    return total / 4
+    X1 = lam.d1 / lam.v
+    X2 = mu.d1 / mu.v
+    X3 = nu.d1 / nu.v
+    X23 = X2 + X3
+    X31 = X3 + X1
+    X12 = X1 + X2
+    P1 = mu.v * nu.v / lam.v
+    P2 = nu.v * lam.v / mu.v
+    P3 = lam.v * mu.v / nu.v
+    dP1 = P1 * (X23 - X1)
+    dP2 = P2 * (X31 - X2)
+    dP3 = P3 * (X12 - X3)
+    Y1 = P2 - P3
+    Y1 = Y1 + Y1
+    Y2 = P3 - P1
+    Y2 = Y2 + Y2
+    Y3 = P1 - P2
+    Y3 = Y3 + Y3
+    a = X23 * P1 + dP2 + dP3
+    b = X1 + X1
+    T1 = ((X2 * X3 - Y2 * Y3) * (a + a)
+          + (Y2 * X3 - X2 * Y3) * (lam.d2 / lam.v - b * X1))
+    a = X31 * P2 + dP3 + dP1
+    b = X2 + X2
+    T2 = ((X3 * X1 - Y3 * Y1) * (a + a)
+          + (Y3 * X1 - X3 * Y1) * (mu.d2 / mu.v - b * X2))
+    a = X12 * P3 + dP1 + dP2
+    b = X3 + X3
+    T3 = ((X1 * X2 - Y1 * Y2) * (a + a)
+          + (Y1 * X2 - X1 * Y2) * (nu.d2 / nu.v - b * X3))
+    return (T1 + T2 + T3 + 0.0) * 0.25
 
 
 def _constant_chain(s: float) -> complex:
@@ -231,8 +268,7 @@ def _blocked_density(m: BergerMetric, scale: float, alpha):
     """scale * T_conn on a 1-D grid of at least 2 * BLOCK points, in
     len // BLOCK equal blocks written into one array; None for any other
     alpha."""
-    shape = alpha.shape if isinstance(alpha, np.ndarray) else np.shape(alpha)
-    if len(shape) != 1 or shape[0] < 2 * BLOCK:
+    if not (isinstance(alpha, np.ndarray) and alpha.ndim == 1 and alpha.size >= 2 * BLOCK):
         return None
     alpha = np.asarray(alpha)
     f = np.empty(alpha.shape, np.result_type(alpha, scale))
@@ -243,13 +279,18 @@ def _blocked_density(m: BergerMetric, scale: float, alpha):
 
 
 def cs_density(m: BergerMetric, cfg: CSConfig, alpha):
-    """The secondary-class density f = Re kappa(s) * T_conn at alpha (scalar
-    or ndarray); every density sample passes here.
+    """The secondary-class density f = Re kappa(s) * T_conn at alpha (scalar,
+    ndarray, or a list or tuple of floats, taken as an array); every
+    density sample passes here.
 
     Normalized to be independent of s, so values are directly comparable
     across Sobolev exponents; the s-dependence of the class sits entirely
     in the s/4 prefactor of cs_class.
     """
+    if type(alpha) is list or type(alpha) is tuple:
+        # the kernel takes scalars and arrays; a sequence of any length
+        # becomes an array here, before the first kernel call
+        alpha = np.asarray(alpha, float)
     kappa = _constant_chain(cfg.s)
     if not abs(kappa.imag) < IMAG_TOLERANCE:
         raise ResidueConventionError(
@@ -303,6 +344,13 @@ def _ladder_start(m: BergerMetric, spec: QuadratureSpec) -> tuple[int, int]:
     return 1, spec.n
 
 
+@lru_cache(maxsize=32)
+def _ladder_spec(n: int, tol: float, max_refinements: int) -> QuadratureSpec:
+    """The ladder's QuadratureSpec, built and validated once per key: n
+    takes few values (a report grid's N, or SAMPLES_PER_PERIOD * K / g)."""
+    return QuadratureSpec(n, tol, max_refinements)
+
+
 def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
     """Integrate the density, form (s/4)*integral, reduce mod Z, decide.
 
@@ -333,7 +381,7 @@ def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
             max_abs = max(max_abs, float(np.max(np.abs(f))))
         return f
 
-    integral = integrate_circle(density, QuadratureSpec(n, spec.tol, spec.max_refinements))
+    integral = integrate_circle(density, _ladder_spec(n, spec.tol, spec.max_refinements))
     value = cfg.s / 4.0 * integral
     if not math.isfinite(value):
         raise NonFiniteClassError(
@@ -361,5 +409,9 @@ def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
 
 
 def sweep(a_values, cfg: CSConfig = CSConfig()):
-    """One report per parameter of the built-in family."""
-    return [cs_class(builtin_family(a), cfg) for a in a_values]
+    """One report per parameter of the built-in family.  Every metric is
+    built before the first class value, so each phase runs its own code
+    back to back (a few per cent faster than alternating), and a zero a
+    raises before any class is computed."""
+    metrics = [builtin_family(a) for a in a_values]
+    return [cs_class(m, cfg) for m in metrics]

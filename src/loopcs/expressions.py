@@ -20,14 +20,19 @@ subtrees fold to float constants, and sin/cos of k*alpha + c become the
 direct jets (s, k*c, -k^2*s) and (c, -k*s, -k^2*c) of one s, c = np.sin,
 np.cos pair per distinct argument (the built-in family's three scales
 need one of each).  A constant adds to or scales a jet as a scalar; only
-the remaining nodes propagate Jet2s.  The same walk collects the
-frequencies ``alpha_frequencies`` reports.  ``evaluate`` compiles and runs
-a fresh program; a BergerMetric compiles its trees once and runs that
-program on every grid.  ``value_bounds`` encloses a tree's values over
-the whole circle by interval arithmetic, one interval per node with every
-endpoint rounded outward, which lets a BergerMetric prove its scales
-positive without sampling them.  ``derivative`` differentiates
-symbolically, producing another tree in the same grammar.
+the remaining nodes propagate Jet2s.  ``evaluate`` compiles and runs a
+fresh program; a BergerMetric compiles its trees once and runs that
+program on every grid.
+
+The one walk yields three things per tree, so a BergerMetric visits each
+node of its trees once: the jet ops, the frequencies
+``alpha_frequencies`` reports, and the enclosure ``value_bounds``
+reports.  The enclosure bounds a tree's values over the whole circle by
+interval arithmetic, one interval per tree node (not per folded line),
+formed from the children's intervals with every endpoint rounded
+outward; it lets a BergerMetric prove its scales positive without
+sampling them.  ``derivative`` differentiates symbolically, producing
+another tree in the same grammar.
 
 The concrete grammar parsed by :func:`parse_expression`::
 
@@ -231,58 +236,76 @@ def value_bounds(e: Expr, a: int = 1) -> Optional[tuple[float, float]]:
     holds the real values of e at every alpha, not only at samples.  sin
     and cos give [-1, 1] once their argument has an enclosure.  None when
     some node has none that is finite: a non-finite constant, an overflow,
-    or a denominator or negative power whose interval holds 0.
+    an a past the float range, or a denominator or negative power whose
+    interval holds 0.  The compiler encloses every node in the walk that
+    emits its jet ops (JetProgram.bounds).
     """
     try:
-        return _enclose(e, float(a))
+        return compile_jets((e,), a).bounds[0]
     except ArithmeticError:
         return None
 
 
-def _outward(lo: float, hi: float) -> tuple[float, float]:
+# The enclosure of a node from its children's, by node type: each computed
+# endpoint moves one float outward.  None when a child has no enclosure or
+# the node has no finite one.
+
+def _outward(lo: float, hi: float) -> Optional[tuple[float, float]]:
     lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-    if not (-_FLOAT_MAX <= lo and hi <= _FLOAT_MAX):
-        raise OverflowError
-    return lo, hi
+    # the comparisons are False on a NaN too
+    return (lo, hi) if -_FLOAT_MAX <= lo and hi <= _FLOAT_MAX else None
 
 
-def _enclose(e: Expr, a: float) -> tuple[float, float]:
-    kind = type(e)
-    if kind is Num:
-        if not -_FLOAT_MAX <= e.value <= _FLOAT_MAX:   # False on a NaN too
-            raise OverflowError
-        return e.value, e.value
-    if kind is ParamA:
-        return a, a
-    if kind is Alpha:
-        return 0.0, _TWO_PI_UP
-    if kind is Sin or kind is Cos:
-        _enclose(e.arg, a)   # a non-finite argument would make the value NaN
-        return -1.0, 1.0
-    if kind is Pow:
-        lo, hi = _enclose(e.base, a)
-        k = e.exponent
-        if k < 0 and lo <= 0.0 <= hi:
-            raise ZeroDivisionError
-        x, y = lo ** k, hi ** k   # OverflowError past the float range
-        if k % 2 == 0 and lo < 0.0 < hi:
-            return _outward(0.0, max(x, y))
-        return _outward(min(x, y), max(x, y))
-    if kind is Div:
-        (l0, l1), (r0, r1) = _enclose(e.num, a), _enclose(e.den, a)
-        if r0 <= 0.0 <= r1:
-            raise ZeroDivisionError
-        ends = (l0 / r0, l0 / r1, l1 / r0, l1 / r1)
-        return _outward(min(ends), max(ends))
-    (l0, l1), (r0, r1) = _enclose(e.left, a), _enclose(e.right, a)
-    if kind is Add:
-        return _outward(l0 + r0, l1 + r1)
-    if kind is Sub:
-        return _outward(l0 - r1, l1 - r0)
-    if kind is Mul:
-        ends = (l0 * r0, l0 * r1, l1 * r0, l1 * r1)
-        return _outward(min(ends), max(ends))
-    raise TypeError(f"unknown node {kind.__name__}")
+def _number_box(value: float):
+    return (value, value) if -_FLOAT_MAX <= value <= _FLOAT_MAX else None
+
+
+def _sum_box(l, r):
+    if l is None or r is None:
+        return None
+    return _outward(l[0] + r[0], l[1] + r[1])
+
+
+def _difference_box(l, r):
+    if l is None or r is None:
+        return None
+    return _outward(l[0] - r[1], l[1] - r[0])
+
+
+def _product_box(l, r):
+    if l is None or r is None:
+        return None
+    (l0, l1), (r0, r1) = l, r
+    ends = (l0 * r0, l0 * r1, l1 * r0, l1 * r1)
+    return _outward(min(ends), max(ends))
+
+
+def _quotient_box(l, r):
+    if l is None or r is None or r[0] <= 0.0 <= r[1]:
+        return None
+    (l0, l1), (r0, r1) = l, r
+    ends = (l0 / r0, l0 / r1, l1 / r0, l1 / r1)
+    return _outward(min(ends), max(ends))
+
+
+def _power_box(b, k: int):
+    if b is None:
+        return None
+    lo, hi = b
+    if k < 0 and lo <= 0.0 <= hi:
+        return None
+    try:
+        x, y = lo ** k, hi ** k
+    except OverflowError:   # past the float range
+        return None
+    if k % 2 == 0 and lo < 0.0 < hi:
+        return _outward(0.0, max(x, y))
+    return _outward(min(x, y), max(x, y))
+
+
+_BOXES = {Add: _sum_box, Sub: _difference_box, Mul: _product_box}
+_CIRCLE_BOX = (0.0, _TWO_PI_UP)
+_TRIG_BOX = (-1.0, 1.0)
 
 
 def alpha_frequencies(e: Expr, a: int = 1) -> Optional[frozenset]:
@@ -382,37 +405,43 @@ class JetProgram:
 
     Calling the program on alpha runs the ops in order and returns one Jet2
     per tree.  Register 0 holds alpha and op n (counting from 1) writes
-    register n; a register is dropped after its last read, so a grid
-    evaluation holds no more arrays at a time than a recursive walk would.
-    frequencies is alpha_frequencies of all the trees together.
+    register n; a register is dropped after its last read (last[i], which
+    the compiler records as it emits the ops), so a grid evaluation holds no
+    more arrays at a time than a recursive walk would.  frequencies is
+    alpha_frequencies of all the trees together, and bounds holds
+    value_bounds of each tree: both come out of the compile walk.
     """
 
-    def __init__(self, ops: list, outputs: tuple, frequencies: Optional[frozenset]):
-        self.outputs, self.frequencies = outputs, frequencies
-        last = {}   # the op that reads each register last
-        for n, (_, ins) in enumerate(ops, 1):
-            for i in ins:
-                last[i] = n
-        dead = [()] * (len(ops) + 1)   # registers by the op that reads them last
-        for i, n in last.items():
-            if i not in outputs:
-                dead[n] += (i,)
-        self.ops = tuple([(n, fn, ins, dead[n]) for n, (fn, ins) in enumerate(ops, 1)])
+    def __init__(self, ops: list, last: list, outputs: tuple,
+                 frequencies: Optional[frozenset], bounds: tuple):
+        self.ops, self.outputs, self.frequencies, self.bounds = ops, outputs, frequencies, bounds
+        self.last = last
+        for i in outputs:   # no op number is 0: an output is never dropped
+            last[i] = 0
 
     def __call__(self, alpha: Number) -> tuple:
         regs = [alpha] * (len(self.ops) + 1)
-        for out, fn, ins, dead in self.ops:
-            regs[out] = fn(*[regs[i] for i in ins])
-            for i in dead:
-                regs[i] = None
-        return tuple([regs[i] for i in self.outputs])
+        read, last = regs.__getitem__, self.last
+        for out, (fn, ins) in enumerate(self.ops, 1):
+            regs[out] = fn(*map(read, ins))
+            for i in ins:
+                if last[i] == out:
+                    regs[i] = None
+        return tuple(map(read, self.outputs))
 
 
 def compile_jets(trees: tuple, a: int = 1) -> JetProgram:
     """One walk over trees at a fixed a, compiled into a JetProgram."""
     compiler = _Compiler(a)
-    outputs = tuple(compiler.jet(compiler.walk(e)) for e in trees)
-    return JetProgram(compiler.ops, outputs, compiler.frequencies)
+    outputs, bounds = [], []
+    for e in trees:
+        x, box = compiler.walk(e)
+        outputs.append(compiler.jet(x))
+        bounds.append(box)
+    if compiler.a_box is None:   # no enclosure holds an a past the float range
+        bounds = [None] * len(bounds)
+    return JetProgram(compiler.ops, compiler.last, tuple(outputs), compiler.frequencies,
+                      tuple(bounds))
 
 
 def _nonzero(message: str, node: Expr):
@@ -440,29 +469,45 @@ class _Compiler:
     A subtree compiles to (k, c), k*alpha + c (a float constant c when
     k == 0), while it is linear in alpha, and to the register of its Jet2
     above that.  A line, its sin/cos pair and their jets are emitted once
-    per distinct (k, c)."""
+    per distinct (k, c).  walk returns that together with the node's
+    enclosure over the circle (value_bounds), formed from its children's
+    in the same visit: per node of the tree, not of the folded line."""
 
     def __init__(self, a: int):
         self.a = a
         self.ops = []      # (fn of the input values, input registers)
+        self.last = [0]    # by register, the op that reads it last
         self.shared = {}   # register by (kind, k, c)
         self.frequencies = frozenset()   # None once alpha shows outside sin/cos
         self.trig_depth = 0              # sin/cos arguments the walk is inside
+        try:
+            self.a_box = (float(a), float(a))
+        except OverflowError:
+            self.a_box = None
 
-    def walk(self, e: Expr):
-        rule = _RULES.get(type(e))
+    def walk(self, e: Expr) -> tuple:
+        """(the compiled subtree, its enclosure or None)"""
+        kind = type(e)
+        if kind is Num:
+            return (0.0, e.value), _number_box(e.value)
+        if kind is ParamA:
+            return (0.0, float(self.a)), self.a_box
+        if kind is Alpha:
+            if not self.trig_depth:
+                self.frequencies = None
+            return (1.0, 0.0), _CIRCLE_BOX
+        rule = _RULES.get(kind)
         if rule is None:
-            raise TypeError(f"unknown node {type(e).__name__}")
+            raise TypeError(f"unknown node {kind.__name__}")
         return rule(self, e)
-
-    def alpha(self, e: Alpha):
-        if not self.trig_depth:
-            self.frequencies = None
-        return 1.0, 0.0
 
     def emit(self, fn, *ins) -> int:
         self.ops.append((fn, ins))
-        return len(self.ops)
+        n = len(self.ops)
+        for i in ins:
+            self.last[i] = n
+        self.last.append(0)
+        return n
 
     def once(self, key: tuple, fn, *ins) -> int:
         reg = self.shared.get(key)
@@ -484,51 +529,59 @@ class _Compiler:
         return self.once(("jet", k, c), lambda x: Jet2(x, k, 0.0), self.line(k, c))
 
     def binary(self, e: Add | Sub | Mul):
-        l, r, kind = self.walk(e.left), self.walk(e.right), type(e)
+        (l, lbox), (r, rbox), kind = self.walk(e.left), self.walk(e.right), type(e)
+        box = _BOXES[kind](lbox, rbox)
         if type(l) is tuple and type(r) is tuple:
             if kind is Add:
-                return l[0] + r[0], l[1] + r[1]
+                return (l[0] + r[0], l[1] + r[1]), box
             if kind is Sub:
-                return l[0] - r[0], l[1] - r[1]
+                return (l[0] - r[0], l[1] - r[1]), box
             if l[0] == 0.0 or r[0] == 0.0:
-                return l[0] * r[1] + r[0] * l[1], l[1] * r[1]
+                return (l[0] * r[1] + r[0] * l[1], l[1] * r[1]), box
             # alpha^2: a product of line jets
         elif type(l) is tuple and l[0] == 0.0:
-            return self.emit(_CONSTANT_OPS["c - j" if kind is Sub else kind](l[1]), r)
+            return self.emit(_CONSTANT_OPS["c - j" if kind is Sub else kind](l[1]), r), box
         elif type(r) is tuple and r[0] == 0.0:
-            return self.emit(_CONSTANT_OPS[kind](r[1]), l)
-        return self.emit(_JET_OPS[kind], self.jet(l), self.jet(r))
+            return self.emit(_CONSTANT_OPS[kind](r[1]), l), box
+        return self.emit(_JET_OPS[kind], self.jet(l), self.jet(r)), box
 
     def divide(self, e: Div):
         # the denominator is compiled and checked before the numerator, so
         # a pole in both is reported as the denominator's
-        den = self.walk(e.den)
+        den, den_box = self.walk(e.den)
         if type(den) is tuple and den[0] == 0.0 and den[1] != 0.0:
-            num, d = self.walk(e.num), den[1]
+            (num, num_box), d = self.walk(e.num), den[1]
             if type(num) is tuple:
-                return num[0] / d, num[1] / d
-            return self.emit(_CONSTANT_OPS[Div](d), num)
-        den = self.jet(den)
-        self.emit(_nonzero("division by zero in '{}'", e.den), den)
-        return self.emit(Jet2.__truediv__, self.jet(self.walk(e.num)), den)
+                x = num[0] / d, num[1] / d
+            else:
+                x = self.emit(_CONSTANT_OPS[Div](d), num)
+        else:
+            den = self.jet(den)
+            self.emit(_nonzero("division by zero in '{}'", e.den), den)
+            num, num_box = self.walk(e.num)
+            x = self.emit(Jet2.__truediv__, self.jet(num), den)
+        return x, _quotient_box(num_box, den_box)
 
     def power(self, e: Pow):
-        base, k = self.walk(e.base), e.exponent
+        (base, box), k = self.walk(e.base), e.exponent
+        box = _power_box(box, k)
         if type(base) is tuple and base[0] == 0.0 and (base[1] != 0.0 or k >= 0):
             with np.errstate(all="ignore"):   # an overflow folds to inf
-                return 0.0, float(np.float64(base[1]) ** k)
+                return (0.0, float(np.float64(base[1]) ** k)), box
         base = self.jet(base)
         if k < 0:
             self.emit(_nonzero("negative power of zero in '{}'", e), base)
-        return self.emit(lambda j: j ** k, base)
+        return self.emit(lambda j: j ** k, base), box
 
     def trig(self, e: Sin | Cos):
         self.trig_depth += 1
-        arg, sin = self.walk(e.arg), type(e) is Sin
+        (arg, box), sin = self.walk(e.arg), type(e) is Sin
         self.trig_depth -= 1
+        # a non-finite argument would make the value NaN
+        box = None if box is None else _TRIG_BOX
         if type(arg) is not tuple:
             self.frequencies = None
-            return self.emit(Jet2.sin if sin else Jet2.cos, arg)
+            return self.emit(Jet2.sin if sin else Jet2.cos, arg), box
         k, c = arg
         if not k.is_integer():
             self.frequencies = None
@@ -536,7 +589,7 @@ class _Compiler:
             self.frequencies |= {abs(int(k))}
         if k == 0.0:
             with np.errstate(all="ignore"):
-                return 0.0, float(np.sin(c) if sin else np.cos(c))
+                return (0.0, float(np.sin(c) if sin else np.cos(c))), box
         key = (type(e), k, c)
         if key not in self.shared:
             # (s, k*c, -k^2*s) or (c, -k*s, -k^2*c) from one shared s, c pair
@@ -544,13 +597,10 @@ class _Compiler:
                              self.line(k, c))
             u, w, f = (0, 1, k) if sin else (1, 0, -k)
             self.shared[key] = self.emit(lambda t: Jet2(t[u], f * t[w], -k * k * t[u]), pair)
-        return self.shared[key]
+        return self.shared[key], box
 
 
 _RULES = {
-    Num: lambda self, e: (0.0, e.value),
-    ParamA: lambda self, e: (0.0, float(self.a)),
-    Alpha: _Compiler.alpha,
     Add: _Compiler.binary, Sub: _Compiler.binary, Mul: _Compiler.binary,
     Div: _Compiler.divide, Pow: _Compiler.power, Sin: _Compiler.trig, Cos: _Compiler.trig,
 }
@@ -587,18 +637,22 @@ def derivative(e: Expr) -> Expr:
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|(alpha|a|sin|cos)|([()+\-*/^]))")
 
 
+_SPACE = re.compile(r"\s*")
+
+
 def _tokenize(src: str):
-    tokens = []  # (kind, text, position)
-    pos = 0
-    while pos < len(src):
-        if src[pos:].strip() == "":
-            break
+    """(kind, text, position) of each token, then ("end", "", len(src)).
+    One scan: each match starts where the last one ended, and the scan
+    stops at the trailing whitespace."""
+    tokens = []
+    pos, end = 0, len(src.rstrip())
+    while pos < end:
         m = _TOKEN.match(src, pos)
         if m is None:
-            at = pos + len(src[pos:]) - len(src[pos:].lstrip())
+            at = _SPACE.match(src, pos).end()
             raise ParseError(f"unexpected character {src[at]!r}", at)
         number, word, op = m.groups()
-        start = m.end() - len(m.group().lstrip())
+        start = m.start(m.lastindex)
         if number is not None:
             tokens.append(("number", number, start))
         elif word is not None:

@@ -17,13 +17,14 @@ quantities vanish identically.  Rank-3 tables of them index the frame
 labels 1..4 by 0-based array axes (loopcs.oracle builds them).
 
 A BergerMetric compiles its three scale trees once into a jet program
-(expressions.compile_jets), which also reads off its frequency
-certificate, and every scale_jets call only runs that program.  The
-constructor proves the scales positive from their trees when it can: a
-certified metric whose interval enclosures over the circle
-(expressions.value_bounds, BergerMetric.scale_bounds) all have a positive
-lower end is positive and finite at every alpha, and is built without
-evaluating anything.  Every other metric runs its program once on a fixed
+(expressions.compile_jets).  That one walk over the trees also reads off
+the frequency certificate and the trees' interval enclosures over the
+circle, and every scale_jets call only runs the program.  The
+constructor proves the scales positive from those enclosures when it
+can: a certified metric whose enclosures (BergerMetric.scale_bounds, the
+same as expressions.value_bounds) all have a positive lower end is
+positive and finite at every alpha, and is built without evaluating
+anything.  Every other metric runs its program once on a fixed
 1025-point grid, which checks positivity and finiteness there and, for
 an uncertified metric, periodicity from the jets at 0 and 2*pi.  The
 class path reads only the scale jets of one scale_jets call: its kernel
@@ -43,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .expressions import (Alpha, Cos, Div, Expr, JetProgram, Mul, Num, ParamA, Sin,
-                          Sub, compile_jets, value_bounds)
+                          Sub, compile_jets)
 from .jets import Number
 
 # relative agreement demanded of the scale jets at alpha = 0 and 2*pi
@@ -59,13 +60,14 @@ _CHECK_GRID.flags.writeable = False
 class BergerMetric:
     """Scale functions lam, mu, nu of alpha plus the integer parameter a.
 
-    The constructor compiles the three trees once into a jet program and
-    sets two attributes from it:
+    The constructor compiles the three trees once into a jet program, in
+    one walk that visits each tree node once, and sets two attributes from
+    what that walk read off the trees:
 
-    - certificate: (g, K) read off the trees (alpha_frequencies, collected
-      when they are compiled): the scales are 2*pi/g periodic, and K is
-      the largest alpha-frequency of their sin/cos arguments.  None when
-      some tree shows no period; constant scales give (1, 0).
+    - certificate: (g, K) (alpha_frequencies): the scales are 2*pi/g
+      periodic, and K is the largest alpha-frequency of their sin/cos
+      arguments.  None when some tree shows no period; constant scales
+      give (1, 0).
     - scale_bounds: enclosures (lo, hi) of lam, mu, nu over alpha in
       [0, 2*pi] (expressions.value_bounds) when they prove the metric: it
       has a certificate and every scale has lo > 0 (the bounds are
@@ -85,28 +87,19 @@ class BergerMetric:
         # reads all three, and before Python 3.12 a cached_property's first
         # read takes a lock
         program = compile_jets((self.lam, self.mu, self.nu), self.a)
-        found = program.frequencies
+        found, bounds = program.frequencies, program.bounds
         if found is None:
             certificate = None
         else:
             certificate = (math.gcd(*found), max(found)) if found else (1, 0)
-        self.__dict__.update(_scales=program, certificate=certificate,
-                             scale_bounds=self._prove(certificate))
+        # the enclosures prove the metric when it has a certificate and
+        # every scale's lower end is positive
+        if certificate is None or any(b is None or not b[0] > 0.0 for b in bounds):
+            bounds = None
+        self.__dict__.update(_scales=program, certificate=certificate, scale_bounds=bounds)
         # proved periodic, positive and finite at every alpha, or else sampled
-        if self.scale_bounds is None:
+        if bounds is None:
             self._check_grid()
-
-    def _prove(self, certificate) -> tuple[tuple[float, float], ...] | None:
-        """scale_bounds, from the certificate and the three trees."""
-        if certificate is None:
-            return None
-        bounds = []
-        for e in (self.lam, self.mu, self.nu):
-            b = value_bounds(e, self.a)
-            if b is None or not b[0] > 0.0:
-                return None
-            bounds.append(b)
-        return tuple(bounds)
 
     def _check_grid(self):
         """The checks on the fixed 1025-point grid: positivity (in

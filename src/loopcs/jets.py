@@ -61,10 +61,11 @@ class Jet2:
 
     def __mul__(self, other):
         o = Jet2._coerce(other)
+        twice = self.d1 + self.d1   # 2 * d1, without a Python number operand
         return Jet2(
             self.v * o.v,
             self.d1 * o.v + self.v * o.d1,
-            self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2,
+            self.d2 * o.v + twice * o.d1 + self.v * o.d2,
         )
 
     __rmul__ = __mul__
@@ -73,7 +74,7 @@ class Jet2:
         o = Jet2._coerce(other)
         q0 = self.v / o.v
         q1 = (self.d1 - q0 * o.d1) / o.v
-        q2 = (self.d2 - 2.0 * q1 * o.d1 - q0 * o.d2) / o.v
+        q2 = (self.d2 - (q1 + q1) * o.d1 - q0 * o.d2) / o.v
         return Jet2(q0, q1, q2)
 
     def __rtruediv__(self, other):

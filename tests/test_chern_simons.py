@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -11,13 +13,15 @@ import loopcs.chern_simons
 import loopcs.expressions
 import loopcs.geometry
 import loopcs.oracle
+from bitwise_references import cyclic_connection_trace
 from loopcs.chern_simons import (BLOCK, IMAG_TOLERANCE, MAX_S, SAMPLES_PER_PERIOD, CSConfig,
-                                 NonFiniteClassError, NonFiniteDensityError,
+                                 CSReport, NonFiniteClassError, NonFiniteDensityError,
                                  ResidueConventionError, _constant_chain, connection_trace,
                                  cs_class, cs_density, reduce_mod_z, sweep)
-from loopcs.expressions import EvalDomainError, JetProgram, parse_expression
+from loopcs.expressions import EvalDomainError, JetProgram, evaluate, parse_expression
 from loopcs.forms import evaluate3, trace, wedge
 from loopcs.geometry import BergerMetric, builtin_family, round_metric
+from loopcs.jets import Jet2
 from loopcs.oracle import (christoffel_table, leading_order_density, sigma0_connection,
                            sigma_minus1_connection_beta)
 from loopcs.quadrature import (QuadratureConvergenceError, QuadratureSpec, circle_grid,
@@ -613,3 +617,93 @@ def test_config_validation():
             CSConfig(**bad)
     assert MAX_S == 2.0 ** 1023
     CSConfig(s=math.nextafter(MAX_S, 0.0), integrality_tol=math.nextafter(0.5, 0.0))
+
+
+def assert_same_bits(got, want):
+    # values, NaNs and the signs of zeros; a complex result part by part
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    for part in ((np.real, np.imag) if np.iscomplexobj(want) else (np.asarray,)):
+        g, w = part(got), part(want)
+        assert np.array_equal(g, w, equal_nan=True)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+TRACE_LINE = np.linspace(0.0, 2.0 * np.pi, 65)
+TRACE_ALPHAS = [0.7, np.float64(0.7), np.array(0.7), TRACE_LINE,
+                np.linspace(0.0, 2.0 * np.pi, 64).reshape(8, 8),
+                TRACE_LINE + 0.01j, TRACE_LINE + 0j]
+
+
+@pytest.mark.parametrize("metric", [
+    *(builtin_family(a) for a in (1, 2, 3, 8, 32, 4096, -3)),
+    *(random_metric(np.random.default_rng(seed)) for seed in range(4)),
+    round_metric()])
+def test_connection_trace_is_the_cyclic_loop_bitwise(metric):
+    # the straight-line kernel against the loop it was unrolled from, on
+    # scalar, 0-d, 1-D, 2-D and complex alpha
+    for alpha in TRACE_ALPHAS:
+        jets = evaluate((metric.lam, metric.mu, metric.nu), alpha, metric.a)
+        assert_same_bits(connection_trace(*jets), cyclic_connection_trace(*jets))
+
+
+def test_connection_trace_keeps_the_signs_of_zeros():
+    # every scale in {1, -1, 2} with derivatives in {0, -0, 1, -1}, for all
+    # three scales at once: the loop's sum starts from 0, so three -0.0
+    # terms sum to +0.0, and every doubling rounds as 2 * y does
+    values, derivatives = (1.0, -1.0, 2.0), (0.0, -0.0, 1.0, -1.0)
+    jets = np.array(list(itertools.product(values, derivatives, derivatives)))
+    pick = np.array(list(itertools.product(range(len(jets)), repeat=3)))
+    scales = [Jet2(*jets[pick[:, n]].T) for n in range(3)]
+    with np.errstate(all="ignore"):
+        got, want = connection_trace(*scales), cyclic_connection_trace(*scales)
+    assert_same_bits(got, want)
+    assert np.count_nonzero(want == 0.0) > 1000
+
+
+def test_density_takes_lists_and_tuples_of_any_length():
+    # below and above the blocked size alike, a sequence is read as the
+    # array of its floats
+    m = builtin_family(2)
+    for n in (1, 2, 65, 9000):
+        grid = np.linspace(0.0, 6.0, n)
+        want = cs_density(m, CFG, grid)
+        for alpha in (grid.tolist(), tuple(grid.tolist())):
+            got = cs_density(m, CFG, alpha)
+            assert type(got) is np.ndarray and got.flags.writeable
+            assert_same_bits(got, want)
+
+
+def test_report_stays_frozen_and_compares_equal():
+    m = builtin_family(8)
+    report, again = cs_class(m, CFG), cs_class(m, CFG)
+    assert report == again and repr(report) == repr(again)
+    assert [f.name for f in dataclasses.fields(CSReport)][-1] == "_grid_densities"
+    for name in ("integral", "verdict", "metric", "samples_evaluated", "_grid_densities"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, name, None)
+    assert report.alphas is report.alphas and report.densities is report.densities
+    assert np.array_equal(report.densities, cs_density(m, CFG, circle_grid(report.quadrature_n)))
+    changed = dataclasses.replace(report, verdict="indeterminate")
+    assert changed.verdict == "indeterminate" and changed != report
+    assert changed.integral == report.integral
+
+
+def test_ladder_spec_is_built_once_per_key(monkeypatch):
+    specs = []
+    integrate = loopcs.chern_simons.integrate_circle
+    monkeypatch.setattr(loopcs.chern_simons, "integrate_circle",
+                        lambda f, spec: specs.append(spec) or integrate(f, spec))
+    for a in (2, 8, 2):   # certificates (a, a): 64 samples per period each
+        cs_class(builtin_family(a), CFG)
+    q = CFG.quadrature
+    assert specs[0] is specs[1] is specs[2]
+    assert specs[0] == QuadratureSpec(SAMPLES_PER_PERIOD, q.tol, q.max_refinements)
+    # and a key the ladder never takes is refused as QuadratureSpec refuses it
+    for args in ((15, 1e-8, 8), (2 ** 21, 1e-8, 8), (64, math.inf, 8), (64, 1e-8, 0)):
+        with pytest.raises(ValueError) as want:
+            QuadratureSpec(*args)
+        with pytest.raises(ValueError) as got:
+            loopcs.chern_simons._ladder_spec(*args)
+        assert str(got.value) == str(want.value)

@@ -11,7 +11,8 @@ sin/cos arrays.  Two oracles that do none of that check it: a plain
 recursive walker that makes every node a Jet2 (oracle_evaluate below),
 and central finite differences of evaluate's own values and first
 derivatives.  value_bounds must hold every value evaluate gives on a
-fine grid.  Skipped when hypothesis, which loopcs does not depend on,
+fine grid, and equal the enclosure of a recursive walk of its own
+(tests/bitwise_references.py).  Skipped when hypothesis, which loopcs does not depend on,
 is absent.
 """
 import operator
@@ -23,6 +24,7 @@ import pytest
 from loopcs.expressions import (Add, Alpha, Cos, Div, EvalDomainError, Expr, Mul,
                                 Num, ParamA, Pow, Sin, Sub, derivative, evaluate,
                                 parse_expression, value_bounds)
+from bitwise_references import reference_bounds
 from loopcs.jets import Jet2
 from loopcs.verify import random_scale_expression
 
@@ -186,6 +188,8 @@ BOUND_ALPHAS = np.concatenate([BOUND_GRID, [np.nextafter(2.0 * np.pi, 0.0), 1e-3
 
 def assert_bound_holds(e: Expr, a: int):
     bound = value_bounds(e, a)
+    # the compile walk's enclosure is the recursive walk's, bit for bit
+    assert repr(bound) == repr(reference_bounds(e, a))
     if bound is None:
         return
     lo, hi = bound

@@ -1,12 +1,15 @@
+from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from loopcs.expressions import (Add, Alpha, Div, EvalDomainError, Mul, Num, ParseError,
-                                Pow, Sub, derivative, evaluate, parse_expression,
-                                value_bounds)
-from loopcs.geometry import builtin_family
+from bitwise_references import reference_bounds, reference_tokenize
+from loopcs.expressions import (Add, Alpha, Div, EvalDomainError, Expr, Mul, Num, ParseError,
+                                Pow, Sub, _Compiler, _tokenize, derivative, evaluate,
+                                parse_expression, value_bounds)
+from loopcs.geometry import BergerMetric, builtin_family
 from loopcs.verify import random_scale_expression
 
 
@@ -171,3 +174,81 @@ def test_value_bounds_that_prove_nothing():
                 "1-2*cos(alpha-0.001)^2000000000", "1.5+sin(alpha)-0.8*sin(alpha)"):
         lo, hi = value_bounds(parse_expression(src))
         assert lo <= 0.0 < hi, src
+
+
+def test_value_bounds_match_the_recursive_walk():
+    # the compiler's enclosures against a walk of their own over the same
+    # nodes, signs of zeros included, on the cases above
+    nan = float("nan")
+    cases = [(e, 1) for e in (Mul(Num(1.0), Num(nan)), Mul(Num(nan), Num(1.0)),
+                              Mul(Alpha(), Num(nan)),
+                              parse_expression("2+sin(alpha)") * Num(nan),
+                              Add(Num(0.1), Num(0.2)), Pow(Num(-0.1), -3),
+                              Mul(Num(-0.0), Alpha()), Num(-0.0))]
+    cases += [(parse_expression(src), a) for src, a in (
+        ("a^400", 8), ("a^400-a^400", 8), ("2+sin(alpha+a^400)", 8), ("a^400", 2),
+        ("1/(a-2)", 2), ("1/(1-cos(alpha))^2", 1), ("1/(0.5+cos(alpha))", 1),
+        ("(sin(alpha))^-2", 1), ("1/(alpha-1)", 1), ("0.5+cos(alpha)", 1),
+        ("1-2*sin(512*alpha)^2", 1), ("cos(alpha)^2", 1),
+        ("1-2*cos(alpha-0.001)^2000000000", 1), ("1.5+sin(alpha)-0.8*sin(alpha)", 1),
+        ("2+(1/a)*cos(a*alpha)*sin(a*alpha)", -3), ("a", 10 ** 400), ("2", 10 ** 400))]
+    for e, a in cases:
+        assert repr(value_bounds(e, a)) == repr(reference_bounds(e, a)), (str(e), a)
+    # an a too large for a float encloses nothing, whether or not a shows
+    assert value_bounds(Num(2.0), 10 ** 400) is None
+
+
+def _nodes(e):
+    yield e
+    for f in fields(e):
+        child = getattr(e, f.name)
+        if isinstance(child, Expr):
+            yield from _nodes(child)
+
+
+def test_metric_constructor_walks_each_node_once(monkeypatch):
+    # one walk yields the jet ops, the frequencies and the enclosures
+    rational = tuple(parse_expression(src) for src in (
+        "(1.5+0.3*sin(alpha))/(2+cos(2*alpha))", "2+sin(3*alpha)^2", "1/(1.7-0.4*cos(alpha))"))
+    visits = Counter()
+    walk = _Compiler.walk
+
+    def counting(self, e):
+        visits[id(e)] += 1
+        return walk(self, e)
+
+    monkeypatch.setattr(_Compiler, "walk", counting)
+    for build in (lambda: builtin_family(8), lambda: BergerMetric(*rational)):
+        visits.clear()
+        m = build()
+        assert m.scale_bounds is not None and m.certificate is not None
+        assert visits == Counter(id(n) for e in (m.lam, m.mu, m.nu) for n in _nodes(e))
+
+
+TOKEN_SOURCES = ["", "   ", "1", "  2*alpha  ", "\t\nsin( a*alpha )\r\n",
+                 "\u00a02 +\u2003cos(alpha)\u3000", "\u2028(1.5)/.5^-2\u2029\x1c",
+                 "2 + $", "  \u00a0$", "2\u2003\u00a0é", "1 2", "sin(alpha", "3.", "1e5"]
+
+
+def test_tokenize_matches_the_reference():
+    big = " ".join(f"{n}.5*sin({n}*alpha) +" for n in range(2000)) + "\t1 \u3000"
+    for src in [*TOKEN_SOURCES, big]:
+        try:
+            want = reference_tokenize(src)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                _tokenize(src)
+            assert (got.value.position, str(got.value)) == (err.position, str(err))
+        else:
+            assert _tokenize(src) == want
+
+
+def test_whitespace_positions():
+    # leading, trailing and Unicode whitespace; the end token sits at len(src)
+    assert _tokenize("\u00a0 2\u2003") == [("number", "2", 2), ("end", "", 4)]
+    assert _tokenize(" \t") == [("end", "", 2)]
+    assert parse_expression("\u3000sin( alpha )\n") == parse_expression("sin(alpha)")
+    for src, at in (("2 + $", 4), ("\u2003\u00a0$", 2), ("alpha\u3000*\u2003#", 8)):
+        with pytest.raises(ParseError) as err:
+            parse_expression(src)
+        assert err.value.position == at and src[at] in str(err.value)
