@@ -19,14 +19,14 @@ print("Structure constants")
 print("=" * 72)
 
 m = BergerMetric(parse_expression("1"), parse_expression("2"), parse_expression("3"))
-c = structure_constants(m, 0.0).c.v
+c = structure_constants(m, 0.0).v
 print("constant scales (lam, mu, nu) = (1, 2, 3):")
 for (k, i, j) in [(2, 0, 1), (0, 1, 2), (1, 0, 2)]:
     print(f"  <[{FRAME[i]},{FRAME[j]}], {FRAME[k]}> = {c[k, i, j]:+.6f}")
 
 wobble = BergerMetric(parse_expression("1+0.1*sin(alpha)"), parse_expression("1"),
                       parse_expression("1"))
-cw = structure_constants(wobble, 0.0).c.v
+cw = structure_constants(wobble, 0.0).v
 print("\nlam = 1 + 0.1 sin(alpha) at alpha=0: the circle direction twists F1,")
 print(f"  <[F4,F1], F1> = lam'/lam = {cw[0, 3, 0]:+.6f}")
 
@@ -37,8 +37,8 @@ print("=" * 72)
 
 family = builtin_family(2)
 alpha = 0.9
-table = christoffel_table(family, alpha).gamma
-koszul = christoffel_koszul(family, alpha).gamma
+table = christoffel_table(family, alpha)
+koszul = christoffel_koszul(family, alpha)
 print(f"built-in family, a=2, alpha={alpha}:")
 print(f"  max |table - koszul| over values:        "
       f"{np.max(np.abs(table.v - koszul.v)):.2e}")
@@ -48,7 +48,7 @@ print(f"  metric compatibility max |g^k_ij+g^j_ik|: "
       f"{np.max(np.abs(table.v + np.einsum('kij->jik', table.v))):.2e}")
 
 print("\nround metric: the only surviving entries are the S^3 rotations")
-g = christoffel_table(round_metric(), 0.0).gamma.v
+g = christoffel_table(round_metric(), 0.0).v
 print(f"  gamma^3_12 = {g[2, 0, 1]:+.1f}   gamma^3_21 = {g[2, 1, 0]:+.1f}   "
       f"gamma^2_31 = {g[1, 2, 0]:+.1f}")
 
@@ -73,7 +73,7 @@ U, V, W, A, B, C = coefficients(family, 0.0)
 print("built-in family, a=2, at alpha=0 (mu=2, nu=1):")
 print(f"  U = {U:+.6f}   V = {V:+.6f}   W = {W:+.6f}")
 print(f"  A = {A:+.6f}   B = {B:+.6f}   C = {C:+.6f}")
-gd = christoffel_table(family, 0.0).gamma.d1
+gd = christoffel_table(family, 0.0).d1
 print("  (the table carries d/dalpha alongside, exactly; e.g. "
       f"U' = {(gd[0, 1, 2] + gd[1, 0, 2]) / 2.0:+.6f})")
 

@@ -176,8 +176,6 @@ def _metric_from_opts(opts: dict) -> tuple[BergerMetric, int | None]:
         if opts.get("a") is None:
             raise ConfigError("--family paper needs --a")
         a = int(opts["a"])
-        if a == 0:
-            raise ConfigError("family parameter a must be nonzero")
         return builtin_family(a), a
     if not all(exprs):
         raise ConfigError("custom metrics need all of --lambda, --mu, --nu")
@@ -432,7 +430,7 @@ def _run_sweep(opts: dict) -> int:
         a_values = [int(tok) for tok in str(opts["a"]).split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse --a list {opts['a']!r}")
-    if not a_values or any(a == 0 for a in a_values):
+    if not a_values:
         raise ConfigError("--a needs nonzero integers")
     reports = sweep(a_values, _csconfig(opts))
     if opts.get("density_out"):

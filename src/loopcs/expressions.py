@@ -6,10 +6,13 @@ outside a trig function, or as ``sin(0.5*alpha)``).  ``alpha_frequencies``
 reads a period off a tree whose every sin/cos argument is an integer
 multiple of alpha plus a constant; :class:`~loopcs.geometry.BergerMetric`
 rejects the other trees when their jets at 0 and 2*pi disagree.  Trees
-are immutable; operators on nodes build new trees (with light constant
-folding), so metric families like
-``2 + (1/a)*cos(a*alpha)*sin(a*alpha)`` can be written once and evaluated
-for any a.
+are immutable; operators on nodes build new trees, so metric families
+like ``2 + (1/a)*cos(a*alpha)*sin(a*alpha)`` can be written once and
+evaluated for any a.  The operators and the parser fold constants as they
+build: a +, -, *, / or power of Num children is a Num, and so is the
+parser's sin or cos of a Num.  Every constant subtree they build is
+therefore a Num, and a node reads only its children, never the subtrees
+below them.
 
 Evaluation returns a :class:`~loopcs.jets.Jet2`, i.e. the value and the
 first two alpha-derivatives, exactly.  ``compile_jets`` walks a tuple of
@@ -194,32 +197,6 @@ def _coerce(x) -> Expr:
     raise TypeError(f"cannot use {type(x).__name__} in an expression")
 
 
-def constant_value(e: Expr) -> Optional[float]:
-    """Fold a subtree to a number if it contains neither alpha nor a."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, (Alpha, ParamA)):
-        return None
-    if isinstance(e, (Add, Sub, Mul)):
-        l, r = constant_value(e.left), constant_value(e.right)
-        if l is None or r is None:
-            return None
-        return {Add: l + r, Sub: l - r, Mul: l * r}[type(e)]
-    if isinstance(e, Div):
-        n, d = constant_value(e.num), constant_value(e.den)
-        return None if (n is None or d is None or d == 0.0) else n / d
-    if isinstance(e, Pow):
-        b = constant_value(e.base)
-        return None if b is None else b ** e.exponent
-    if isinstance(e, Sin):
-        a = constant_value(e.arg)
-        return None if a is None else float(np.sin(a))
-    if isinstance(e, Cos):
-        a = constant_value(e.arg)
-        return None if a is None else float(np.cos(a))
-    raise TypeError(f"unknown node {type(e).__name__}")
-
-
 # 2*pi rounded up, so [0, _TWO_PI_UP] holds every alpha of the circle
 _TWO_PI_UP = math.nextafter(2.0 * math.pi, math.inf)
 _FLOAT_MAX = sys.float_info.max
@@ -322,10 +299,17 @@ def alpha_frequencies(e: Expr, a: int = 1) -> Optional[frozenset]:
 
 
 # smart constructors: fold constants and drop arithmetic identities so that
-# symbolic derivatives stay compact
+# symbolic derivatives stay compact.  A constant subtree is a Num by the
+# time a parent sees it (these fold a node of Num children, the parser's
+# _trig a sin/cos of one), so a parent reads its children's numbers and
+# never walks below them.
+
+def _number(e: Expr) -> Optional[float]:
+    return e.value if type(e) is Num else None
+
 
 def _add(l: Expr, r: Expr) -> Expr:
-    lc, rc = constant_value(l), constant_value(r)
+    lc, rc = _number(l), _number(r)
     if lc is not None and rc is not None:
         return Num(lc + rc)
     if lc == 0.0:
@@ -336,7 +320,7 @@ def _add(l: Expr, r: Expr) -> Expr:
 
 
 def _sub(l: Expr, r: Expr) -> Expr:
-    lc, rc = constant_value(l), constant_value(r)
+    lc, rc = _number(l), _number(r)
     if lc is not None and rc is not None:
         return Num(lc - rc)
     if rc == 0.0:
@@ -345,7 +329,7 @@ def _sub(l: Expr, r: Expr) -> Expr:
 
 
 def _mul(l: Expr, r: Expr) -> Expr:
-    lc, rc = constant_value(l), constant_value(r)
+    lc, rc = _number(l), _number(r)
     if lc is not None and rc is not None:
         return Num(lc * rc)
     if lc == 0.0 or rc == 0.0:
@@ -358,10 +342,10 @@ def _mul(l: Expr, r: Expr) -> Expr:
 
 
 def _div(n: Expr, d: Expr) -> Expr:
-    dc = constant_value(d)
+    dc = _number(d)
     if dc == 0.0:
         raise ValueError(f"division by the identically-zero denominator '{d}'")
-    nc = constant_value(n)
+    nc = _number(n)
     if nc is not None and dc is not None:
         return Num(nc / dc)
     if nc == 0.0:
@@ -378,12 +362,22 @@ def _pow(b: Expr, k: int) -> Expr:
         return Num(1.0)
     if k == 1:
         return b
-    bc = constant_value(b)
+    bc = _number(b)
     if bc is not None:
         if bc == 0.0 and k < 0:
             raise ValueError("zero base with negative exponent")
         return Num(bc ** k)
     return Pow(b, k)
+
+
+def _trig(kind: type, arg: Expr) -> Expr:
+    """Sin(arg) or Cos(arg), a Num when arg is one."""
+    if type(arg) is not Num:
+        return kind(arg)
+    # as the compiler folds them: a literal too large for a float is inf,
+    # whose sin is NaN, without a warning
+    with np.errstate(all="ignore"):
+        return Num(float(np.sin(arg.value) if kind is Sin else np.cos(arg.value)))
 
 
 def evaluate(e: Expr | tuple, alpha: Number, a: int = 1) -> Jet2 | tuple:
@@ -746,7 +740,7 @@ class _Parser:
             self.expect("(")
             arg = self.expr()
             self.expect(")")
-            return Sin(arg) if kind == "sin" else Cos(arg)
+            return _trig(Sin if kind == "sin" else Cos, arg)
         if kind == "(":
             self.advance()
             e = self.expr()

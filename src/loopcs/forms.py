@@ -8,7 +8,11 @@ the algebra at once.
 
 Wedge products multiply coefficient matrices (matrix product) and combine
 basis indices with the sign of the merge permutation; overlapping indices
-annihilate.  Forms are immutable values.
+annihilate.  Forms are immutable values.  MatrixForm and ScalarForm (the
+trace of a MatrixForm) share one body for storage, index checks, +, -,
+scalar * and max_abs; they differ only in the shape of a coefficient
+past the batch axes, (4, 4) or (), and MatrixForm alone has wedge and
+trace.
 """
 from __future__ import annotations
 
@@ -40,8 +44,11 @@ def merge_sign(left: Index, right: Index):
     return tuple(sorted(merged)), (-1) ** inversions
 
 
-class MatrixForm:
-    """Degree-p form with 4x4 matrix coefficients (possibly batched)."""
+class _Form:
+    """The body both form classes share: a degree-p form storing one
+    coefficient of shape batch_shape + FIBER per multi-index it holds."""
+
+    FIBER: Tuple[int, ...] = ()
 
     def __init__(self, degree: int, coeffs: Mapping[Index, np.ndarray] | None = None,
                  batch_shape: Tuple[int, ...] = ()):
@@ -50,45 +57,61 @@ class MatrixForm:
         self.degree = degree
         self._coeffs: Dict[Index, np.ndarray] = {}
         self.batch_shape = tuple(batch_shape)
-        for idx, mat in (coeffs or {}).items():
+        for idx, value in (coeffs or {}).items():
             idx = tuple(idx)
             _validate_index(idx, degree)
-            mat = np.asarray(mat)
-            if mat.shape[-2:] != (4, 4):
-                raise ValueError(f"coefficient for {idx} is not a 4x4 matrix")
-            self._coeffs[idx] = mat
-            self.batch_shape = mat.shape[:-2]
+            value = np.asarray(value)
+            batch = value.ndim - len(self.FIBER)
+            if value.shape[batch:] != self.FIBER:
+                raise ValueError(f"coefficient for {idx} does not end in shape {self.FIBER}")
+            self._coeffs[idx] = value
+            self.batch_shape = value.shape[:batch]
 
     def coeff(self, idx: Index) -> np.ndarray:
         idx = tuple(idx)
         _validate_index(idx, self.degree)
         if idx in self._coeffs:
             return self._coeffs[idx]
-        return np.zeros(self.batch_shape + (4, 4))
+        return np.zeros(self.batch_shape + self.FIBER)
 
     def indices(self):
         return sorted(self._coeffs)
 
-    def __add__(self, other: "MatrixForm") -> "MatrixForm":
+    def __add__(self, other):
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
         out = dict(self._coeffs)
-        for idx, mat in other._coeffs.items():
-            out[idx] = out[idx] + mat if idx in out else mat
-        return MatrixForm(self.degree, out, self.batch_shape or other.batch_shape)
+        for idx, value in other._coeffs.items():
+            out[idx] = out[idx] + value if idx in out else value
+        return type(self)(self.degree, out, self.batch_shape or other.batch_shape)
 
-    def __sub__(self, other: "MatrixForm") -> "MatrixForm":
+    def __sub__(self, other):
         return self + (-1.0) * other
 
-    def __mul__(self, scalar) -> "MatrixForm":
-        return MatrixForm(self.degree,
-                          {idx: mat * scalar for idx, mat in self._coeffs.items()},
+    def __mul__(self, scalar):
+        return type(self)(self.degree,
+                          {idx: value * scalar for idx, value in self._coeffs.items()},
                           self.batch_shape)
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "MatrixForm":
+    def __neg__(self):
         return (-1.0) * self
+
+    def max_abs(self) -> float:
+        if not self._coeffs:
+            return 0.0
+        return max(float(np.max(np.abs(value))) for value in self._coeffs.values())
+
+
+class ScalarForm(_Form):
+    """Degree-p form with scalar coefficients (trace output)."""
+
+
+class MatrixForm(_Form):
+    """Degree-p form with 4x4 matrix coefficients (possibly batched)."""
+
+    FIBER = (4, 4)
 
     def wedge(self, other: "MatrixForm") -> "MatrixForm":
         """Exterior product; coefficients multiply as matrices."""
@@ -106,68 +129,12 @@ class MatrixForm:
                 out[idx] = out[idx] + term if idx in out else term
         return MatrixForm(degree, out, self.batch_shape or other.batch_shape)
 
-    def trace(self) -> "ScalarForm":
+    def trace(self) -> ScalarForm:
         """Coefficient-wise matrix trace."""
         return ScalarForm(self.degree,
                           {idx: np.trace(mat, axis1=-2, axis2=-1)
                            for idx, mat in self._coeffs.items()},
                           self.batch_shape)
-
-    def max_abs(self) -> float:
-        if not self._coeffs:
-            return 0.0
-        return max(float(np.max(np.abs(mat))) for mat in self._coeffs.values())
-
-
-class ScalarForm:
-    """Degree-p form with scalar coefficients (trace output)."""
-
-    def __init__(self, degree: int, coeffs: Mapping[Index, np.ndarray] | None = None,
-                 batch_shape: Tuple[int, ...] = ()):
-        if not 0 <= degree <= 4:
-            raise ValueError("degree must lie in 0..4")
-        self.degree = degree
-        self._coeffs: Dict[Index, np.ndarray] = {}
-        self.batch_shape = tuple(batch_shape)
-        for idx, value in (coeffs or {}).items():
-            idx = tuple(idx)
-            _validate_index(idx, degree)
-            value = np.asarray(value)
-            self._coeffs[idx] = value
-            self.batch_shape = value.shape
-
-    def coeff(self, idx: Index) -> np.ndarray:
-        idx = tuple(idx)
-        _validate_index(idx, self.degree)
-        if idx in self._coeffs:
-            return self._coeffs[idx]
-        return np.zeros(self.batch_shape)
-
-    def indices(self):
-        return sorted(self._coeffs)
-
-    def __add__(self, other: "ScalarForm") -> "ScalarForm":
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degree")
-        out = dict(self._coeffs)
-        for idx, value in other._coeffs.items():
-            out[idx] = out[idx] + value if idx in out else value
-        return ScalarForm(self.degree, out, self.batch_shape or other.batch_shape)
-
-    def __mul__(self, scalar) -> "ScalarForm":
-        return ScalarForm(self.degree,
-                          {idx: value * scalar for idx, value in self._coeffs.items()},
-                          self.batch_shape)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "ScalarForm") -> "ScalarForm":
-        return self + (-1.0) * other
-
-    def max_abs(self) -> float:
-        if not self._coeffs:
-            return 0.0
-        return max(float(np.max(np.abs(value))) for value in self._coeffs.values())
 
 
 def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:

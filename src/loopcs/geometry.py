@@ -26,11 +26,17 @@ same as expressions.value_bounds) all have a positive lower end is
 positive and finite at every alpha, and is built without evaluating
 anything.  Every other metric runs its program once on a fixed
 1025-point grid, which checks positivity and finiteness there and, for
-an uncertified metric, periodicity from the jets at 0 and 2*pi.  The
-class path reads only the scale jets of one scale_jets call: its kernel
-(chern_simons.connection_trace) forms the log-rates lam'/lam and the S^3
-brackets from the (v, d1, d2) jets, evaluating no derivative tree;
-the derivatives are exact, never finite differences.
+an uncertified metric, periodicity from the jets at 0 and 2*pi.  A
+copy of a metric (pickle, copy.copy, copy.deepcopy) is rebuilt by the
+constructor from the trees and a, so it compiles its own program and is
+proved or checked as the original was; the program itself, a list of
+closures, is never pickled.  scale_jets tests positivity on real alpha
+only: complex scales are not ordered.
+
+The class path reads only the scale jets of one scale_jets call: its
+kernel (chern_simons.connection_trace) forms the log-rates lam'/lam and
+the S^3 brackets from the (v, d1, d2) jets, evaluating no derivative
+tree; the derivatives are exact, never finite differences.
 
 scale_jets is pure over immutable inputs and accepts either a scalar
 alpha or a grid of alphas, so evaluation parallelizes trivially.
@@ -39,12 +45,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .expressions import (Alpha, Cos, Div, Expr, JetProgram, Mul, Num, ParamA, Sin,
-                          Sub, compile_jets)
+from .expressions import Alpha, Cos, Div, Expr, Mul, Num, ParamA, Sin, Sub, compile_jets
 from .jets import Number
 
 # relative agreement demanded of the scale jets at alpha = 0 and 2*pi
@@ -132,26 +136,24 @@ class BergerMetric:
                 raise ValueError(f"{name} is not 2*pi-periodic: its jets at 0 and "
                                  f"2*pi differ by {gap:.3e}")
 
-    def __getstate__(self):
-        # the compiled program holds closures, which do not pickle; a copy
-        # compiles its own on first use
-        return {k: v for k, v in self.__dict__.items() if k != "_scales"}
-
-    @cached_property
-    def _scales(self) -> JetProgram:
-        # the constructor sets it; only an unpickled copy compiles here
-        return compile_jets((self.lam, self.mu, self.nu), self.a)
+    def __reduce__(self):
+        # every copy (pickle, copy, deepcopy) is rebuilt by the constructor,
+        # which compiles its own program: closures do not pickle
+        return type(self), (self.lam, self.mu, self.nu, self.a)
 
     def scale_jets(self, alpha: Number):
         """Jets of (lam, mu, nu) at alpha from one run of the program the
         trees were compiled into once, per metric.  One test checks all
         three positive there (the constructor's fixed grid can miss a fast
         oscillation); only when it fails does a per-scale pass name the
-        scale and the first alpha at fault."""
+        scale and the first alpha at fault.  Positivity is a property of
+        the real circle: complex scales, at an alpha off the real axis, are
+        not tested."""
         jets = self._scales(alpha)
         # fmin, unlike minimum, skips a NaN scale, so a negative one beside it
         # still shows
-        if (np.fmin(np.fmin(jets[0].v, jets[1].v), jets[2].v) <= 0.0).any():
+        low = np.fmin(np.fmin(jets[0].v, jets[1].v), jets[2].v)
+        if low.dtype.kind != "c" and (low <= 0.0).any():
             for name, jet in zip(("lam", "mu", "nu"), jets):
                 alphas, values = np.broadcast_arrays(alpha, jet.v)
                 if np.any(values <= 0.0):

@@ -12,7 +12,7 @@ frame labels 1..4 (see loopcs.geometry):
     c[k,i,j]     = <[F_i, F_j], F_k>
     gamma[k,i,j] = <nabla_{F_i} F_j, F_k>
 
-Both are carried as value / first-derivative arrays (Jet1).  Their
+Each is returned as one Jet1 of value / first-derivative arrays.  Their
 log-rates lam'/lam, mu'/mu, nu'/nu come from the symbolically
 differentiated scale trees (log_rate_jets), a derivative route that
 shares no code with the kernel, which reads them off the scale jets.
@@ -84,22 +84,8 @@ def _set(tensor: Jet1, k: int, i: int, j: int, value: Jet2):
     tensor.d1[..., k, i, j] = value.d1
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    """Brackets of the orthonormal frame, c[k,i,j] = <[F_i,F_j], F_k>."""
-
-    c: Jet1
-
-
-@dataclass(frozen=True)
-class ChristoffelTable:
-    """gamma[k,i,j] = <nabla_{F_i} F_j, F_k> with its exact alpha-derivative."""
-
-    gamma: Jet1
-
-
-def structure_constants(m: BergerMetric, alpha: Number) -> StructureConstants:
-    """Brackets of the scaled frame at alpha.
+def structure_constants(m: BergerMetric, alpha: Number) -> Jet1:
+    """Brackets of the orthonormal frame at alpha, c[k,i,j] = <[F_i,F_j], F_k>.
 
     [F1,F2] = (2 lam mu / nu) F3 and cyclic partners from the S^3 relations;
     brackets with F4 = d/drho pick up the scale rates, e.g.
@@ -120,10 +106,10 @@ def structure_constants(m: BergerMetric, alpha: Number) -> StructureConstants:
     for k, i, j, value in pairs:
         _set(c, k, i, j, value)
         _set(c, k, j, i, -value)
-    return StructureConstants(c)
+    return c
 
 
-def christoffel_koszul(m: BergerMetric, alpha: Number) -> ChristoffelTable:
+def christoffel_koszul(m: BergerMetric, alpha: Number) -> Jet1:
     """Christoffel symbols from the Koszul formula, structure constants only.
 
     In an orthonormal frame the inner products are constant, so
@@ -133,18 +119,19 @@ def christoffel_koszul(m: BergerMetric, alpha: Number) -> ChristoffelTable:
     Independent of :func:`christoffel_table`; the two are each other's
     correctness oracle.
     """
-    c = structure_constants(m, alpha).c
+    c = structure_constants(m, alpha)
 
     def koszul(x):
         t2 = np.einsum("...ijk->...kij", x)  # t2[k,i,j] = x[i,j,k]
         t3 = np.einsum("...jki->...kij", x)  # t3[k,i,j] = x[j,k,i]
         return 0.5 * (x - t2 + t3)
 
-    return ChristoffelTable(Jet1(koszul(c.v), koszul(c.d1)))
+    return Jet1(koszul(c.v), koszul(c.d1))
 
 
-def christoffel_table(m: BergerMetric, alpha: Number) -> ChristoffelTable:
-    """The closed-form Christoffel table of the scaled orthonormal frame.
+def christoffel_table(m: BergerMetric, alpha: Number) -> Jet1:
+    """The closed-form Christoffel table of the scaled orthonormal frame,
+    gamma[k,i,j] = <nabla_{F_i} F_j, F_k> with its exact alpha-derivative.
 
     Its twelve nonzero symbols (frame labels 1..4) are six functions of
     alpha:
@@ -176,7 +163,7 @@ def christoffel_table(m: BergerMetric, alpha: Number) -> ChristoffelTable:
         (2, 2, 3, -C), (3, 2, 2, C),
     ]:
         _set(g, k, i, j, value)
-    return ChristoffelTable(g)
+    return g
 
 
 def _transpose(x: np.ndarray) -> np.ndarray:
@@ -201,13 +188,14 @@ def sigma0_connection(m: BergerMetric, alpha: Number) -> MatrixForm:
     entries, as X_i/2 = A/2, B/2, C/2 and Y_i/2 = W, -V, U.  It is
     symmetric, which is what kills the leading-order trace Tr[sigma0^3].
     """
-    g = christoffel_table(m, alpha).gamma.v
+    g = christoffel_table(m, alpha).v
     return MatrixForm(1, {(p + 1,): 0.5 * (g[..., p] + _transpose(g[..., p]))
                           for p in range(4)}, g.shape[:-3])
 
 
-def sigma_minus1_connection_beta(table: ChristoffelTable) -> MatrixForm:
-    """Order-(-1) symbol of the connection along constant loops.
+def sigma_minus1_connection_beta(table: Jet1) -> MatrixForm:
+    """Order-(-1) symbol of the connection along constant loops, from a
+    Christoffel table (christoffel_table or christoffel_koszul).
 
     For tangents of the constant-loop S^3 (whose components are constant in
     alpha, so their alpha-derivative terms drop), the coefficient of
@@ -223,7 +211,7 @@ def sigma_minus1_connection_beta(table: ChristoffelTable) -> MatrixForm:
     every Christoffel symbol of the left-invariant frame is a function of
     alpha alone.
     """
-    g, gd = table.gamma.v, table.gamma.d1
+    g, gd = table.v, table.d1
     g4 = g[..., 3]  # g4[x,y] = gamma^x_{y 4}
     coeffs = {}
     for l in range(3):
@@ -250,7 +238,7 @@ def sigma_minus1_connection_dot(m: BergerMetric, alpha: float, direction: int,
     if direction not in (1, 2, 3, 4):
         raise ValueError("direction must be a frame label in 1..4")
     table = christoffel_table(m, float(alpha))
-    g, gd = table.gamma.v, table.gamma.d1
+    g, gd = table.v, table.d1
     l = direction - 1
     out = np.zeros((4, 4))
     for a in range(4):

@@ -72,8 +72,8 @@ def random_metric(rng: np.random.Generator) -> BergerMetric:
 def _table_max_diff(m: BergerMetric, alphas) -> float:
     t = christoffel_table(m, alphas)
     k = christoffel_koszul(m, alphas)
-    return max(float(np.max(np.abs(t.gamma.v - k.gamma.v))),
-               float(np.max(np.abs(t.gamma.d1 - k.gamma.d1))))
+    return max(float(np.max(np.abs(t.v - k.v))),
+               float(np.max(np.abs(t.d1 - k.d1))))
 
 
 def check_jet_finite_differences(rng: np.random.Generator) -> CheckResult:
@@ -143,7 +143,7 @@ def check_metric_compatibility(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _ in range(40):
         m = random_metric(rng)
-        g = christoffel_table(m, rng.uniform(0.0, TWO_PI, 5)).gamma.v
+        g = christoffel_table(m, rng.uniform(0.0, TWO_PI, 5)).v
         worst = max(worst, float(np.max(np.abs(g + np.einsum("...kij->...jik", g)))))
     return CheckResult("metric compatibility", worst < 1e-12,
                        f"max |gamma^k_ij + gamma^j_ik| {worst:.2e} (tol 1e-12)")
@@ -154,8 +154,8 @@ def check_torsion_freedom(rng: np.random.Generator) -> CheckResult:
     for _ in range(40):
         m = random_metric(rng)
         alphas = rng.uniform(0.0, TWO_PI, 5)
-        g = christoffel_table(m, alphas).gamma.v
-        c = structure_constants(m, alphas).c.v
+        g = christoffel_table(m, alphas).v
+        c = structure_constants(m, alphas).v
         torsion = g - np.einsum("...kij->...kji", g) - c
         worst = max(worst, float(np.max(np.abs(torsion))))
     return CheckResult("torsion freedom", worst < 1e-12,
@@ -168,7 +168,7 @@ def check_jacobi_identity(rng: np.random.Generator) -> CheckResult:
     for _ in range(40):
         m = random_metric(rng)
         sc = structure_constants(m, rng.uniform(0.0, TWO_PI, 5))
-        c, cd = sc.c.v, sc.c.d1
+        c, cd = sc.v, sc.d1
         t = np.einsum("...mij,...nmk->...nijk", c, c)
         d = np.zeros_like(t)
         d[..., :, :, :, 3] = cd

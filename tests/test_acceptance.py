@@ -113,14 +113,14 @@ def test_criterion_06_christoffel_oracle_equivalence():
     for _ in range(200):
         m = random_metric(rng)
         alpha = float(rng.uniform(0.0, 2.0 * np.pi))
-        table = christoffel_table(m, alpha).gamma
-        koszul = christoffel_koszul(m, alpha).gamma
+        table = christoffel_table(m, alpha)
+        koszul = christoffel_koszul(m, alpha)
         worst_pair = max(worst_pair,
                          float(np.max(np.abs(table.v - koszul.v))),
                          float(np.max(np.abs(table.d1 - koszul.d1))))
         worst_compat = max(worst_compat, float(np.max(np.abs(
             table.v + np.einsum("kij->jik", table.v)))))
-        c = structure_constants(m, alpha).c.v
+        c = structure_constants(m, alpha).v
         worst_torsion = max(worst_torsion, float(np.max(np.abs(
             table.v - np.einsum("kij->kji", table.v) - c))))
     ok = worst_pair < 1e-12 and worst_compat < 1e-12 and worst_torsion < 1e-12

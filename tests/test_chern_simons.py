@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -660,6 +661,18 @@ def test_connection_trace_keeps_the_signs_of_zeros():
         got, want = connection_trace(*scales), cyclic_connection_trace(*scales)
     assert_same_bits(got, want)
     assert np.count_nonzero(want == 0.0) > 1000
+
+
+def test_density_off_the_real_axis_is_not_tested_for_positivity():
+    # complex scales are not ordered: the density is Re kappa times the
+    # trace of the program's jets, with no warning and no positivity error
+    m = builtin_family(8)
+    alpha = np.linspace(0, 2 * np.pi, 65) + 0.5j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cs_density(m, CFG, alpha)
+        want = _constant_chain(CFG.s).real * connection_trace(*m._scales(alpha))
+    assert_same_bits(got, want)
 
 
 def test_density_takes_lists_and_tuples_of_any_length():

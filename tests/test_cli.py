@@ -196,6 +196,16 @@ def test_config_errors():
     assert run(["compute", "--lambda", "1", "--mu", "1", "--nu", "cos(alpha)"]) == 1
 
 
+@pytest.mark.parametrize("argv", [["compute", "--family", "paper", "--a", "0"],
+                                  ["sweep", "--a", "2,0"], ["sweep", "--a", ","]])
+def test_zero_or_no_family_parameter_is_one_error_line(capsys, argv):
+    # builtin_family rejects a = 0 and sweep builds every metric before it
+    # prints, so the run writes one error line and nothing else
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_bad_metrics_exit_codes(capsys):
     cases = [
         (["--lambda", "1+0.1*alpha", "--mu", "1", "--nu", "2-cos(alpha)"], 1, "error:"),

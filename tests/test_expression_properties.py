@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from loopcs.expressions import (Add, Alpha, Cos, Div, EvalDomainError, Expr, Mul,
-                                Num, ParamA, Pow, Sin, Sub, derivative, evaluate,
+                                Num, ParamA, Pow, Sin, Sub, _trig, derivative, evaluate,
                                 parse_expression, value_bounds)
 from bitwise_references import reference_bounds
 from loopcs.jets import Jet2
@@ -50,7 +50,7 @@ def constants(e: Expr):
 @st.composite
 def trees(draw, numbers, depth=4, safe=False):
     """Trees built like the parser builds them, through the folding
-    operators.  safe=True keeps every denominator at least 1 in absolute
+    operators and the parser's sin/cos fold.  safe=True keeps every denominator at least 1 in absolute
     value and every power positive, so values stay moderate."""
     leaf = st.one_of(numbers.map(Num), st.just(Alpha()), st.just(ParamA()))
     if depth == 0 or draw(st.integers(0, 3)) == 0:
@@ -58,7 +58,7 @@ def trees(draw, numbers, depth=4, safe=False):
     sub = trees(numbers, depth - 1, safe)
     kind = draw(st.sampled_from(["+", "-", "*", "/", "^", "sin", "cos", "neg"]))
     if kind in ("sin", "cos"):
-        return (Sin if kind == "sin" else Cos)(draw(sub))
+        return _trig(Sin if kind == "sin" else Cos, draw(sub))
     if kind == "neg":
         return -draw(sub)
     if kind == "^":
@@ -70,7 +70,7 @@ def trees(draw, numbers, depth=4, safe=False):
             hypothesis.reject()
     left, right = draw(sub), draw(sub)
     if kind == "/" and safe:
-        right = Num(draw(st.sampled_from([1.5, 2.0, 3.0]))) + Sin(right) ** 2
+        right = Num(draw(st.sampled_from([1.5, 2.0, 3.0]))) + _trig(Sin, right) ** 2
     try:
         return BINARY[kind](left, right)
     except (ValueError, OverflowError):

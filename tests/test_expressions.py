@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 
 from bitwise_references import reference_bounds, reference_tokenize
-from loopcs.expressions import (Add, Alpha, Div, EvalDomainError, Expr, Mul, Num, ParseError,
-                                Pow, Sub, _Compiler, _tokenize, derivative, evaluate,
-                                parse_expression, value_bounds)
+from loopcs.expressions import (Add, Alpha, Div, EvalDomainError, Expr, Mul, Num, ParamA,
+                                ParseError, Pow, Sub, _Compiler, _tokenize, derivative,
+                                evaluate, parse_expression, value_bounds)
 from loopcs.geometry import BergerMetric, builtin_family
 from loopcs.verify import random_scale_expression
 
@@ -223,6 +224,32 @@ def test_metric_constructor_walks_each_node_once(monkeypatch):
         m = build()
         assert m.scale_bounds is not None and m.certificate is not None
         assert visits == Counter(id(n) for e in (m.lam, m.mu, m.nu) for n in _nodes(e))
+
+
+CONSTANT_SOURCES = ["2+sin(1)*cos(alpha)", "sin(1+2)", "cos(sin(0.5))*alpha",
+                    "(1/3)^2*a + sin(2)/cos(1)", "-sin(-(1))", "2^-1*alpha + cos(0)",
+                    "1/(2+sin(1))+alpha", "sin(alpha)^2 + cos(2)^2*(alpha-sin(3))",
+                    "sin(cos(a*alpha)*sin(1))", "(1.5+0.3*sin(alpha))/(2+cos(2*alpha))",
+                    "2+(1/a)*cos(a*alpha)*sin(a*alpha)"]
+
+
+def test_constant_subtrees_are_numbers():
+    # the operators fold Num children and the parser folds sin/cos of a
+    # Num, so no parent needs to walk a constant subtree to fold it
+    rng = np.random.default_rng(23)
+    sources = CONSTANT_SOURCES + [str(random_scale_expression(rng)) for _ in range(20)]
+    for src in sources:
+        for node in _nodes(parse_expression(src)):
+            if not any(isinstance(n, (Alpha, ParamA)) for n in _nodes(node)):
+                assert type(node) is Num, (src, node)
+    assert (parse_expression("2+sin(1)*cos(alpha)")
+            == parse_expression(f"2+{float(np.sin(1.0))!r}*cos(alpha)"))
+    # a literal past the float range is inf, whose sin is NaN: folded as
+    # the compiler folds it, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = parse_expression("sin(1" + "0" * 400 + ")*alpha")
+    assert type(e) is Mul and type(e.left) is Num and np.isnan(e.left.value)
 
 
 TOKEN_SOURCES = ["", "   ", "1", "  2*alpha  ", "\t\nsin( a*alpha )\r\n",

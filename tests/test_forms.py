@@ -50,6 +50,13 @@ def test_index_validation():
         MatrixForm(1, {(5,): IDENTITY})
     with pytest.raises(ValueError):
         MatrixForm(2, {(1,): IDENTITY})
+    for coeff in (np.ones(4), np.ones((4, 3)), np.ones((2, 4, 3)), 1.0):
+        with pytest.raises(ValueError):
+            MatrixForm(1, {(1,): coeff})
+    # a scalar form's coefficients are all batch axes
+    assert ScalarForm(1, {(2,): np.ones((2, 4))}).batch_shape == (2, 4)
+    assert ScalarForm(1, {(2,): np.ones((2, 4))}).coeff((3,)).shape == (2, 4)
+    assert MatrixForm(1, {(2,): np.ones((3, 4, 4))}).coeff((3,)).shape == (3, 4, 4)
 
 
 def test_trace_of_identity_coefficient():

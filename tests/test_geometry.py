@@ -1,8 +1,10 @@
+import copy
 import pickle
 
 import numpy as np
 import pytest
 
+import loopcs.geometry
 from loopcs.expressions import alpha_frequencies, parse_expression, value_bounds
 from loopcs.geometry import BergerMetric, builtin_family, round_metric
 from loopcs.oracle import (christoffel_koszul, christoffel_table, log_rate_jets,
@@ -20,7 +22,7 @@ def metric(lam="1", mu="1", nu="1"):
 # ---------------------------------------------------------------- structure
 
 def test_round_metric_brackets():
-    c = structure_constants(round_metric(), 0.3).c.v
+    c = structure_constants(round_metric(), 0.3).v
     assert c[2, 0, 1] == 2.0      # c^3_12
     assert c[0, 1, 2] == 2.0      # c^1_23
     assert c[1, 0, 2] == -2.0     # c^2_13
@@ -29,13 +31,13 @@ def test_round_metric_brackets():
 
 
 def test_constant_scales_bracket():
-    c = structure_constants(metric("1", "2", "3"), 1.0).c.v
+    c = structure_constants(metric("1", "2", "3"), 1.0).v
     assert abs(c[2, 0, 1] - 4.0 / 3.0) < 1e-15  # 2 lam mu / nu
 
 
 def test_circle_bracket_picks_up_scale_rate():
     m = metric("1+0.1*sin(alpha)", "1", "1")
-    c = structure_constants(m, 0.0).c
+    c = structure_constants(m, 0.0)
     assert abs(c.v[0, 3, 0] - 0.1) < 1e-15  # c^1_41 = lam'/lam = 0.1 at 0
     assert c.v[1, 3, 1] == 0.0 and c.v[2, 3, 2] == 0.0
 
@@ -43,7 +45,7 @@ def test_circle_bracket_picks_up_scale_rate():
 def test_antisymmetry_and_jacobi():
     rng = np.random.default_rng(3)
     m = builtin_family(3)
-    c = structure_constants(m, rng.uniform(0, 2 * np.pi, 7)).c.v
+    c = structure_constants(m, rng.uniform(0, 2 * np.pi, 7)).v
     assert np.max(np.abs(c + np.einsum("...kij->...kji", c))) == 0.0
     result = check_jacobi_identity(np.random.default_rng(20240))
     assert result.passed, result.detail
@@ -52,7 +54,7 @@ def test_antisymmetry_and_jacobi():
 # -------------------------------------------------------------- christoffel
 
 def test_round_metric_koszul():
-    g = christoffel_koszul(round_metric(), 0.0).gamma.v
+    g = christoffel_koszul(round_metric(), 0.0).v
     assert g[2, 0, 1] == 1.0    # gamma^3_12
     assert g[2, 1, 0] == -1.0   # gamma^3_21
     assert g[1, 2, 0] == 1.0    # gamma^2_31
@@ -63,7 +65,7 @@ def test_round_metric_koszul():
 
 
 def test_constant_scales_table_values():
-    g = christoffel_table(metric("1", "2", "3"), 0.5).gamma.v
+    g = christoffel_table(metric("1", "2", "3"), 0.5).v
     assert abs(g[2, 0, 1] - (-23.0 / 6.0)) < 1e-14   # (4 - 36 + 9)/6
     assert abs(g[2, 1, 0] - (-31.0 / 6.0)) < 1e-14   # (-4 - 36 + 9)/6
     # torsion against the bracket: gamma^3_12 - gamma^3_21 = c^3_12 = 4/3
@@ -75,7 +77,7 @@ def test_constant_scales_table_values():
 
 def test_scale_rate_entries():
     m = metric("1", "2+0.25*cos(2*alpha)*sin(2*alpha)", "2-cos(2*alpha)")
-    g = christoffel_table(m, 0.0).gamma.v
+    g = christoffel_table(m, 0.0).v
     assert g[0, 0, 3] == 0.0  # gamma^1_14 = -lam'/lam = 0 (lam = 1)
     # mu = 2 + (1/8) sin(4 alpha): mu'(0) = 1/2, mu(0) = 2, B = 1/4
     assert abs(g[1, 1, 3] - (-0.25)) < 1e-14   # gamma^2_24 = -B
@@ -83,7 +85,7 @@ def test_scale_rate_entries():
 
 
 def test_sparsity_pattern():
-    g = christoffel_table(builtin_family(5), 1.1).gamma.v
+    g = christoffel_table(builtin_family(5), 1.1).v
     assert np.max(np.abs(g[:, 3, :])) == 0.0   # gamma^i_4j and gamma^i_44
     assert np.max(np.abs(g[3, :, 3])) == 0.0   # gamma^4_j4
 
@@ -114,7 +116,7 @@ def test_coefficient_values_constant_scales():
     # V = mu^2 (nu^2 - lam^2) / (lam mu nu): the combination the Christoffel
     # table produces, -(gamma^1_32 + gamma^3_12)/2 = -(-41/6 - 23/6)/2 = 16/3,
     # here from the Koszul route
-    g = christoffel_koszul(metric("1", "2", "3"), 0.7).gamma.v
+    g = christoffel_koszul(metric("1", "2", "3"), 0.7).v
     assert abs(V - 16.0 / 3.0) < 1e-14
     assert abs(V - (-(g[0, 2, 1] + g[2, 0, 1]) / 2.0)) < 1e-14
     assert A == B == C == 0.0
@@ -200,6 +202,30 @@ def test_metric_pickles_without_its_compiled_programs():
                                                         (want.v, want.d1, want.d2)))
 
 
+@pytest.mark.parametrize("build", [lambda: builtin_family(8),
+                                   lambda: metric("1.5+sin(alpha)-0.8*sin(alpha)")])
+@pytest.mark.parametrize("duplicate", [lambda m: pickle.loads(pickle.dumps(m)),
+                                       copy.copy, copy.deepcopy])
+def test_every_copy_is_rebuilt_by_the_constructor(monkeypatch, build, duplicate):
+    # a proved metric and a grid-checked one: each copy compiles its trees
+    # once, as the constructor does, and nothing compiled is pickled
+    m = build()
+    assert (m.scale_bounds is None) == (m.a == 1)   # the family is proved, the other sampled
+    compiled = []
+    compile_jets = loopcs.geometry.compile_jets
+    monkeypatch.setattr(loopcs.geometry, "compile_jets",
+                        lambda *args: compiled.append(args) or compile_jets(*args))
+    twin = duplicate(m)
+    assert len(compiled) == 1 and twin is not m
+    assert twin == m and (twin.certificate, twin.scale_bounds) == (m.certificate, m.scale_bounds)
+    assert twin._scales is not m._scales
+    grid = np.linspace(0.0, 2 * np.pi, 65)
+    for got, want in zip(twin.scale_jets(grid), m.scale_jets(grid)):
+        for x, y in zip((got.v, got.d1, got.d2), (want.v, want.d1, want.d2)):
+            assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+    assert b"JetProgram" not in pickle.dumps(m)
+
+
 def test_family_parameter_zero_rejected():
     with pytest.raises(ValueError):
         builtin_family(0)
@@ -208,8 +234,8 @@ def test_family_parameter_zero_rejected():
 def test_batched_tables_match_pointwise():
     m = builtin_family(2)
     alphas = np.linspace(0.0, 2 * np.pi, 9)
-    batched = christoffel_table(m, alphas).gamma
+    batched = christoffel_table(m, alphas)
     for i, alpha in enumerate(alphas):
-        single = christoffel_table(m, float(alpha)).gamma
+        single = christoffel_table(m, float(alpha))
         assert np.allclose(batched.v[i], single.v, atol=1e-15)
         assert np.allclose(batched.d1[i], single.d1, atol=1e-15)

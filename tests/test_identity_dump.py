@@ -28,10 +28,12 @@ def test_two_runs_write_identical_bytes(tmp_path):
     assert dumps[0] == dumps[1]
     lines = dumps[0].decode().splitlines()
     assert len(lines) > 50 and len(set(lines)) == len(lines)
-    # the quick corpus covers densities, report fields, scale bounds and the CLI
+    # the quick corpus covers densities, report fields, scale bounds, copies
+    # of metrics, parsed trees and the CLI
     for item in ("family a=2 | density grid 8192 |", "family a=8 | report.integral |",
-                 "round | scale_bounds |", "cli sweep --a 2,8 --samples 16",
-                 "| file density_a8.csv |"):
+                 "round | scale_bounds |", "round | pickled scale_jets |",
+                 "family a=8 | deep-copied certificate |", "tree ",
+                 "cli sweep --a 2,8 --samples 16", "| file density_a8.csv |"):
         assert any(item in line for line in lines), item
 
 

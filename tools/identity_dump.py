@@ -13,12 +13,16 @@ Corpus:
 - metrics: the built-in family for a in {1, 2, 3, 8, 32, 256, 4096, -3},
   the 24 custom_cli metrics of seeds 1-3 (perfbench/workloads.py next to
   this script, so both checkouts see the same corpus), the round metric
-  and a rational metric; per metric its certificate and scale_bounds;
+  and a rational metric; per metric its certificate and scale_bounds, and
+  the certificate, scale_bounds and scale jets on a 65-point grid of a
+  pickled-and-reloaded copy and of a deep copy;
 - cs_density of each metric on uniform grids of 2, 65, 4097, 8192 and
   2^15+1 points over [0, 2*pi], on a scalar, a 0-d and a 2-D alpha, and on
   complex alpha on and off the real axis;
 - every cs_class report field, the report grid and its densities included,
   and the report's repr;
+- the repr of the parsed tree of each of the 696 custom_cli expressions
+  of seeds 1-29;
 - CLI exit code, stdout, stderr and output bytes of ``compute`` (paper and
   custom metrics) and ``sweep``, with and without --report-out and
   --density-out, run in a fresh directory under relative file names.
@@ -26,15 +30,17 @@ Corpus:
 An array is written as its dtype, shape and the SHA-256 of its bytes, so
 signed zeros count; a float as float.hex; an evaluation that raises as
 its exception type and message.  --quick takes a small corpus (a few
-metrics, grids and CLI runs) for a fast self-check.
+metrics, grids, trees and CLI runs) for a fast self-check.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import hashlib
 import io
 import os
+import pickle
 import sys
 import tempfile
 from pathlib import Path
@@ -46,6 +52,7 @@ PERFBENCH = TOOLS.parent / "perfbench"
 
 FAMILY = (1, 2, 3, 8, 32, 256, 4096, -3)
 CUSTOM_SEEDS = (1, 2, 3)
+TREE_SEEDS = tuple(range(1, 30))
 RATIONAL = ("(1.5+0.3*sin(alpha))/(2+cos(2*alpha))", "2+sin(3*alpha)^2",
             "1/(1.7-0.4*cos(alpha))")
 GRID_SIZES = (2, 65, 4097, 8192, 2 ** 15 + 1)
@@ -129,6 +136,7 @@ def metric_lines(loopcs, metrics, grids):
             continue
         yield f"{name} | certificate | {fingerprint(m.certificate)}"
         yield f"{name} | scale_bounds | {fingerprint(m.scale_bounds)}"
+        yield from copy_lines(name, m)
         for grid_name, alpha in grids:
             f = attempt(loopcs.cs_density, m, cfg, alpha)
             yield f"{name} | density {grid_name} | {fingerprint(f)}"
@@ -141,6 +149,33 @@ def metric_lines(loopcs, metrics, grids):
                       "samples_evaluated", "alphas", "densities"):
             yield f"{name} | report.{field} | {fingerprint(getattr(report, field))}"
         yield f"{name} | report repr | {fingerprint(repr(report).encode())}"
+
+
+COPIES = (("pickled", lambda m: pickle.loads(pickle.dumps(m))), ("deep-copied", copy.deepcopy))
+JET_GRID = np.linspace(0.0, 2.0 * np.pi, 65)
+
+
+def copy_lines(name, m):
+    for how, duplicate in COPIES:
+        twin = attempt(duplicate, m)
+        if isinstance(twin, Exception):
+            yield f"{name} | {how} | {fingerprint(twin)}"
+            continue
+        yield f"{name} | {how} certificate | {fingerprint(twin.certificate)}"
+        yield f"{name} | {how} scale_bounds | {fingerprint(twin.scale_bounds)}"
+        jets = attempt(twin.scale_jets, JET_GRID)
+        if not isinstance(jets, Exception):
+            jets = tuple((j.v, j.d1, j.d2) for j in jets)
+        yield f"{name} | {how} scale_jets | {fingerprint(jets)}"
+
+
+def tree_lines(loopcs, quick: bool):
+    items = custom_items(TREE_SEEDS[:1])[:2] if quick else custom_items(TREE_SEEDS)
+    for lam, mu, nu, _, _ in items:
+        for src in (lam, mu, nu):
+            tree = attempt(loopcs.parse_expression, src)
+            text = fingerprint(tree) if isinstance(tree, Exception) else repr(tree)
+            yield f"tree {src} | {text}"
 
 
 def cli_runs(quick: bool) -> list:
@@ -192,7 +227,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     loopcs = import_checkout(args.checkout)
     metrics, grids = corpus(loopcs, args.quick)
-    lines = [*metric_lines(loopcs, metrics, grids), *cli_lines(loopcs, args.quick)]
+    lines = [*metric_lines(loopcs, metrics, grids), *tree_lines(loopcs, args.quick),
+             *cli_lines(loopcs, args.quick)]
     args.out.write_text("\n".join(lines) + "\n")
     print(f"{len(lines)} items written to {args.out}")
     return 0
