@@ -397,14 +397,14 @@ def test_huge_s_class_value_has_no_resolved_fraction():
 
 @pytest.mark.xfail(strict=True, reason="the verdict reads only integrality_tol, not "
                    "the quadrature error or the class value's float spacing "
-                   "(ROADMAP item 2): mod Z 0.5 here is called nontrivial")
+                   "(ROADMAP item 1): mod Z 0.5 here is called nontrivial")
 def test_huge_s_verdict_is_not_nontrivial():
     report, _ = _huge_s_class()
     assert report.verdict == "indeterminate"
 
 
 @pytest.mark.xfail(strict=True, raises=QuadratureConvergenceError,
-                   reason="the ladder's tol is absolute (ROADMAP item 2): two "
+                   reason="the ladder's tol is absolute (ROADMAP item 1): two "
                    "estimates of ~2.2e12 that agree to ~1e-13 relative never "
                    "differ by less than 1e-8")
 def test_large_integral_ladder_converges():

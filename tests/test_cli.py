@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopcs.cli
+from loopcs import verify
 from loopcs.chern_simons import CSConfig, ResidueConventionError, cs_class
 from loopcs.cli import main
 from loopcs.expressions import parse_expression
@@ -660,3 +661,23 @@ def test_verify_subcommand(capsys):
     assert run(["verify"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_counts_a_raising_check_as_failed(monkeypatch, capsys):
+    # every line is printed and verify exits 4; each result's passed is a
+    # bool, which json.dumps takes
+    def check_raises(rng):
+        raise KeyError("no such table")
+
+    checks = list(verify.ALL_CHECKS)
+    monkeypatch.setattr(verify, "ALL_CHECKS", checks[:1] + [check_raises] + checks[1:])
+    results, run_check = [], verify.run_check
+    monkeypatch.setattr(verify, "run_check",
+                        lambda check, seed: results.append(run_check(check, seed)) or results[-1])
+    assert run(["verify"]) == loopcs.cli.EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "FAIL  check_raises: raised KeyError: 'no such table'"
+    assert [line[:4] for line in lines[:-1]] == ["PASS", "FAIL"] + ["PASS"] * (len(checks) - 1)
+    assert lines[-1] == f"{len(checks)}/{len(checks) + 1} checks passed"
+    assert [type(r.passed) for r in results] == [bool] * (len(checks) + 1)
+    json.dumps([r.passed for r in results])
