@@ -36,7 +36,9 @@ over alpha grids; every density sample passes through it.  A 1-D grid of
 at least 2 * BLOCK points is evaluated in len // BLOCK equal blocks of
 BLOCK to 2 * BLOCK - 1 points, each written in place into one output
 array: the kernel's temporaries then stay small enough to be reused from
-block to block instead of freshly mapped and page-faulted on every call.
+block to block instead of freshly mapped and page-faulted on every call,
+and more than half of its operations write into a temporary of the same
+block that is still in cache (connection_trace).
 Every kernel step is elementwise, so the samples are bit-identical to a
 whole-grid evaluation.  An error in any block falls back to that whole-grid
 evaluation, so the error names the grid's first failing scale and alpha,
@@ -223,6 +225,23 @@ def connection_trace(lam: Jet2, mu: Jet2, nu: Jet2):
     operations as the cyclic loop of the derivation, so a float trace is
     bit-identical to it; the + 0.0 keeps that loop's 0 start, which makes
     a sum of three -0.0 terms +0.0.
+
+    An operation whose left operand is a temporary of this function that
+    dies there writes its result into it by augmented assignment
+    (t -= Y2 * Y3, t *= r): 40 of the 75 operations reuse an array that is
+    already in cache instead of a fresh one.  Two rules keep the bits:
+    only the left operand is written into, and every operation keeps its
+    left and right operand (complex multiplication is not bitwise
+    commutative), so P1 * (X23 - X1) still allocates; and no scale
+    component is written into, since the jet program shares arrays
+    between jets and lam, mu, nu may be one jet.  On a float, a numpy
+    scalar or a symbolic temporary the assignment rebinds, so the result
+    types stay those of the plain expression.  The writes rely on what
+    one scale_jets call gives: array components of one shape and dtype.
+    Scales of different grids raise ValueError, and a float64 scale
+    beside float32 ones gives a float32 trace, where the cyclic loop
+    broadcasts and widens: no check guards this, because the 65-sample
+    pass of a class value pays for every Python step.
     """
     X1 = lam.d1 / lam.v
     X2 = mu.d1 / mu.v
@@ -230,31 +249,75 @@ def connection_trace(lam: Jet2, mu: Jet2, nu: Jet2):
     X23 = X2 + X3
     X31 = X3 + X1
     X12 = X1 + X2
-    P1 = mu.v * nu.v / lam.v
-    P2 = nu.v * lam.v / mu.v
-    P3 = lam.v * mu.v / nu.v
+    P1 = mu.v * nu.v
+    P1 /= lam.v
+    P2 = nu.v * lam.v
+    P2 /= mu.v
+    P3 = lam.v * mu.v
+    P3 /= nu.v
     dP1 = P1 * (X23 - X1)
     dP2 = P2 * (X31 - X2)
     dP3 = P3 * (X12 - X3)
     Y1 = P2 - P3
-    Y1 = Y1 + Y1
+    Y1 += Y1
     Y2 = P3 - P1
-    Y2 = Y2 + Y2
+    Y2 += Y2
     Y3 = P1 - P2
-    Y3 = Y3 + Y3
-    a = X23 * P1 + dP2 + dP3
+    Y3 += Y3
+    # T1 = (X2 X3 - Y2 Y3)(a + a) + (Y2 X3 - X2 Y3)(lam''/lam - b X1)
+    a = X23 * P1
+    a += dP2
+    a += dP3
     b = X1 + X1
-    T1 = ((X2 * X3 - Y2 * Y3) * (a + a)
-          + (Y2 * X3 - X2 * Y3) * (lam.d2 / lam.v - b * X1))
-    a = X31 * P2 + dP3 + dP1
+    T1 = X2 * X3
+    T1 -= Y2 * Y3
+    a += a
+    T1 *= a
+    t = Y2 * X3
+    t -= X2 * Y3
+    r = lam.d2 / lam.v
+    b *= X1
+    r -= b
+    t *= r
+    T1 += t
+    # T2 = (X3 X1 - Y3 Y1)(a + a) + (Y3 X1 - X3 Y1)(mu''/mu - b X2)
+    a = X31 * P2
+    a += dP3
+    a += dP1
     b = X2 + X2
-    T2 = ((X3 * X1 - Y3 * Y1) * (a + a)
-          + (Y3 * X1 - X3 * Y1) * (mu.d2 / mu.v - b * X2))
-    a = X12 * P3 + dP1 + dP2
+    T2 = X3 * X1
+    T2 -= Y3 * Y1
+    a += a
+    T2 *= a
+    t = Y3 * X1
+    t -= X3 * Y1
+    r = mu.d2 / mu.v
+    b *= X2
+    r -= b
+    t *= r
+    T2 += t
+    # T3 = (X1 X2 - Y1 Y2)(a + a) + (Y1 X2 - X1 Y2)(nu''/nu - b X3)
+    a = X12 * P3
+    a += dP1
+    a += dP2
     b = X3 + X3
-    T3 = ((X1 * X2 - Y1 * Y2) * (a + a)
-          + (Y1 * X2 - X1 * Y2) * (nu.d2 / nu.v - b * X3))
-    return (T1 + T2 + T3 + 0.0) * 0.25
+    T3 = X1 * X2
+    T3 -= Y1 * Y2
+    a += a
+    T3 *= a
+    t = Y1 * X2
+    t -= X1 * Y2
+    r = nu.d2 / nu.v
+    b *= X3
+    r -= b
+    t *= r
+    T3 += t
+    # (T1 + T2 + T3 + 0.0) * 0.25
+    T1 += T2
+    T1 += T3
+    T1 += 0.0
+    T1 *= 0.25
+    return T1
 
 
 def _constant_chain(s: float) -> complex:

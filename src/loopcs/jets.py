@@ -6,6 +6,25 @@ Leibniz and chain rules exactly, so derivative information never degrades
 through the rational/trigonometric formulas built on top.  Components may
 be floats or numpy arrays of matching shape (evaluation on a grid of
 alpha values is just arithmetic on arrays).
+
+An operation never writes into its operands' components: a compiled jet
+program shares arrays between jets (a constant sum passes d1 and d2
+through, a sin/cos pair's jets share its two arrays).  The product, the
+one jet operation the built-in family's program runs per grid block,
+writes into its own temporaries instead: a temporary that is the left
+operand of its last use takes the result by augmented assignment
+(d1 = self.d1 * o.v; d1 += self.v * o.d1), with the same operands in the
+same order as the one-line formula, so the bits are the same and a grid
+product allocates two fewer arrays.  On a float, a numpy scalar or a
+symbolic component the assignment rebinds.  The writes need each
+temporary to have the shape and dtype of the result already, which holds
+when each jet's array components share one shape and dtype (jets of
+different grids then broadcast, and a real jet meets a complex one), and
+when all arrays of both jets do, as in one evaluation on one grid.  A
+jet with a Python number beside an array (a jet linear in alpha has
+d1 = k, d2 = 0.0) times a jet of another grid raises ValueError, and
+times a jet of a wider dtype (float64 against float32) it is cast to the
+narrower one, where the one-line formula broadcast and widened.
 """
 from __future__ import annotations
 
@@ -62,11 +81,13 @@ class Jet2:
     def __mul__(self, other):
         o = Jet2._coerce(other)
         twice = self.d1 + self.d1   # 2 * d1, without a Python number operand
-        return Jet2(
-            self.v * o.v,
-            self.d1 * o.v + self.v * o.d1,
-            self.d2 * o.v + twice * o.d1 + self.v * o.d2,
-        )
+        v = self.v * o.v
+        d1 = self.d1 * o.v
+        d1 += self.v * o.d1
+        d2 = self.d2 * o.v
+        d2 += twice * o.d1   # twice holds self's shape and dtype only
+        d2 += self.v * o.d2
+        return Jet2(v, d1, d2)
 
     __rmul__ = __mul__
 

@@ -223,7 +223,7 @@ def sigma_minus1_connection_beta(table: Jet1) -> MatrixForm:
 
 
 def sigma_minus1_connection_dot(m: BergerMetric, alpha: float, direction: int,
-                                xdot=None) -> np.ndarray:
+                                xdot=None, table: Jet1 | None = None) -> np.ndarray:
     """Order-(-1) symbol applied to a single frame vector, with drift terms.
 
     direction is the frame label (1..4) of the vector X; xdot is the
@@ -232,12 +232,19 @@ def sigma_minus1_connection_dot(m: BergerMetric, alpha: float, direction: int,
     coefficient on xdot^l is gamma[a,b,l] + gamma[b,a,l], i.e. twice the
     psi^l coefficient matrix of the order-0 symbol.
 
+    table is christoffel_table(m, alpha) when the caller already holds it,
+    as check_sigma_minus1_routes does; nothing checks that it matches m and
+    alpha.  The None default builds it here: demos call the route with m
+    and alpha alone, and so does verify.py of earlier revisions, whose
+    suites `python tests/test_mutants.py REV` replays on this package.
+
     Deliberately written as plain loops over the index sums: this is the
     independent cross-check for the vectorized beta-restricted route.
     """
     if direction not in (1, 2, 3, 4):
         raise ValueError("direction must be a frame label in 1..4")
-    table = christoffel_table(m, float(alpha))
+    if table is None:
+        table = christoffel_table(m, float(alpha))
     g, gd = table.v, table.d1
     l = direction - 1
     out = np.zeros((4, 4))

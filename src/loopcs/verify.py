@@ -165,9 +165,10 @@ def check_sigma_minus1_routes(rng: np.random.Generator) -> CheckResult:
     for _ in range(200):
         m = random_metric(rng)
         alpha = float(rng.uniform(0.0, TWO_PI))
-        beta_form = sigma_minus1_connection_beta(christoffel_table(m, alpha))
+        table = christoffel_table(m, alpha)
+        beta_form = sigma_minus1_connection_beta(table)
         for direction in (1, 2, 3):
-            loops = sigma_minus1_connection_dot(m, alpha, direction, None)
+            loops = sigma_minus1_connection_dot(m, alpha, direction, None, table=table)
             worst = max(worst, float(np.max(np.abs(beta_form.coeff((direction,)) - loops))))
     return CheckResult("sigma_-1 vectorized route equals loop route", worst < 1e-12,
                        f"max entry diff {worst:.2e} over 200 samples (tol 1e-12)")

@@ -2,15 +2,22 @@
 
 Each one is the plain form of a routine that loopcs now computes faster;
 the tests require the fast routine to return exactly what these return,
-bit for bit: connection_trace as a loop over the cyclic triples,
-value_bounds as a recursive interval walk of its own, and the tokenizer
-that re-strips the rest of the source before every token.
+bit for bit: connection_trace as a loop over the cyclic triples, the
+Jet2 product as one expression per component (every temporary a fresh
+array), value_bounds as a recursive
+interval walk of its own, and the tokenizer that re-strips the rest of
+the source before every token.  assert_same_bits compares a result with
+its reference; assert_untouched checks that a call leaves its input
+arrays as they were.
 """
 import math
 import sys
 
+import numpy as np
+
 from loopcs.expressions import (_TOKEN, Add, Alpha, Cos, Div, Mul, Num, ParamA, ParseError,
                                 Pow, Sin, Sub)
+from loopcs.jets import Jet2
 
 _TWO_PI_UP = math.nextafter(2.0 * math.pi, math.inf)
 _FLOAT_MAX = sys.float_info.max
@@ -31,6 +38,48 @@ def cyclic_connection_trace(lam, mu, nu):
         b = s[i].d2 / s[i].v - 2 * X[i] * X[i]
         total += (X[j] * X[k] - Y[j] * Y[k]) * a + (Y[j] * X[k] - X[j] * Y[k]) * b
     return total / 4
+
+
+def reference_mul(x, other):
+    o = Jet2._coerce(other)
+    twice = x.d1 + x.d1
+    return Jet2(x.v * o.v, x.d1 * o.v + x.v * o.d1, x.d2 * o.v + twice * o.d1 + x.v * o.d2)
+
+
+def _parts(x):
+    return (x.v, x.d1, x.d2) if isinstance(x, Jet2) else (x,)
+
+
+def assert_same_bits(got, want):
+    """Same type, dtype and shape, and the same values, NaNs and signs of
+    zeros; a complex result part by part, a jet component by component."""
+    if isinstance(want, Jet2):
+        assert type(got) is Jet2
+        for g, w in zip(_parts(got), _parts(want)):
+            assert_same_bits(g, w)
+        return
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    for part in ((np.real, np.imag) if np.iscomplexobj(want) else (np.asarray,)):
+        g, w = part(got), part(want)
+        assert np.array_equal(g, w, equal_nan=True)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def assert_untouched(call, *inputs):
+    """call(*inputs), checked to leave every input array (an input, or a
+    component of an input jet) bit for bit as it was, and to return none of
+    them, nor a jet with one of them as a component."""
+    arrays = list({id(a): a for x in inputs for a in _parts(x)
+                   if isinstance(a, np.ndarray)}.values())
+    before = [a.copy() for a in arrays]
+    result = call(*inputs)
+    for a, b in zip(arrays, before):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for part in _parts(result):
+        assert not any(part is a for a in arrays)
+    return result
 
 
 def reference_bounds(e, a=1):

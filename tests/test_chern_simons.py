@@ -14,7 +14,7 @@ import loopcs.chern_simons
 import loopcs.expressions
 import loopcs.geometry
 import loopcs.oracle
-from bitwise_references import cyclic_connection_trace
+from bitwise_references import assert_same_bits, assert_untouched, cyclic_connection_trace
 from loopcs.chern_simons import (BLOCK, IMAG_TOLERANCE, MAX_S, SAMPLES_PER_PERIOD, CSConfig,
                                  CSReport, NonFiniteClassError, NonFiniteDensityError,
                                  ResidueConventionError, _constant_chain, connection_trace,
@@ -620,17 +620,6 @@ def test_config_validation():
     CSConfig(s=math.nextafter(MAX_S, 0.0), integrality_tol=math.nextafter(0.5, 0.0))
 
 
-def assert_same_bits(got, want):
-    # values, NaNs and the signs of zeros; a complex result part by part
-    assert type(got) is type(want)
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    for part in ((np.real, np.imag) if np.iscomplexobj(want) else (np.asarray,)):
-        g, w = part(got), part(want)
-        assert np.array_equal(g, w, equal_nan=True)
-        assert np.array_equal(np.signbit(g), np.signbit(w))
-
-
 TRACE_LINE = np.linspace(0.0, 2.0 * np.pi, 65)
 TRACE_ALPHAS = [0.7, np.float64(0.7), np.array(0.7), TRACE_LINE,
                 np.linspace(0.0, 2.0 * np.pi, 64).reshape(8, 8),
@@ -661,6 +650,39 @@ def test_connection_trace_keeps_the_signs_of_zeros():
         got, want = connection_trace(*scales), cyclic_connection_trace(*scales)
     assert_same_bits(got, want)
     assert np.count_nonzero(want == 0.0) > 1000
+
+
+def test_kernel_leaves_its_inputs_untouched():
+    # connection_trace writes in place only into its own temporaries: never
+    # into a scale component (a constant sum passes d1 and d2 through, a
+    # sin/cos pair's jets share its arrays), nor into one jet passed as two
+    # scales, nor, through cs_density blocked or whole, into the caller's alpha
+    long = np.linspace(0.0, 2.0 * np.pi, 2 * BLOCK + 1)
+    for m in (builtin_family(3), random_metric(np.random.default_rng(5))):
+        for alpha in (*TRACE_ALPHAS, long, long + 0.01j):
+            assert_untouched(connection_trace, *m.scale_jets(alpha))
+            assert_untouched(lambda x: cs_density(m, CFG, x), alpha)
+    rng = np.random.default_rng(11)
+    j, k = (Jet2(*rng.uniform(0.5, 2.0, (3, 65))) for _ in range(2))
+    assert_same_bits(assert_untouched(connection_trace, j, j, k),
+                     cyclic_connection_trace(j, j, k))
+
+
+def test_connection_trace_needs_one_grid_and_dtype():
+    # the contract of the in-place kernel (connection_trace docstring): the
+    # scales share one grid and one dtype, as one scale_jets call gives.
+    # Outside it, another grid raises where the cyclic loop broadcast, and
+    # float32 scales narrow the float64 trace the loop widened
+    rng = np.random.default_rng(13)
+    lam, mu, nu = (Jet2(*rng.uniform(0.5, 2.0, (3, 16))) for _ in range(3))
+    column = Jet2(lam.v[:, None], lam.d1[:, None], lam.d2[:, None])
+    assert cyclic_connection_trace(column, mu, nu).shape == (16, 16)
+    with pytest.raises(ValueError):
+        connection_trace(column, mu, nu)
+    mu32, nu32 = (Jet2(*(np.float32(c) for c in (j.v, j.d1, j.d2))) for j in (mu, nu))
+    want, got = cyclic_connection_trace(lam, mu32, nu32), connection_trace(lam, mu32, nu32)
+    assert want.dtype == np.float64 and got.dtype == np.float32
+    assert np.allclose(got, want, rtol=1e-4)
 
 
 def test_density_off_the_real_axis_is_not_tested_for_positivity():

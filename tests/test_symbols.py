@@ -73,6 +73,20 @@ def test_builtin_family_sigma_minus1_finite_and_consistent():
         assert np.allclose(form.coeff((direction,)), loops, atol=1e-13)
 
 
+def test_loop_route_takes_the_callers_table():
+    # the table a caller passes in is the one the route would build
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        m = random_metric(rng)
+        alpha = float(rng.uniform(0, 2 * np.pi))
+        table = christoffel_table(m, alpha)
+        for direction in (1, 2, 3, 4):
+            for xdot in (None, rng.normal(size=4)):
+                want = sigma_minus1_connection_dot(m, alpha, direction, xdot)
+                got = sigma_minus1_connection_dot(m, alpha, direction, xdot, table=table)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_dot_route_matches_beta_route():
     assert check_sigma_minus1_routes(np.random.default_rng(20240)).passed
 
