@@ -32,7 +32,10 @@ real scalar; a residual imaginary part signals a convention bug and is
 rejected.
 
 cs_density is a pure function of (metric, config, alpha) and vectorizes
-over alpha grids; every density sample passes through it.  A 1-D grid of
+over alpha grids; every density sample passes through it.  Its metric
+may also be a geometry.MetricRows of several metrics and alpha a
+(rows, n) array, row i for metric i: one program run, one
+connection_trace pass and one finiteness test for all of them.  A 1-D grid of
 at least 2 * BLOCK points is evaluated in len // BLOCK equal blocks of
 BLOCK to 2 * BLOCK - 1 points, each written in place into one output
 array: the kernel's temporaries then stay small enough to be reused from
@@ -44,7 +47,7 @@ whole-grid evaluation.  An error in any block falls back to that whole-grid
 evaluation, so the error names the grid's first failing scale and alpha,
 or the first failing op in program order, as it would unblocked.  Smaller
 grids (every ladder level of a certified class, a 4097-point report grid)
-run the kernel once.  cs_class makes one integrate_circle call
+run the kernel once.  A class value is one integrate_circle call
 (:mod:`loopcs.quadrature`) over one period 2*pi/g, rescaled to [0, 2*pi],
 which equals the integral over the whole circle.  When the metric carries a frequency certificate (g, K)
 (BergerMetric.certificate: scales 2*pi/g periodic, sin/cos arguments of
@@ -55,6 +58,15 @@ certificate, or when that first level would exceed the report grid's N,
 the period is the whole circle and the ladder starts on the report grid.
 The report grid itself (CSReport.alphas, .densities) is evaluated the
 first time it is read, unless the integral already sampled it.
+
+sweep computes its class values in batches: consecutive metrics whose
+programs share one structure and whose ladders start at the same n are
+the rows of one integrate_circle call, each level one cs_density call over
+the rows still refining.  cs_class is the one-row case of that code, and
+a row's samples, sums and report have the bits of its one-row run.  A
+certified class value of the built-in family costs one kernel pass and a
+fixed number of numpy and Python calls around it whether it is computed
+alone or as one of 63 rows; in a batch those fixed calls are shared.
 
 A certified class value samples 65 points, so it costs one kernel pass
 plus a fixed number of numpy and Python calls around it, not per-sample
@@ -74,7 +86,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import BergerMetric, builtin_family
+from .geometry import BergerMetric, MetricRows, builtin_family
 from .jets import Jet2
 from .quadrature import QuadratureSpec, circle_grid, integrate_circle
 
@@ -341,7 +353,7 @@ def _blocked_density(m: BergerMetric, scale: float, alpha):
     return f
 
 
-def cs_density(m: BergerMetric, cfg: CSConfig, alpha):
+def cs_density(m: BergerMetric | MetricRows, cfg: CSConfig, alpha):
     """The secondary-class density f = Re kappa(s) * T_conn at alpha (scalar,
     ndarray, or a list or tuple of floats, taken as an array); every
     density sample passes here.
@@ -414,37 +426,10 @@ def _ladder_spec(n: int, tol: float, max_refinements: int) -> QuadratureSpec:
     return QuadratureSpec(n, tol, max_refinements)
 
 
-def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
-    """Integrate the density, form (s/4)*integral, reduce mod Z, decide.
-
-    The integral is one ladder over the period 2*pi/g from _ladder_start,
-    rescaled to [0, 2*pi]; cfg.quadrature gives its tolerance and doubling
-    cap.  When that ladder starts on the report grid (no certificate, or a
-    harmonic too fast for it), its first level is kept as the report's
-    densities.  The verdict is "nontrivial" when the reduced value keeps at
-    least the integrality tolerance away from the integers, and
-    "indeterminate" otherwise (never coerced to a trivial/nontrivial claim
-    the numerics cannot support).
-    """
-    spec = cfg.quadrature
-    g, n = _ladder_start(m, spec)
-    imag = abs(_constant_chain(cfg.s).imag)
-    samples, max_abs, first_level = 0, 0.0, None
-
-    def density(x):
-        # x in [0, 2*pi] covers one period 2*pi/g
-        nonlocal samples, max_abs, first_level
-        f = cs_density(m, cfg, x / g)
-        if first_level is None:
-            first_level = f
-        samples += f.size
-        # max|f| only scales Im kappa, which is exactly 0.0 for every s
-        # CSConfig accepts; 0.0 * max|f| would be 0.0 anyway
-        if imag:
-            max_abs = max(max_abs, float(np.max(np.abs(f))))
-        return f
-
-    integral = integrate_circle(density, _ladder_spec(n, spec.tol, spec.max_refinements))
+def _class_report(m: BergerMetric, cfg: CSConfig, integral: float, samples: int,
+                  max_imag: float, grid_densities) -> CSReport:
+    """The report of m's class value: (s/4) * integral reduced mod Z, and
+    its verdict."""
     value = cfg.s / 4.0 * integral
     if not math.isfinite(value):
         raise NonFiniteClassError(
@@ -463,18 +448,106 @@ def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
         verdict="nontrivial" if nontrivial else "indeterminate",
         s=cfg.s,
         a=m.a,
-        # the imaginary part the density would carry: |Im kappa| max |f|
-        max_imag=imag * max_abs,
-        quadrature_n=spec.n,
+        max_imag=max_imag,
+        quadrature_n=cfg.quadrature.n,
         samples_evaluated=samples,
-        _grid_densities=first_level if (g, n) == (1, spec.n) else None,
+        _grid_densities=grid_densities,
     )
 
 
+def _class_reports(metrics: list, periods: list, n: int, cfg: CSConfig) -> list:
+    """The reports of metrics whose programs share one structure and whose
+    ladders all start at n samples, metric i's over its period
+    2*pi/periods[i] (_ladder_start): one integrate_circle call over all of
+    them as rows.
+
+    Each ladder level is one cs_density call: one program run over a
+    (rows, n + 1) alpha with the metrics' constants stacked (MetricRows),
+    one connection_trace pass and one finiteness test.  Only the rows that
+    have not converged take the next doubling.  One metric is the one-row
+    case: its own constants are the stacked ones, so it runs its own
+    program on a 1-D alpha, and cs_class is that case.  Every sample, sum
+    and report field of a row has the bits of that one-row run.
+    """
+    spec = cfg.quadrature
+    count = len(metrics)
+    if count == 1:
+        rows, g = metrics[0], periods[0]
+    else:
+        rows, g = MetricRows(metrics), np.array(periods, float)[:, None]
+    imag = abs(_constant_chain(cfg.s).imag)
+    samples, max_abs, first_level = [0] * count, [0.0] * count, None
+
+    def density(x, live=None):
+        # x in [0, 2*pi] covers one period 2*pi/g of each row
+        nonlocal first_level
+        evaluated, period = rows, g
+        if live is not None and live.size < count:
+            evaluated, period = rows.take(live), g[live]
+        f = cs_density(evaluated, cfg, x / period).reshape(-1, x.size)
+        if first_level is None:
+            first_level = f
+        which = range(count) if live is None else live.tolist()
+        for i in which:
+            samples[i] += x.size
+        # max|f| only scales Im kappa, which is exactly 0.0 for every s
+        # CSConfig accepts; 0.0 * max|f| would be 0.0 anyway
+        if imag:
+            for i, top in zip(which, np.abs(f).max(axis=1).tolist()):
+                max_abs[i] = max(max_abs[i], top)
+        return f
+
+    integrals = integrate_circle(density, _ladder_spec(n, spec.tol, spec.max_refinements))
+    # a ladder that starts on the report grid keeps its first level
+    return [_class_report(m, cfg, integral, samples[i], imag * max_abs[i],
+                          first_level[i] if (periods[i], n) == (1, spec.n) else None)
+            for i, (m, integral) in enumerate(zip(metrics, integrals))]
+
+
+def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
+    """Integrate the density, form (s/4)*integral, reduce mod Z, decide.
+
+    The integral is one ladder over the period 2*pi/g from _ladder_start,
+    rescaled to [0, 2*pi]; cfg.quadrature gives its tolerance and doubling
+    cap.  When that ladder starts on the report grid (no certificate, or a
+    harmonic too fast for it), its first level is kept as the report's
+    densities.  The verdict is "nontrivial" when the reduced value keeps at
+    least the integrality tolerance away from the integers, and
+    "indeterminate" otherwise (never coerced to a trivial/nontrivial claim
+    the numerics cannot support).  The one-row case of sweep's batches.
+    """
+    g, n = _ladder_start(m, cfg.quadrature)
+    return _class_reports([m], [g], n, cfg)[0]
+
+
 def sweep(a_values, cfg: CSConfig = CSConfig()):
-    """One report per parameter of the built-in family.  Every metric is
-    built before the first class value, so each phase runs its own code
-    back to back (a few per cent faster than alternating), and a zero a
-    raises before any class is computed."""
+    """One report per parameter of the built-in family, computed in
+    batches.  Every metric is built before the first class value, so a zero
+    a raises before any class is computed.  Consecutive metrics of one
+    program structure and one ladder start n form a batch of at most
+    BLOCK // (n + 1) rows (63 at n = 64), and each batch is one
+    _class_reports call.  Should a batch raise, its metrics run one at a
+    time through cs_class, in order, so the first failing metric raises its
+    own error as a loop of cs_class calls would."""
     metrics = [builtin_family(a) for a in a_values]
-    return [cs_class(m, cfg) for m in metrics]
+    spec = cfg.quadrature
+    batches = []   # (key, metrics, periods)
+    for m in metrics:
+        g, n = _ladder_start(m, spec)
+        key = (m._scales.structure, n)
+        if batches and batches[-1][0] == key and len(batches[-1][1]) < BLOCK // (n + 1):
+            batches[-1][1].append(m)
+            batches[-1][2].append(g)
+        else:
+            batches.append((key, [m], [g]))
+    reports = []
+    for (_, n), batch, periods in batches:
+        try:
+            reports += _class_reports(batch, periods, n, cfg)
+        except Exception:
+            # whatever a batch raised, the rows alone raise (or not) as a
+            # loop of cs_class calls would, as cs_density's blocks fall back
+            if len(batch) == 1:
+                raise
+            reports += [cs_class(m, cfg) for m in batch]
+    return reports

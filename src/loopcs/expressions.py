@@ -17,15 +17,18 @@ below them.
 Evaluation returns a :class:`~loopcs.jets.Jet2`, i.e. the value and the
 first two alpha-derivatives, exactly.  ``compile_jets`` walks a tuple of
 trees once at a fixed a into a :class:`JetProgram`, a straight-line list
-of jet ops that does only the array work the trees need.  A subtree linear
-in alpha compiles to (k, c), k*alpha + c, and emits no op: alpha-free
-subtrees fold to float constants, and sin/cos of k*alpha + c become the
-direct jets (s, k*c, -k^2*s) and (c, -k*s, -k^2*c) of one s, c = np.sin,
-np.cos pair per distinct argument (the built-in family's three scales
-need one of each).  A constant adds to or scales a jet as a scalar; only
-the remaining nodes propagate Jet2s.  ``evaluate`` compiles and runs a
-fresh program; a BergerMetric compiles its trees once and runs that
-program on every grid.
+of jet ops that does only the array work the trees need.  An op is data:
+a module-level op function, its constants and its input registers.  A
+subtree linear in alpha compiles to (k, c), k*alpha + c, and emits no op:
+alpha-free subtrees fold to float constants, and sin/cos of k*alpha + c
+become the direct jets (s, k*c, -k^2*s) and (c, -k*s, -k^2*c) of one
+s, c = np.sin, np.cos pair per distinct argument (the built-in family's
+three scales need one of each).  A constant adds to or scales a jet as a
+scalar; only the remaining nodes propagate Jet2s.  ``evaluate`` compiles
+and runs a fresh program; a BergerMetric compiles its trees once and runs
+that program on every grid.  Programs that differ only in their constants
+(every member of the built-in family) run as one over a (rows, n) alpha,
+each differing constant a (rows, 1) column (``stack_constants``).
 
 The one walk yields three things per tree, so a BergerMetric visits each
 node of its trees once: the jet ops, the frequencies
@@ -49,6 +52,7 @@ Whitespace is insignificant; numbers are decimal literals.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
@@ -397,31 +401,75 @@ def evaluate(e: Expr | tuple, alpha: Number, a: int = 1) -> Jet2 | tuple:
 class JetProgram:
     """Straight-line jet operations compiled from a tuple of trees at one a.
 
-    Calling the program on alpha runs the ops in order and returns one Jet2
-    per tree.  Register 0 holds alpha and op n (counting from 1) writes
+    The ops are data: op n (counting from 1) is fns[n-1], one of the
+    module-level op functions below, with its numbers constants[n-1] and
+    its input registers ins[n-1], and a run calls fn(*constants,
+    *inputs).  Calling the program on alpha runs the ops in order and
+    returns one Jet2 per tree.  Register 0 holds alpha and op n writes
     register n; a register is dropped after its last read (last[i], which
-    the compiler records as it emits the ops), so a grid evaluation holds no
-    more arrays at a time than a recursive walk would.  frequencies is
+    the compiler records as it emits the ops), so a grid evaluation holds
+    no more arrays at a time than a recursive walk would.  frequencies is
     alpha_frequencies of all the trees together, and bounds holds
     value_bounds of each tree: both come out of the compile walk.
+
+    Two programs share a structure, (fns, ins), when they differ in their
+    constants only, as every member of the built-in family does (a enters
+    as the constants k = a, 1/a, -a^2, ...).  Programs of one structure run
+    as one: a call with the constants of stack_constants evaluates each
+    program on its row of a (rows, n) alpha.
     """
 
     def __init__(self, ops: list, last: list, outputs: tuple,
                  frequencies: Optional[frozenset], bounds: tuple):
-        self.ops, self.outputs, self.frequencies, self.bounds = ops, outputs, frequencies, bounds
+        self.fns, self.constants, self.ins = zip(*ops) if ops else ((), (), ())
+        self.outputs, self.frequencies, self.bounds = outputs, frequencies, bounds
         self.last = last
         for i in outputs:   # no op number is 0: an output is never dropped
             last[i] = 0
 
-    def __call__(self, alpha: Number) -> tuple:
-        regs = [alpha] * (len(self.ops) + 1)
+    @property
+    def structure(self) -> tuple:
+        """The op functions and input registers: all but the constants."""
+        return self.fns, self.ins
+
+    def __call__(self, alpha: Number, constants: Optional[tuple] = None) -> tuple:
+        """The jets of the trees at alpha; constants, one tuple per op,
+        replaces the program's own (stack_constants)."""
+        regs = [alpha] * (len(self.fns) + 1)
         read, last = regs.__getitem__, self.last
-        for out, (fn, ins) in enumerate(self.ops, 1):
-            regs[out] = fn(*map(read, ins))
+        ops = zip(self.fns, self.constants if constants is None else constants, self.ins)
+        for out, (fn, c, ins) in enumerate(ops, 1):
+            regs[out] = fn(*c, *map(read, ins))
             for i in ins:
                 if last[i] == out:
                     regs[i] = None
         return tuple(map(read, self.outputs))
+
+
+def stack_constants(programs) -> list:
+    """The constants of programs of one structure for one run over their
+    rows, op by op.  A constant with the same bits in every row stays as it
+    is (0.0 and -0.0 differ), so one row's constants are its own; one that
+    differs becomes a (rows, 1) float column, which a row of alpha meets
+    element by element as the scalar would.  A constant that is no number
+    (a pole's message) and differs between rows makes the column raise
+    ValueError."""
+    count = len(programs)
+    # the rows of each constant, in op order
+    rows = list(zip(*(itertools.chain.from_iterable(p.constants) for p in programs)))
+    flat = [values[0] for values in rows]
+    varying = [i for i, values in enumerate(rows)
+               if values.count(values[0]) != count
+               or values[0] == 0.0 and len({math.copysign(1.0, x) for x in values}) > 1]
+    if varying:
+        # one array holds every varying column
+        for i, column in zip(varying, np.array([rows[i] for i in varying], float)[:, :, None]):
+            flat[i] = column
+    stacked, start = [], 0
+    for constants in programs[0].constants:
+        stacked.append(tuple(flat[start:start + len(constants)]))
+        start += len(constants)
+    return stacked
 
 
 def compile_jets(trees: tuple, a: int = 1) -> JetProgram:
@@ -438,23 +486,79 @@ def compile_jets(trees: tuple, a: int = 1) -> JetProgram:
                       tuple(bounds))
 
 
-def _nonzero(message: str, node: Expr):
-    """An op that raises at a pole: where its jet's value is zero."""
-    def op(jet: Jet2) -> None:
-        if np.any(np.asarray(jet.v) == 0.0):
-            raise EvalDomainError(message.format(node))
-    return op
+# The op functions of a JetProgram, called as fn(*constants, *inputs).  Each
+# keeps the operands, order and association of its formula, so a constant
+# that is a (rows, 1) column rounds every row as the scalar does.  A trig
+# jet's -k^2 * s is (-k * k) * s: the compiler forms the constant -k * k, as
+# Python floats round it, and the op multiplies it into the array.
+
+def _line(k, c, x):
+    return k * x + c
+
+
+def _slope(k, x):
+    """The line k*alpha + 0.0."""
+    return k * x
+
+
+def _line_jet(k, x):
+    return Jet2(x, k, 0.0)
+
+
+def _constant_jet(c):
+    return Jet2(c, 0.0, 0.0)
+
+
+def _sin_cos(x):
+    return np.sin(x), np.cos(x)
+
+
+def _sin_jet(k, kk, t):
+    """(s, k*c, kk*s) of sin(k*alpha + c) from its pair t = (s, c), with
+    kk = -k*k."""
+    return Jet2(t[0], k * t[1], kk * t[0])
+
+
+def _cos_jet(mk, kk, t):
+    """(c, mk*s, kk*c) of cos(k*alpha + c) from its pair t = (s, c), with
+    mk = -k and kk = -k*k."""
+    return Jet2(t[1], mk * t[0], kk * t[1])
+
+
+def _plus(c, j):
+    return Jet2(j.v + c, j.d1, j.d2)
+
+
+def _minus(c, j):
+    return Jet2(j.v - c, j.d1, j.d2)
+
+
+def _times(c, j):
+    return Jet2(j.v * c, j.d1 * c, j.d2 * c)
+
+
+def _over(c, j):
+    return Jet2(j.v / c, j.d1 / c, j.d2 / c)
+
+
+def _subtracted_from(c, j):
+    """c - j."""
+    return Jet2(c - j.v, -j.d1, -j.d2)
+
+
+def _power(k, j):
+    return j ** k
+
+
+def _nonzero(message, j) -> None:
+    """Raises at a pole: where the jet's value is zero."""
+    if np.any(np.asarray(j.v) == 0.0):
+        raise EvalDomainError(message)
 
 
 # ops of a jet j and a float constant c by node type, j op c (a sum or a
 # product is the same either way round) or, for "c - j", c op j
-_CONSTANT_OPS = {
-    Add: lambda c: lambda j: Jet2(j.v + c, j.d1, j.d2),
-    Sub: lambda c: lambda j: Jet2(j.v - c, j.d1, j.d2),
-    Mul: lambda c: lambda j: Jet2(j.v * c, j.d1 * c, j.d2 * c),
-    Div: lambda c: lambda j: Jet2(j.v / c, j.d1 / c, j.d2 / c),
-    "c - j": lambda c: lambda j: Jet2(c - j.v, -j.d1, -j.d2),
-}
+_CONSTANT_OPS = {Add: _plus, Sub: _minus, Mul: _times, Div: _over, "c - j": _subtracted_from}
 _JET_OPS = {Add: Jet2.__add__, Sub: Jet2.__sub__, Mul: Jet2.__mul__}
 
 
@@ -469,7 +573,7 @@ class _Compiler:
 
     def __init__(self, a: int):
         self.a = a
-        self.ops = []      # (fn of the input values, input registers)
+        self.ops = []      # (fn, constants, input registers)
         self.last = [0]    # by register, the op that reads it last
         self.shared = {}   # register by (kind, k, c)
         self.frequencies = frozenset()   # None once alpha shows outside sin/cos
@@ -495,23 +599,24 @@ class _Compiler:
             raise TypeError(f"unknown node {kind.__name__}")
         return rule(self, e)
 
-    def emit(self, fn, *ins) -> int:
-        self.ops.append((fn, ins))
+    def emit(self, fn, constants: tuple, *ins) -> int:
+        self.ops.append((fn, constants, ins))
         n = len(self.ops)
         for i in ins:
             self.last[i] = n
         self.last.append(0)
         return n
 
-    def once(self, key: tuple, fn, *ins) -> int:
+    def once(self, key: tuple, fn, constants: tuple, *ins) -> int:
         reg = self.shared.get(key)
         if reg is None:
-            reg = self.shared[key] = self.emit(fn, *ins)
+            reg = self.shared[key] = self.emit(fn, constants, *ins)
         return reg
 
     def line(self, k: float, c: float) -> int:
-        return self.once(("line", k, c),
-                         (lambda x: k * x + c) if c != 0.0 else (lambda x: k * x), 0)
+        if c != 0.0:
+            return self.once(("line", k, c), _line, (k, c), 0)
+        return self.once(("line", k, c), _slope, (k,), 0)
 
     def jet(self, x) -> int:
         """The register of x as a jet: (k, c) is (k*alpha + c, k, 0)."""
@@ -519,8 +624,8 @@ class _Compiler:
             return x
         k, c = x
         if k == 0.0:
-            return self.emit(lambda constant=Jet2(c, 0.0, 0.0): constant)
-        return self.once(("jet", k, c), lambda x: Jet2(x, k, 0.0), self.line(k, c))
+            return self.emit(_constant_jet, (c,))
+        return self.once(("jet", k, c), _line_jet, (k,), self.line(k, c))
 
     def binary(self, e: Add | Sub | Mul):
         (l, lbox), (r, rbox), kind = self.walk(e.left), self.walk(e.right), type(e)
@@ -534,10 +639,10 @@ class _Compiler:
                 return (l[0] * r[1] + r[0] * l[1], l[1] * r[1]), box
             # alpha^2: a product of line jets
         elif type(l) is tuple and l[0] == 0.0:
-            return self.emit(_CONSTANT_OPS["c - j" if kind is Sub else kind](l[1]), r), box
+            return self.emit(_CONSTANT_OPS["c - j" if kind is Sub else kind], (l[1],), r), box
         elif type(r) is tuple and r[0] == 0.0:
-            return self.emit(_CONSTANT_OPS[kind](r[1]), l), box
-        return self.emit(_JET_OPS[kind], self.jet(l), self.jet(r)), box
+            return self.emit(_CONSTANT_OPS[kind], (r[1],), l), box
+        return self.emit(_JET_OPS[kind], (), self.jet(l), self.jet(r)), box
 
     def divide(self, e: Div):
         # the denominator is compiled and checked before the numerator, so
@@ -548,12 +653,12 @@ class _Compiler:
             if type(num) is tuple:
                 x = num[0] / d, num[1] / d
             else:
-                x = self.emit(_CONSTANT_OPS[Div](d), num)
+                x = self.emit(_CONSTANT_OPS[Div], (d,), num)
         else:
             den = self.jet(den)
-            self.emit(_nonzero("division by zero in '{}'", e.den), den)
+            self.emit(_nonzero, (f"division by zero in '{e.den}'",), den)
             num, num_box = self.walk(e.num)
-            x = self.emit(Jet2.__truediv__, self.jet(num), den)
+            x = self.emit(Jet2.__truediv__, (), self.jet(num), den)
         return x, _quotient_box(num_box, den_box)
 
     def power(self, e: Pow):
@@ -564,8 +669,8 @@ class _Compiler:
                 return (0.0, float(np.float64(base[1]) ** k)), box
         base = self.jet(base)
         if k < 0:
-            self.emit(_nonzero("negative power of zero in '{}'", e), base)
-        return self.emit(lambda j: j ** k, base), box
+            self.emit(_nonzero, (f"negative power of zero in '{e}'",), base)
+        return self.emit(_power, (k,), base), box
 
     def trig(self, e: Sin | Cos):
         self.trig_depth += 1
@@ -575,7 +680,7 @@ class _Compiler:
         box = None if box is None else _TRIG_BOX
         if type(arg) is not tuple:
             self.frequencies = None
-            return self.emit(Jet2.sin if sin else Jet2.cos, arg), box
+            return self.emit(Jet2.sin if sin else Jet2.cos, (), arg), box
         k, c = arg
         if not k.is_integer():
             self.frequencies = None
@@ -586,11 +691,10 @@ class _Compiler:
                 return (0.0, float(np.sin(c) if sin else np.cos(c))), box
         key = (type(e), k, c)
         if key not in self.shared:
-            # (s, k*c, -k^2*s) or (c, -k*s, -k^2*c) from one shared s, c pair
-            pair = self.once(("trig", k, c), lambda x: (np.sin(x), np.cos(x)),
-                             self.line(k, c))
-            u, w, f = (0, 1, k) if sin else (1, 0, -k)
-            self.shared[key] = self.emit(lambda t: Jet2(t[u], f * t[w], -k * k * t[u]), pair)
+            # the jets of sin and cos share one s, c pair per (k, c)
+            pair = self.once(("trig", k, c), _sin_cos, (), self.line(k, c))
+            self.shared[key] = self.emit(_sin_jet if sin else _cos_jet,
+                                         (k if sin else -k, -k * k), pair)
         return self.shared[key], box
 
 

@@ -29,9 +29,11 @@ anything.  Every other metric runs its program once on a fixed
 an uncertified metric, periodicity from the jets at 0 and 2*pi.  A
 copy of a metric (pickle, copy.copy, copy.deepcopy) is rebuilt by the
 constructor from the trees and a, so it compiles its own program and is
-proved or checked as the original was; the program itself, a list of
-closures, is never pickled.  scale_jets tests positivity on real alpha
-only: complex scales are not ordered.
+proved or checked as the original was; the program itself is never
+pickled.  scale_jets tests positivity on real alpha only: complex scales
+are not ordered.  MetricRows evaluates metrics whose programs share one
+structure as the rows of one program run, with one positivity test over
+all of them; BergerMetric.scale_jets is its one-metric case.
 
 The class path reads only the scale jets of one scale_jets call: its
 kernel (chern_simons.connection_trace) forms the log-rates lam'/lam and
@@ -48,7 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Alpha, Cos, Div, Expr, Mul, Num, ParamA, Sin, Sub, compile_jets
+from .expressions import (Alpha, Cos, Div, Expr, JetProgram, Mul, Num, ParamA, Sin, Sub,
+                          compile_jets, stack_constants)
 from .jets import Number
 
 # relative agreement demanded of the scale jets at alpha = 0 and 2*pi
@@ -138,28 +141,62 @@ class BergerMetric:
 
     def __reduce__(self):
         # every copy (pickle, copy, deepcopy) is rebuilt by the constructor,
-        # which compiles its own program: closures do not pickle
+        # which compiles its own program
         return type(self), (self.lam, self.mu, self.nu, self.a)
 
     def scale_jets(self, alpha: Number):
         """Jets of (lam, mu, nu) at alpha from one run of the program the
-        trees were compiled into once, per metric.  One test checks all
-        three positive there (the constructor's fixed grid can miss a fast
-        oscillation); only when it fails does a per-scale pass name the
-        scale and the first alpha at fault.  Positivity is a property of
-        the real circle: complex scales, at an alpha off the real axis, are
-        not tested."""
-        jets = self._scales(alpha)
-        # fmin, unlike minimum, skips a NaN scale, so a negative one beside it
-        # still shows
-        low = np.fmin(np.fmin(jets[0].v, jets[1].v), jets[2].v)
-        if low.dtype.kind != "c" and (low <= 0.0).any():
-            for name, jet in zip(("lam", "mu", "nu"), jets):
-                alphas, values = np.broadcast_arrays(alpha, jet.v)
-                if np.any(values <= 0.0):
-                    bad = float(alphas[values <= 0.0].flat[0])
-                    raise ValueError(f"{name} is not positive at alpha={bad:.6f}")
-        return jets
+        trees were compiled into once, per metric: the one-metric case of
+        scale_jets."""
+        return scale_jets(self._scales, alpha)
+
+
+def scale_jets(program: JetProgram, alpha: Number, constants: list | None = None):
+    """Jets of (lam, mu, nu) at alpha from one run of program (with the
+    stacked constants of MetricRows over a (rows, n) alpha, if given).
+
+    One test checks all three scales positive at every point (a
+    constructor's fixed grid can miss a fast oscillation); only when it
+    fails does a per-scale pass name the scale and the first alpha at
+    fault, in row-major order.  Positivity is a property of the real
+    circle: complex scales, at an alpha off the real axis, are not
+    tested."""
+    jets = program(alpha, constants)
+    # fmin, unlike minimum, skips a NaN scale, so a negative one beside it
+    # still shows
+    low = np.fmin(np.fmin(jets[0].v, jets[1].v), jets[2].v)
+    if low.dtype.kind != "c" and (low <= 0.0).any():
+        for name, jet in zip(("lam", "mu", "nu"), jets):
+            alphas, values = np.broadcast_arrays(alpha, jet.v)
+            if np.any(values <= 0.0):
+                bad = float(alphas[values <= 0.0].flat[0])
+                raise ValueError(f"{name} is not positive at alpha={bad:.6f}")
+    return jets
+
+
+class MetricRows:
+    """Metrics whose programs share one structure, as the rows of one
+    evaluation: scale_jets on a (rows, n) alpha runs the first metric's
+    program once with every metric's constants stacked (stack_constants),
+    row i of alpha for metrics[i], and tests positivity once over all rows.
+    A row of the result has the bits of that metric's own scale_jets on
+    that row of alpha."""
+
+    def __init__(self, metrics: list, constants: list | None = None):
+        self.metrics = metrics
+        self._program = metrics[0]._scales
+        self._constants = (stack_constants([m._scales for m in metrics])
+                           if constants is None else constants)
+
+    def take(self, indices: np.ndarray) -> "MetricRows":
+        """The rows of the index array indices, their stacked constants
+        taken from these rather than stacked again."""
+        return MetricRows([self.metrics[i] for i in indices],
+                          [tuple(c[indices] if type(c) is np.ndarray else c for c in op)
+                           for op in self._constants])
+
+    def scale_jets(self, alpha: Number):
+        return scale_jets(self._program, alpha, self._constants)
 
 
 # the built-in one-parameter family: lam = 1, mu = 2 + (1/a) cos(a alpha)

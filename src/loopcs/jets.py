@@ -25,6 +25,11 @@ jet with a Python number beside an array (a jet linear in alpha has
 d1 = k, d2 = 0.0) times a jet of another grid raises ValueError, and
 times a jet of a wider dtype (float64 against float32) it is cast to the
 narrower one, where the one-line formula broadcast and widened.
+
+A Jet2 opts out of numpy's ufunc dispatch (__array_ufunc__ = None), so an
+ndarray on the left of an operator returns NotImplemented and the jet's
+reflected method runs: array * jet is the jet of the array as a constant
+times jet, not an object array of one jet per element.
 """
 from __future__ import annotations
 
@@ -43,6 +48,9 @@ class Jet2:
     v: Number
     d1: Number
     d2: Number
+
+    # an ndarray operand on the left defers to the reflected methods below
+    __array_ufunc__ = None
 
     def __init__(self, v: Number, d1: Number, d2: Number):
         # the fields go straight into the instance dict: every jet op builds

@@ -9,9 +9,10 @@ below n.
 The first level costs no extra samples beyond the n + 1 grid values: T_n
 uses all of them and T_{n/2} the even-index subset, and T_n is returned
 once |T_n - T_{n/2}| < tol.  Otherwise each doubling evaluates only the n
-new midpoints.  integrate_circle is the one entry: cs_class integrates
-every class value through it, over one period rescaled to [0, 2*pi] when
-the metric's trees give one.
+new midpoints.  integrate_circle is the one entry: every class value is
+integrated through it, over one period rescaled to [0, 2*pi] when the
+metric's trees give one, and a batch of class values (chern_simons.sweep)
+is one call whose integrand returns a row of samples per class.
 
 A class value samples only a few dozen points, so its fixed per-call cost
 outweighs the per-sample work.  The first-level grid of each n is
@@ -20,7 +21,8 @@ through it every integrand's first level, gets a fresh writable copy, so
 an integrand that writes into its argument changes only its own copy.
 
 Integrands are called on a whole ndarray of points at once and must
-return an array of the same shape (the densities in this package do).  An
+return an array of the same shape (the densities in this package do), or
+one row of samples per integral (integrate_circle).  An
 integrand that does not vectorize, or one that rejects its input, raises
 from that one array call.
 """
@@ -85,14 +87,17 @@ def circle_grid(n: int) -> np.ndarray:
     return _shared_grid(n).copy()
 
 
-def _sample(f: Callable, alpha: np.ndarray) -> np.ndarray:
-    y = np.asarray(f(alpha), dtype=float)
-    if y.shape != alpha.shape:
+def _sample(f: Callable, alpha: np.ndarray, *live) -> np.ndarray:
+    """f(alpha, *live) as floats: of alpha's shape, or one row per integral
+    (per live row, when live is given)."""
+    y = np.asarray(f(alpha, *live), dtype=float)
+    rows = y.ndim == 2 and y.shape[1] == alpha.size and (not live or len(y) == live[0].size)
+    if y.shape != alpha.shape and not rows:
         raise ValueError(f"integrand returned shape {y.shape} for {alpha.size} points")
     return y
 
 
-def integrate_circle(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> float:
+def integrate_circle(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> float | list:
     """Approximate the integral of f over [0, 2*pi].
 
     Samples f on circle_grid(spec.n) and returns T_n when it agrees with
@@ -100,22 +105,43 @@ def integrate_circle(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> fl
     midpoints, up to spec.max_refinements times.  Raises
     QuadratureConvergenceError (carrying the last two estimates) if the cap
     is reached first.
+
+    f may integrate several rows at once: on the grid it returns samples
+    of shape (rows, n + 1), and the result is the list of the rows'
+    integrals.  Every row's ladder stops on its own: a doubling calls
+    f(midpoints, live) with the index array of the rows not yet converged,
+    and f returns their samples only.  The sums are taken along each row
+    and the estimates formed in Python floats, so a row's integral has the
+    bits of a one-row f; the first row that hits the cap raises.
     """
     samples = _sample(f, circle_grid(spec.n))
+    rows = samples.ndim == 2
+    if not rows:
+        samples = samples[None]
     n = spec.n
     h = TWO_PI / n
-    # the two endpoint samples are one periodic point and share its weight
-    ends = 0.5 * (samples[0] + samples[-1])
-    total = ends + samples[1:-1].sum()
-    previous = 2.0 * h * (ends + samples[2:-1:2].sum())
-    last = h * total
+    total, previous, last, live = [], [], [], []
+    for i, (first, end, inner, even) in enumerate(zip(
+            samples[:, 0].tolist(), samples[:, -1].tolist(),
+            samples[:, 1:-1].sum(axis=1).tolist(), samples[:, 2:-1:2].sum(axis=1).tolist())):
+        # the two endpoint samples are one periodic point and share its weight
+        ends = 0.5 * (first + end)
+        total.append(ends + inner)
+        previous.append(2.0 * h * (ends + even))
+        last.append(h * total[i])
+        if not abs(last[i] - previous[i]) < spec.tol:   # a NaN estimate never passes
+            live.append(i)
     doublings = 0
-    while not abs(last - previous) < spec.tol:   # a NaN estimate never passes
+    while live:
         if doublings == spec.max_refinements:
             raise QuadratureConvergenceError("trapezoid refinement did not converge",
-                                             last=float(last), previous=float(previous))
-        total += _sample(f, h * (np.arange(n) + 0.5)).sum()
+                                             last=last[live[0]], previous=previous[live[0]])
+        midpoints = h * (np.arange(n) + 0.5)
+        new = _sample(f, midpoints, np.array(live)) if rows else _sample(f, midpoints)[None]
         n, h = 2 * n, 0.5 * h
-        previous, last = last, h * total
+        for i, t in zip(live, new.sum(axis=1).tolist()):
+            total[i] += t
+            previous[i], last[i] = last[i], h * total[i]
+        live = [i for i in live if not abs(last[i] - previous[i]) < spec.tol]
         doublings += 1
-    return float(last)
+    return last if rows else last[0]

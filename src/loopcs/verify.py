@@ -21,7 +21,8 @@ one guards:
 - s_linearity: the class value (s/4) I, its integral independent of s,
   and its reduction mod Z;
 - density_reality: the constant chain kappa(s) is the real number +1;
-- quadrature_stability: the certified period, against the whole circle.
+- quadrature_stability: the certified period, against the whole circle;
+- sweep_rows: sweep's batched class values, against one cs_class per a.
 
 For every check, tests/test_mutants.py holds a mutation under which the
 whole suite runs and that check alone fails.
@@ -34,7 +35,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .chern_simons import CSConfig, _constant_chain, cs_class, cs_density
+from .chern_simons import CSConfig, _constant_chain, cs_class, cs_density, sweep
 from .expressions import Alpha, Cos, Expr, Num, Sin, evaluate
 from .forms import MatrixForm, basis_indices, evaluate3, trace, wedge
 from .geometry import BergerMetric, builtin_family
@@ -261,6 +262,38 @@ def check_quadrature_stability(_: np.random.Generator) -> CheckResult:
                        f"and one metric of frequencies 2 and 3 (tol 1e-8)")
 
 
+# Two sweeps.  In the first every |a| divides the first a, so each row is
+# periodic on its ladder even with the first row's constants, and such a
+# fault shows as wrong values rather than an error (after which a batch
+# reruns its rows one at a time through cs_class).  In the second one row
+# doubles its ladder (4096) while the others stop at T_64.
+SWEEPS = ((8, 1, 2, 4, -8), (3, 4096, -3))
+REPORT_FIELDS = ("integral", "class_value", "mod_z", "nontrivial", "verdict", "s", "a",
+                 "max_imag", "quadrature_n", "samples_evaluated")
+
+
+def _outcome(run) -> list:
+    """The report fields of each report run() returns (repr, so every
+    float bit shows), or the error it raises."""
+    try:
+        return [repr([getattr(r, f) for f in REPORT_FIELDS]) for r in run()]
+    except Exception as exc:
+        return [f"raises {type(exc).__name__}: {exc}"]
+
+
+def check_sweep_rows(_: np.random.Generator) -> CheckResult:
+    """sweep computes its class values a batch of rows at a time, with the
+    metrics' constants stacked; it must return, field by field and bit for
+    bit, what one cs_class call per a returns, or raise what the first
+    failing call raises."""
+    cfg = CSConfig()
+    differ = [a_values for a_values in SWEEPS
+              if _outcome(lambda: sweep(a_values, cfg))
+              != _outcome(lambda: [cs_class(builtin_family(a), cfg) for a in a_values])]
+    return CheckResult("sweep rows equal one class value per a", not differ,
+                       f"sweeps that differ from one cs_class per a: {differ} of {SWEEPS}")
+
+
 ALL_CHECKS: List[Callable[[np.random.Generator], CheckResult]] = [
     check_jet_finite_differences,
     check_quadrature_exactness,
@@ -272,6 +305,7 @@ ALL_CHECKS: List[Callable[[np.random.Generator], CheckResult]] = [
     check_s_linearity,
     check_density_reality,
     check_quadrature_stability,
+    check_sweep_rows,
 ]
 
 

@@ -586,13 +586,93 @@ def test_per_period_integral_matches_full_circle():
         assert abs(cs_class(m, CFG).integral - circle) < 1e-8
 
 
+# every field of a report, the report grid and its densities included
+REPORT_FIELDS = ("integral", "class_value", "mod_z", "distance_to_integers", "nontrivial",
+                 "verdict", "s", "a", "max_imag", "quadrature_n", "samples_evaluated",
+                 "alphas", "densities")
+
+
+def assert_rows_are_one_class_value_each(a_values, cfg):
+    reports = sweep(a_values, cfg)
+    alone = [cs_class(builtin_family(a), cfg) for a in a_values]
+    assert len(reports) == len(alone)
+    for got, want in zip(reports, alone):
+        for name in REPORT_FIELDS:
+            g, w = getattr(got, name), getattr(want, name)
+            if type(w) in (str, bool, int):
+                assert type(g) is type(w) and g == w, name
+            else:
+                assert_same_bits(g, w)
+        assert repr(got) == repr(want)
+    return reports
+
+
+@pytest.mark.parametrize("a_values, cfg", [
+    # a = 4096 doubles its ladder while the other rows stop at T_64
+    ((1, 2, 3, 8, 32, 256, 4096, -3), CFG),
+    # 70 rows: a batch holds at most BLOCK // 65 = 63 of them
+    (tuple(range(-5, 0)) + tuple(range(1, 66)), CFG),
+    # the ladder starts on the report grid, whose densities each row keeps
+    ((1, 2, 3, 8, 32, -3), CSConfig(quadrature=QuadratureSpec(n=16))),
+], ids=["family", "two_batches", "report_grid"])
+def test_sweep_rows_are_one_class_value_each(a_values, cfg):
+    reports = assert_rows_are_one_class_value_each(a_values, cfg)
+    assert [r.a for r in reports] == list(a_values)
+
+
 def test_sweep():
     reports = sweep([2, 3], CFG)
     assert [r.a for r in reports] == [2, 3]
     assert abs(reports[0].integral - ORACLE_INTEGRAL_A2) < 1e-4
     assert abs(reports[1].integral - ORACLE_INTEGRAL_A3) < 1e-4
+    assert [r.samples_evaluated for r in sweep([2, 4096, 3], CFG)] == [65, 129, 65]
     with pytest.raises(ValueError):
         sweep([2, 0], CFG)
+
+
+def test_a_batch_that_raises_reruns_its_rows_alone(monkeypatch):
+    def broken(self, alpha):
+        raise ValueError("a stacked run failed")
+
+    monkeypatch.setattr(loopcs.geometry.MetricRows, "scale_jets", broken)
+    assert_rows_are_one_class_value_each((2, 8, 32), CFG)
+
+
+def _first_error(run):
+    with pytest.raises(Exception) as raised:
+        run()
+    return type(raised.value), str(raised.value)
+
+
+@pytest.mark.parametrize("cfg, error", [
+    # (s/4) * integral overflows on every row; the loop meets a = 2 first
+    (CSConfig(s=5e307), NonFiniteClassError),
+    # one doubling is not enough for a = 4096 at this tolerance
+    (CSConfig(quadrature=QuadratureSpec(tol=1e-12, max_refinements=1)),
+     QuadratureConvergenceError),
+], ids=["overflow", "refinement_cap"])
+def test_failing_sweep_raises_as_the_loop_of_class_values(cfg, error):
+    a_values = (2, 8, 4096, 3)
+    got = _first_error(lambda: sweep(a_values, cfg))
+    assert got == _first_error(lambda: [cs_class(builtin_family(a), cfg) for a in a_values])
+    assert got[0] is error
+
+
+@pytest.mark.parametrize("a_values, runs", [
+    ((2, 8, 32), 1),
+    # a second level for the one row that doubles its ladder
+    ((1, 2, 3, 8, 32, 256, 4096, -3), 2),
+    # two batches of 63 and 7 rows
+    (tuple(range(1, 71)), 2),
+])
+def test_sweep_runs_the_program_once_per_batch_level(a_values, runs, monkeypatch):
+    # the family's constructor proves its metric and runs no program
+    calls = {"run": 0, "trace": 0}
+    monkeypatch.setattr(JetProgram, "__call__", _counting(calls, "run", JetProgram.__call__))
+    monkeypatch.setattr(loopcs.chern_simons, "connection_trace",
+                        _counting(calls, "trace", connection_trace))
+    sweep(a_values, CFG)
+    assert calls == {"run": runs, "trace": runs}
 
 
 def test_report_contents():

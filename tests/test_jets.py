@@ -163,3 +163,27 @@ def test_product_of_a_linear_jet_needs_one_grid_and_dtype():
     assert want.d1.dtype == want.d2.dtype == np.float64
     assert got.v.dtype == np.float64 and got.d1.dtype == got.d2.dtype == np.float32
     assert np.allclose(got.d1, want.d1, rtol=1e-6) and np.allclose(got.d2, want.d2, rtol=1e-6)
+
+
+# an ndarray on the left of a jet: Jet2 opts out of numpy's ufunc dispatch,
+# so the jet's reflected method runs and the result is one jet, with the
+# bits of the same operation on the array as a constant jet
+LEFT = np.array([2.0, -3.0, 0.5])
+RIGHT = Jet2(np.array([1.5, 2.5, -0.75]), np.array([0.25, -1.0, 3.0]),
+             np.array([-2.0, 0.5, 1.25]))
+
+
+def test_array_plus_jet_is_a_jet():
+    assert_same_bits(LEFT + RIGHT, Jet2.constant(LEFT) + RIGHT)
+
+
+def test_array_minus_jet_is_a_jet():
+    assert_same_bits(LEFT - RIGHT, Jet2.constant(LEFT) - RIGHT)
+
+
+def test_array_times_jet_is_a_jet():
+    assert_same_bits(LEFT * RIGHT, Jet2.constant(LEFT) * RIGHT)
+
+
+def test_array_over_jet_is_a_jet():
+    assert_same_bits(LEFT / RIGHT, Jet2.constant(LEFT) / RIGHT)

@@ -6,8 +6,10 @@ fail under it (by function name, without the ``check_`` prefix);
 verify.run_check counts a check that raises as failed.  A mutation goes
 wherever the program binds what it replaces (replace): a function that
 other modules import by name, a method in its class, and the dispatch
-tables the compiler fills at import (_JET_OPS, _RULES), so a compiled
-program runs the mutant too.
+tables the compiler fills at import (_CONSTANT_OPS, _JET_OPS, _RULES).
+A compiled program's ops are data, (op function, constants, input
+registers), and the compiler reads each op function from its module when
+it emits the op, so a program compiled under a row runs the mutant too.
 
 The tests ask every named check to fail under its row and every check
 of ALL_CHECKS to have a witness: a row under which the whole suite runs
@@ -42,9 +44,10 @@ import loopcs.geometry as geometry
 import loopcs.oracle as oracle
 from loopcs import verify
 # the originals: replace rebinds names in loopcs modules only
-from loopcs.chern_simons import (CSConfig, _constant_chain, _ladder_start, cs_class,
-                                 cs_density, reduce_mod_z)
-from loopcs.expressions import Alpha, Cos, Mul, Num, ParamA, Sin, Sub, _Compiler, derivative
+from loopcs.chern_simons import (CSConfig, _class_report, _constant_chain, _ladder_start,
+                                 cs_class, cs_density, reduce_mod_z)
+from loopcs.expressions import (Alpha, Cos, Mul, Num, ParamA, Sin, Sub, _Compiler, derivative,
+                                stack_constants)
 from loopcs.forms import MatrixForm, ScalarForm, merge_sign
 from loopcs.geometry import builtin_family
 from loopcs.jets import Jet2
@@ -110,9 +113,8 @@ def density_plus_one(m, cfg, alpha):
     return cs_density(m, cfg, alpha) + 1.0
 
 
-def class_value_s_times_integral(m, cfg=CSConfig()):
-    report = cs_class(m, cfg)
-    value = cfg.s * report.integral
+def class_value_s_times_integral(report):
+    value = report.s * report.integral
     return dataclasses.replace(report, class_value=value, mod_z=reduce_mod_z(value))
 
 
@@ -127,35 +129,39 @@ def ladder_over_half_period(m, spec):
 
 # -- quadrature
 
+# an integrand of several rows returns (rows, n + 1) samples and takes the
+# rows still refining on a doubling (integrate_circle); these pass them on
+
 def end_weights_one(f, spec=QuadratureSpec()):
     # the ladder with weight h, not h/2, on alpha = 0 and 2 pi
-    def doubled_ends(x):
-        y = np.array(f(x), dtype=float)
+    def doubled_ends(x, *live):
+        y = np.array(f(x, *live), dtype=float)
         if x[0] == 0.0:
-            y[[0, -1]] *= 2.0
+            y[..., [0, -1]] *= 2.0
         return y
     return integrate_circle(doubled_ends, spec)
 
 
 def midpoints_at_a_quarter(f, spec=QuadratureSpec()):
     # each doubling samples (i + 1/4) h, not (i + 1/2) h
-    return integrate_circle(lambda x: f(x) if x[0] == 0.0 else f(x - 0.5 * x[0]), spec)
+    return integrate_circle(
+        lambda x, *live: f(x, *live) if x[0] == 0.0 else f(x - 0.5 * x[0], *live), spec)
 
 
 # -- compiler and jets
 
 # the unpatched methods, which a mutant calls through
-_once, _trig, _pow = _Compiler.once, _Compiler.trig, Jet2.__pow__
+_trig, _pow = _Compiler.trig, Jet2.__pow__
 
 
-def drifting_line(self, k, c):
-    return self.once(("line", k, c), lambda x: k * x + c + 1e-3 * x, 0)
+def drifting_lines(mp):
+    # both op functions of a line k alpha + c: with c, and through 0
+    replace(mp, expressions._line, lambda k, c, x: k * x + c + 1e-3 * x)
+    replace(mp, expressions._slope, lambda k, x: k * x + 1e-3 * x)
 
 
-def shifted_cos_pair(self, key, fn, *ins):
-    if key[0] == "trig":
-        fn = lambda x: (np.sin(x), np.cos(x + 1e-3))
-    return _once(self, key, fn, *ins)
+def shifted_cos_pair(x):
+    return np.sin(x), np.cos(x + 1e-3)
 
 
 def exchanged_trig(self, e):
@@ -192,8 +198,9 @@ def cos_derivative_unsigned(e):
     return derivative(e)
 
 
-def constant_op(mp, kind, op):
-    mp.setitem(expressions._CONSTANT_OPS, kind, op)
+def rows_of_row_zero(programs):
+    # every row of a group runs with the first row's constants
+    return stack_constants(programs[:1] * len(programs))
 
 
 # -- oracle
@@ -295,8 +302,7 @@ MUTANTS = [
      lambda mp: replace(mp, cs_density, density_plus_one),
      ("density_traces_oracle",)),
     ("class value s * integral",
-     lambda mp: replace(mp, cs_class, class_value_s_times_integral),
-     ("s_linearity",)),
+     wrap(_class_report, class_value_s_times_integral), ("s_linearity",)),
     ("reduce_mod_z by truncation",
      lambda mp: replace(mp, reduce_mod_z, truncating_mod_z), ("s_linearity",)),
     ("certificate period from the largest frequency",
@@ -313,19 +319,22 @@ MUTANTS = [
      ("quadrature_exactness",)),
     ("family nu = 2.1 - cos(a alpha)",
      lambda mp: mp.setattr(geometry, "_NU", Sub(Num(2.1), Cos(Mul(ParamA(), Alpha())))), ()),
-    ("compiled line k alpha + c + 1e-3 alpha",
-     lambda mp: replace(mp, _Compiler.line, drifting_line),
+    ("compiled line k alpha + c + 1e-3 alpha", drifting_lines,
      ("jet_finite_differences", "quadrature_stability")),
     ("trig pair's cos at x + 1e-3",
-     lambda mp: replace(mp, _once, shifted_cos_pair), ("jet_finite_differences",)),
+     lambda mp: replace(mp, expressions._sin_cos, shifted_cos_pair),
+     ("jet_finite_differences",)),
     ("trig rule with sin and cos exchanged",
      lambda mp: replace(mp, _trig, exchanged_trig), ("density_traces_oracle",)),
     ("constant product leaves d2 unscaled",
-     lambda mp: constant_op(mp, Mul, lambda c: lambda j: Jet2(j.v * c, j.d1 * c, j.d2)),
+     lambda mp: replace(mp, expressions._times, lambda c, j: Jet2(j.v * c, j.d1 * c, j.d2)),
      ("jet_finite_differences", "density_traces_oracle")),
     ("c - jet keeps the derivatives' sign",
-     lambda mp: constant_op(mp, "c - j", lambda c: lambda j: Jet2(c - j.v, j.d1, j.d2)),
+     lambda mp: replace(mp, expressions._subtracted_from,
+                        lambda c, j: Jet2(c - j.v, j.d1, j.d2)),
      ("density_traces_oracle",)),
+    ("a group reads row 0's constants for every row",
+     lambda mp: replace(mp, stack_constants, rows_of_row_zero), ("sweep_rows",)),
     ("jet product with u'v' once in d2",
      lambda mp: replace(mp, Jet2.__mul__, product_d2_once), ("density_traces_oracle",)),
     ("jet quotient with q1 once in q2",

@@ -21,6 +21,8 @@ Corpus:
   complex alpha on and off the real axis;
 - every cs_class report field, the report grid and its densities included,
   and the report's repr;
+- every report field of sweep over the built-in family's a above and over
+  the benchmark's A_POOL, each sweep as one call;
 - the repr of the parsed tree of each of the 696 custom_cli expressions
   of seeds 1-29;
 - CLI exit code, stdout, stderr and output bytes of ``compute`` (paper and
@@ -96,12 +98,17 @@ def import_checkout(checkout: Path):
     return loopcs
 
 
-def custom_items(seeds) -> list:
-    """(lam, mu, nu, s, n) of the custom_cli cycles of the given seeds."""
+def workloads():
+    """perfbench/workloads.py next to this script."""
     sys.path.insert(1, str(PERFBENCH))
     import workloads
+    return workloads
+
+
+def custom_items(seeds) -> list:
+    """(lam, mu, nu, s, n) of the custom_cli cycles of the given seeds."""
     return [item for seed in seeds
-            for item in workloads.CustomCli(seed, Path(".")).cycle]
+            for item in workloads().CustomCli(seed, Path(".")).cycle]
 
 
 def corpus(loopcs, quick: bool):
@@ -144,11 +151,26 @@ def metric_lines(loopcs, metrics, grids):
         if isinstance(report, Exception):
             yield f"{name} | cs_class | {fingerprint(report)}"
             continue
-        for field in ("integral", "class_value", "mod_z", "distance_to_integers",
-                      "nontrivial", "verdict", "s", "a", "max_imag", "quadrature_n",
-                      "samples_evaluated", "alphas", "densities"):
-            yield f"{name} | report.{field} | {fingerprint(getattr(report, field))}"
-        yield f"{name} | report repr | {fingerprint(repr(report).encode())}"
+        yield from report_lines(name, report)
+
+
+def report_lines(name, report):
+    for field in ("integral", "class_value", "mod_z", "distance_to_integers",
+                  "nontrivial", "verdict", "s", "a", "max_imag", "quadrature_n",
+                  "samples_evaluated", "alphas", "densities"):
+        yield f"{name} | report.{field} | {fingerprint(getattr(report, field))}"
+    yield f"{name} | report repr | {fingerprint(repr(report).encode())}"
+
+
+def sweep_lines(loopcs, quick: bool):
+    for a_values in ((2, 8),) if quick else (FAMILY, workloads().A_POOL):
+        name = f"sweep {a_values}"
+        reports = attempt(loopcs.sweep, a_values)
+        if isinstance(reports, Exception):
+            yield f"{name} | {fingerprint(reports)}"
+            continue
+        for n, report in enumerate(reports):
+            yield from report_lines(f"{name} row {n}", report)
 
 
 COPIES = (("pickled", lambda m: pickle.loads(pickle.dumps(m))), ("deep-copied", copy.deepcopy))
@@ -227,8 +249,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     loopcs = import_checkout(args.checkout)
     metrics, grids = corpus(loopcs, args.quick)
-    lines = [*metric_lines(loopcs, metrics, grids), *tree_lines(loopcs, args.quick),
-             *cli_lines(loopcs, args.quick)]
+    lines = [*metric_lines(loopcs, metrics, grids), *sweep_lines(loopcs, args.quick),
+             *tree_lines(loopcs, args.quick), *cli_lines(loopcs, args.quick)]
     args.out.write_text("\n".join(lines) + "\n")
     print(f"{len(lines)} items written to {args.out}")
     return 0
