@@ -49,34 +49,34 @@ or the first failing op in program order, as it would unblocked.  Smaller
 grids (every ladder level of a certified class, a 4097-point report grid)
 run the kernel once.  A class value is one integrate_circle call
 (:mod:`loopcs.quadrature`) over one period 2*pi/g, rescaled to [0, 2*pi],
-which equals the integral over the whole circle.  When the metric carries a frequency certificate (g, K)
-(BergerMetric.certificate: scales 2*pi/g periodic, sin/cos arguments of
-alpha-frequency at most K), the ladder starts at SAMPLES_PER_PERIOD
-samples per period of the K-th harmonic: a default class value of the
-built-in family costs 65 density samples for a in {2, 8, 32}.  Without a
-certificate, or when that first level would exceed the report grid's N,
-the period is the whole circle and the ladder starts on the report grid.
-The report grid itself (CSReport.alphas, .densities) is evaluated the
-first time it is read, unless the integral already sampled it.
+which equals the integral over the whole circle.  When the metric
+carries a frequency certificate (g, K) (BergerMetric.certificate: scales
+2*pi/g periodic, sin/cos arguments of alpha-frequency at most K), the
+ladder starts at SAMPLES_PER_PERIOD samples per period of the K-th
+harmonic, or at the report grid's N if that is fewer: a default class
+value of the built-in family costs 65 density samples for a in {2, 8,
+32}.  Only a metric without a certificate is integrated over the whole
+circle, starting on the report grid.  The report grid itself
+(CSReport.alphas, .densities) is evaluated the first time it is read, by
+one cs_density call on that grid.
 
-sweep computes its class values in batches: consecutive metrics whose
-programs share one structure and whose ladders start at the same n are
-the rows of one integrate_circle call, each level one cs_density call over
-the rows still refining.  cs_class is the one-row case of that code, and
-a row's samples, sums and report have the bits of its one-row run.  A
-certified class value of the built-in family costs one kernel pass and a
-fixed number of numpy and Python calls around it whether it is computed
-alone or as one of 63 rows; in a batch those fixed calls are shared.
+sweep computes its class values in batches: every member of the built-in
+family runs one program structure (its constants aside) and starts its
+ladder at one n, so consecutive metrics are the rows of one
+integrate_circle call, each level one cs_density call over the rows still
+refining.  cs_class is the one-row case of that code, and a row's
+samples, sums and report have the bits of its one-row run.
 
 A certified class value samples 65 points, so it costs one kernel pass
 plus a fixed number of numpy and Python calls around it, not per-sample
-arithmetic.  The wrappers therefore make only the calls their result
-needs: cs_density broadcasts the trace to alpha's shape only when it is
-not already an array of that shape (a constant metric's trace is a
-scalar), and cs_class reduces max|f| only when Im kappa(s) is nonzero,
-which no accepted s gives: CSConfig keeps s below 2**1023, where the
-chain's 2 i s would overflow.  The first ladder level reads quadrature's
-shared grid of each n, copied rather than rebuilt by np.linspace.
+arithmetic, and a batch of up to 63 rows shares those calls.  The
+wrappers therefore make only the calls their result needs: cs_density
+broadcasts the trace to alpha's shape only when it is not already an
+array of that shape (a constant metric's trace is a scalar), and
+cs_class reduces max|f| only when Im kappa(s) is nonzero, which no
+accepted s gives: CSConfig keeps s below 2**1023, where the chain's
+2 i s would overflow.  The first ladder level reads quadrature's shared
+grid of each n, copied rather than rebuilt by np.linspace.
 """
 from __future__ import annotations
 
@@ -165,8 +165,7 @@ class CSReport:
     """Result of one class computation.
 
     alphas and densities are the report grid circle_grid(quadrature_n) and
-    the density on it, evaluated the first time they are read unless the
-    integral already sampled that grid.
+    cs_density on it, evaluated the first time they are read and kept.
     """
 
     metric: BergerMetric
@@ -181,19 +180,18 @@ class CSReport:
     max_imag: float
     quadrature_n: int      # report grid N: N + 1 points from 0 to 2*pi
     samples_evaluated: int  # density samples the integral used
-    _grid_densities: np.ndarray | None = field(default=None, repr=False)
 
     def __init__(self, metric: BergerMetric, config: CSConfig, integral: float,
                  class_value: float, mod_z: float, nontrivial: bool, verdict: str,
                  s: float, a: int, max_imag: float, quadrature_n: int,
-                 samples_evaluated: int, _grid_densities: np.ndarray | None = None):
+                 samples_evaluated: int):
         # the fields go straight into the instance dict, as in Jet2: the
         # generated frozen __init__ calls object.__setattr__ once per field
         self.__dict__.update(
             metric=metric, config=config, integral=integral, class_value=class_value,
             mod_z=mod_z, nontrivial=nontrivial, verdict=verdict, s=s, a=a,
             max_imag=max_imag, quadrature_n=quadrature_n,
-            samples_evaluated=samples_evaluated, _grid_densities=_grid_densities)
+            samples_evaluated=samples_evaluated)
 
     @property
     def distance_to_integers(self) -> float:
@@ -205,8 +203,6 @@ class CSReport:
 
     @cached_property
     def densities(self) -> np.ndarray:
-        if self._grid_densities is not None:
-            return self._grid_densities
         return cs_density(self.metric, self.config, self.alphas)
 
 
@@ -408,15 +404,13 @@ def reduce_mod_z(value: float) -> float:
 def _ladder_start(m: BergerMetric, spec: QuadratureSpec) -> tuple[int, int]:
     """(g, n): the ladder runs over one period 2*pi/g and starts at n
     samples.  A certificate (g, K) gives n = SAMPLES_PER_PERIOD samples per
-    period of the K-th harmonic, unless that exceeds the report grid's N;
-    otherwise the period is the whole circle and n is N, which keeps the
-    work bounded by spec.n << spec.max_refinements."""
-    if m.certificate is not None:
-        g, K = m.certificate
-        n = max(16, SAMPLES_PER_PERIOD * K // g)
-        if n <= spec.n:
-            return g, n
-    return 1, spec.n
+    period of the K-th harmonic, capped at the report grid's N, which keeps
+    the work bounded by spec.n << spec.max_refinements.  Without a
+    certificate the period is the whole circle and n is N."""
+    if m.certificate is None:
+        return 1, spec.n
+    g, K = m.certificate
+    return g, min(max(16, SAMPLES_PER_PERIOD * K // g), spec.n)
 
 
 @lru_cache(maxsize=32)
@@ -427,7 +421,7 @@ def _ladder_spec(n: int, tol: float, max_refinements: int) -> QuadratureSpec:
 
 
 def _class_report(m: BergerMetric, cfg: CSConfig, integral: float, samples: int,
-                  max_imag: float, grid_densities) -> CSReport:
+                  max_imag: float) -> CSReport:
     """The report of m's class value: (s/4) * integral reduced mod Z, and
     its verdict."""
     value = cfg.s / 4.0 * integral
@@ -451,13 +445,12 @@ def _class_report(m: BergerMetric, cfg: CSConfig, integral: float, samples: int,
         max_imag=max_imag,
         quadrature_n=cfg.quadrature.n,
         samples_evaluated=samples,
-        _grid_densities=grid_densities,
     )
 
 
 def _class_reports(metrics: list, periods: list, n: int, cfg: CSConfig) -> list:
-    """The reports of metrics whose programs share one structure and whose
-    ladders all start at n samples, metric i's over its period
+    """The reports of metrics whose programs differ in their constants only
+    and whose ladders all start at n samples, metric i's over its period
     2*pi/periods[i] (_ladder_start): one integrate_circle call over all of
     them as rows.
 
@@ -476,17 +469,14 @@ def _class_reports(metrics: list, periods: list, n: int, cfg: CSConfig) -> list:
     else:
         rows, g = MetricRows(metrics), np.array(periods, float)[:, None]
     imag = abs(_constant_chain(cfg.s).imag)
-    samples, max_abs, first_level = [0] * count, [0.0] * count, None
+    samples, max_abs = [0] * count, [0.0] * count
 
     def density(x, live=None):
         # x in [0, 2*pi] covers one period 2*pi/g of each row
-        nonlocal first_level
         evaluated, period = rows, g
         if live is not None and live.size < count:
             evaluated, period = rows.take(live), g[live]
         f = cs_density(evaluated, cfg, x / period).reshape(-1, x.size)
-        if first_level is None:
-            first_level = f
         which = range(count) if live is None else live.tolist()
         for i in which:
             samples[i] += x.size
@@ -498,9 +488,7 @@ def _class_reports(metrics: list, periods: list, n: int, cfg: CSConfig) -> list:
         return f
 
     integrals = integrate_circle(density, _ladder_spec(n, spec.tol, spec.max_refinements))
-    # a ladder that starts on the report grid keeps its first level
-    return [_class_report(m, cfg, integral, samples[i], imag * max_abs[i],
-                          first_level[i] if (periods[i], n) == (1, spec.n) else None)
+    return [_class_report(m, cfg, integral, samples[i], imag * max_abs[i])
             for i, (m, integral) in enumerate(zip(metrics, integrals))]
 
 
@@ -509,9 +497,8 @@ def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
 
     The integral is one ladder over the period 2*pi/g from _ladder_start,
     rescaled to [0, 2*pi]; cfg.quadrature gives its tolerance and doubling
-    cap.  When that ladder starts on the report grid (no certificate, or a
-    harmonic too fast for it), its first level is kept as the report's
-    densities.  The verdict is "nontrivial" when the reduced value keeps at
+    cap.  The report's densities are evaluated on the report grid when
+    first read.  The verdict is "nontrivial" when the reduced value keeps at
     least the integrality tolerance away from the integers, and
     "indeterminate" otherwise (never coerced to a trivial/nontrivial claim
     the numerics cannot support).  The one-row case of sweep's batches.
@@ -523,25 +510,23 @@ def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
 def sweep(a_values, cfg: CSConfig = CSConfig()):
     """One report per parameter of the built-in family, computed in
     batches.  Every metric is built before the first class value, so a zero
-    a raises before any class is computed.  Consecutive metrics of one
-    program structure and one ladder start n form a batch of at most
+    a raises before any class is computed.  Every member of the family runs
+    one program structure (its constants aside) and starts its ladder at
+    one n, so the metrics are cut, in order, into batches of
     BLOCK // (n + 1) rows (63 at n = 64), and each batch is one
     _class_reports call.  Should a batch raise, its metrics run one at a
     time through cs_class, in order, so the first failing metric raises its
     own error as a loop of cs_class calls would."""
     metrics = [builtin_family(a) for a in a_values]
+    if not metrics:
+        return []
     spec = cfg.quadrature
-    batches = []   # (key, metrics, periods)
-    for m in metrics:
-        g, n = _ladder_start(m, spec)
-        key = (m._scales.structure, n)
-        if batches and batches[-1][0] == key and len(batches[-1][1]) < BLOCK // (n + 1):
-            batches[-1][1].append(m)
-            batches[-1][2].append(g)
-        else:
-            batches.append((key, [m], [g]))
+    n = _ladder_start(metrics[0], spec)[1]
+    size = BLOCK // (n + 1)
     reports = []
-    for (_, n), batch, periods in batches:
+    for start in range(0, len(metrics), size):
+        batch = metrics[start:start + size]
+        periods = [_ladder_start(m, spec)[0] for m in batch]
         try:
             reports += _class_reports(batch, periods, n, cfg)
         except Exception:

@@ -2,9 +2,9 @@
 
 Node kinds: number, alpha, a, +, -, *, /, integer power, sin, cos.  The
 grammar does not force 2*pi-periodicity in alpha (``alpha`` may appear
-outside a trig function, or as ``sin(0.5*alpha)``).  ``alpha_frequencies``
-reads a period off a tree whose every sin/cos argument is an integer
-multiple of alpha plus a constant; :class:`~loopcs.geometry.BergerMetric`
+outside a trig function, or as ``sin(0.5*alpha)``).  A period is read off
+trees whose every sin/cos argument is an integer multiple of alpha plus a
+constant (JetProgram.frequencies); :class:`~loopcs.geometry.BergerMetric`
 rejects the other trees when their jets at 0 and 2*pi disagree.  Trees
 are immutable; operators on nodes build new trees, so metric families
 like ``2 + (1/a)*cos(a*alpha)*sin(a*alpha)`` can be written once and
@@ -31,14 +31,14 @@ that program on every grid.  Programs that differ only in their constants
 each differing constant a (rows, 1) column (``stack_constants``).
 
 The one walk yields three things per tree, so a BergerMetric visits each
-node of its trees once: the jet ops, the frequencies
-``alpha_frequencies`` reports, and the enclosure ``value_bounds``
-reports.  The enclosure bounds a tree's values over the whole circle by
-interval arithmetic, one interval per tree node (not per folded line),
-formed from the children's intervals with every endpoint rounded
-outward; it lets a BergerMetric prove its scales positive without
-sampling them.  ``derivative`` differentiates symbolically, producing
-another tree in the same grammar.
+node of its trees once: the jet ops, the alpha-frequencies of its sin/cos
+arguments (``JetProgram.frequencies``) and an enclosure of its values over
+the circle (``JetProgram.bounds``), which lets a BergerMetric prove its
+scales positive without sampling them.  A program is the one source of
+these facts.  The walk converts a to a float once and rejects an a past
+the float range with ValueError, whether or not a tree reads it.
+``derivative`` differentiates symbolically, producing another tree in the
+same grammar.
 
 The concrete grammar parsed by :func:`parse_expression`::
 
@@ -206,27 +206,6 @@ _TWO_PI_UP = math.nextafter(2.0 * math.pi, math.inf)
 _FLOAT_MAX = sys.float_info.max
 
 
-def value_bounds(e: Expr, a: int = 1) -> Optional[tuple[float, float]]:
-    """An enclosure (lo, hi) of e over alpha in [0, 2*pi], or None.
-
-    One interval per node over the whole circle, in Python floats.  + and -
-    combine the endpoints, * and / take the extremes over the four endpoint
-    products or quotients, and a power takes its endpoints' powers (0 the
-    low end of an even power over an interval holding 0).  Every computed
-    endpoint moves one float outward (math.nextafter), so the enclosure
-    holds the real values of e at every alpha, not only at samples.  sin
-    and cos give [-1, 1] once their argument has an enclosure.  None when
-    some node has none that is finite: a non-finite constant, an overflow,
-    an a past the float range, or a denominator or negative power whose
-    interval holds 0.  The compiler encloses every node in the walk that
-    emits its jet ops (JetProgram.bounds).
-    """
-    try:
-        return compile_jets((e,), a).bounds[0]
-    except ArithmeticError:
-        return None
-
-
 # The enclosure of a node from its children's, by node type: each computed
 # endpoint moves one float outward.  None when a child has no enclosure or
 # the node has no finite one.
@@ -287,19 +266,6 @@ def _power_box(b, k: int):
 _BOXES = {Add: _sum_box, Sub: _difference_box, Mul: _product_box}
 _CIRCLE_BOX = (0.0, _TWO_PI_UP)
 _TRIG_BOX = (-1.0, 1.0)
-
-
-def alpha_frequencies(e: Expr, a: int = 1) -> Optional[frozenset]:
-    """The |k| of every sin/cos argument k*alpha + c with k != 0, or None.
-
-    Each k must be an integer once a is substituted; the tree is then a
-    function of the sin/cos of these multiples of alpha, hence 2*pi/g
-    periodic with g the gcd of the k.  None when alpha appears outside a
-    sin/cos argument, or inside one that is not linear in alpha with an
-    integer slope: no period can be read off the tree.  The compiler reads
-    them off in its walk (JetProgram.frequencies).
-    """
-    return compile_jets((e,), a).frequencies
 
 
 # smart constructors: fold constants and drop arithmetic identities so that
@@ -391,7 +357,9 @@ def evaluate(e: Expr | tuple, alpha: Number, a: int = 1) -> Jet2 | tuple:
     also be a tuple of trees, evaluated together into a tuple of jets that
     share one np.sin/np.cos pair per distinct linear argument.  Compiles a
     fresh program and runs it once.  Raises EvalDomainError if a
-    denominator vanishes at any evaluation point.
+    denominator vanishes at any evaluation point.  It stays beside
+    compile_jets because the verify suites of earlier revisions, which
+    tests/test_mutants.py loads into this package, and the demos call it.
     """
     if isinstance(e, Expr):
         return compile_jets((e,), a)(alpha)[0]
@@ -408,15 +376,17 @@ class JetProgram:
     returns one Jet2 per tree.  Register 0 holds alpha and op n writes
     register n; a register is dropped after its last read (last[i], which
     the compiler records as it emits the ops), so a grid evaluation holds
-    no more arrays at a time than a recursive walk would.  frequencies is
-    alpha_frequencies of all the trees together, and bounds holds
-    value_bounds of each tree: both come out of the compile walk.
+    no more arrays at a time than a recursive walk would.
 
-    Two programs share a structure, (fns, ins), when they differ in their
-    constants only, as every member of the built-in family does (a enters
-    as the constants k = a, 1/a, -a^2, ...).  Programs of one structure run
-    as one: a call with the constants of stack_constants evaluates each
-    program on its row of a (rows, n) alpha.
+    frequencies and bounds are what the compile walk read off the trees:
+    the |k| of their sin/cos arguments k*alpha + c, k != 0 (None when no
+    period can be read off), and per tree an enclosure (lo, hi) of its
+    values over the circle (None when some node has no finite one).
+
+    Programs that differ in their constants only, as every member of the
+    built-in family does (a enters as the constants k = a, 1/a, -a^2,
+    ...), run as one: a call with the constants of stack_constants
+    evaluates each program on its row of a (rows, n) alpha.
     """
 
     def __init__(self, ops: list, last: list, outputs: tuple,
@@ -426,11 +396,6 @@ class JetProgram:
         self.last = last
         for i in outputs:   # no op number is 0: an output is never dropped
             last[i] = 0
-
-    @property
-    def structure(self) -> tuple:
-        """The op functions and input registers: all but the constants."""
-        return self.fns, self.ins
 
     def __call__(self, alpha: Number, constants: Optional[tuple] = None) -> tuple:
         """The jets of the trees at alpha; constants, one tuple per op,
@@ -447,11 +412,11 @@ class JetProgram:
 
 
 def stack_constants(programs) -> list:
-    """The constants of programs of one structure for one run over their
-    rows, op by op.  A constant with the same bits in every row stays as it
-    is (0.0 and -0.0 differ), so one row's constants are its own; one that
-    differs becomes a (rows, 1) float column, which a row of alpha meets
-    element by element as the scalar would.  A constant that is no number
+    """The constants of programs that differ in their constants only, for
+    one run over their rows, op by op.  A constant with the same bits in
+    every row stays as it is (0.0 and -0.0 differ), so one row's constants
+    are its own; one that differs becomes a (rows, 1) float column, which a
+    row of alpha meets element by element as the scalar would.  A constant that is no number
     (a pole's message) and differs between rows makes the column raise
     ValueError."""
     count = len(programs)
@@ -473,15 +438,14 @@ def stack_constants(programs) -> list:
 
 
 def compile_jets(trees: tuple, a: int = 1) -> JetProgram:
-    """One walk over trees at a fixed a, compiled into a JetProgram."""
+    """One walk over trees at a fixed a, compiled into a JetProgram.
+    Raises ValueError when a is too large for a float."""
     compiler = _Compiler(a)
     outputs, bounds = [], []
     for e in trees:
         x, box = compiler.walk(e)
         outputs.append(compiler.jet(x))
         bounds.append(box)
-    if compiler.a_box is None:   # no enclosure holds an a past the float range
-        bounds = [None] * len(bounds)
     return JetProgram(compiler.ops, compiler.last, tuple(outputs), compiler.frequencies,
                       tuple(bounds))
 
@@ -568,20 +532,20 @@ class _Compiler:
     k == 0), while it is linear in alpha, and to the register of its Jet2
     above that.  A line, its sin/cos pair and their jets are emitted once
     per distinct (k, c).  walk returns that together with the node's
-    enclosure over the circle (value_bounds), formed from its children's
-    in the same visit: per node of the tree, not of the folded line."""
+    enclosure over the circle (JetProgram.bounds), formed from its
+    children's in the same visit: per node of the tree, not of the folded
+    line."""
 
     def __init__(self, a: int):
-        self.a = a
+        try:
+            self.a = float(a)
+        except OverflowError:
+            raise ValueError("the parameter a is too large for a float") from None
         self.ops = []      # (fn, constants, input registers)
         self.last = [0]    # by register, the op that reads it last
         self.shared = {}   # register by (kind, k, c)
         self.frequencies = frozenset()   # None once alpha shows outside sin/cos
         self.trig_depth = 0              # sin/cos arguments the walk is inside
-        try:
-            self.a_box = (float(a), float(a))
-        except OverflowError:
-            self.a_box = None
 
     def walk(self, e: Expr) -> tuple:
         """(the compiled subtree, its enclosure or None)"""
@@ -589,7 +553,7 @@ class _Compiler:
         if kind is Num:
             return (0.0, e.value), _number_box(e.value)
         if kind is ParamA:
-            return (0.0, float(self.a)), self.a_box
+            return (0.0, self.a), (self.a, self.a)
         if kind is Alpha:
             if not self.trig_depth:
                 self.frequencies = None

@@ -17,16 +17,16 @@ quantities vanish identically.  Rank-3 tables of them index the frame
 labels 1..4 by 0-based array axes (loopcs.oracle builds them).
 
 A BergerMetric compiles its three scale trees once into a jet program
-(expressions.compile_jets).  That one walk over the trees also reads off
-the frequency certificate and the trees' interval enclosures over the
-circle, and every scale_jets call only runs the program.  The
-constructor proves the scales positive from those enclosures when it
-can: a certified metric whose enclosures (BergerMetric.scale_bounds, the
-same as expressions.value_bounds) all have a positive lower end is
-positive and finite at every alpha, and is built without evaluating
-anything.  Every other metric runs its program once on a fixed
-1025-point grid, which checks positivity and finiteness there and, for
-an uncertified metric, periodicity from the jets at 0 and 2*pi.  A
+(expressions.compile_jets, which rejects an a too large for a float).
+That one walk also reads off the frequency certificate and the trees'
+interval enclosures over the circle (JetProgram.frequencies and .bounds),
+and every scale_jets call only runs the program.  The constructor proves
+the scales positive from those enclosures when it can: a certified
+metric whose enclosures (BergerMetric.scale_bounds) all have a positive
+lower end is positive and finite at every alpha, and is built without
+evaluating anything.  Every other metric runs its program once on a
+fixed 1025-point grid, which checks positivity and finiteness there and,
+for an uncertified metric, periodicity from the jets at 0 and 2*pi.  A
 copy of a metric (pickle, copy.copy, copy.deepcopy) is rebuilt by the
 constructor from the trees and a, so it compiles its own program and is
 proved or checked as the original was; the program itself is never
@@ -71,12 +71,12 @@ class BergerMetric:
     one walk that visits each tree node once, and sets two attributes from
     what that walk read off the trees:
 
-    - certificate: (g, K) (alpha_frequencies): the scales are 2*pi/g
+    - certificate: (g, K) (JetProgram.frequencies): the scales are 2*pi/g
       periodic, and K is the largest alpha-frequency of their sin/cos
       arguments.  None when some tree shows no period; constant scales
       give (1, 0).
     - scale_bounds: enclosures (lo, hi) of lam, mu, nu over alpha in
-      [0, 2*pi] (expressions.value_bounds) when they prove the metric: it
+      [0, 2*pi] (JetProgram.bounds) when they prove the metric: it
       has a certificate and every scale has lo > 0 (the bounds are
       finite).  Then the scales are positive and finite at every alpha,
       and the constructor samples nothing.  None otherwise: the

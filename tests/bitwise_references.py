@@ -4,8 +4,8 @@ Each one is the plain form of a routine that loopcs now computes faster;
 the tests require the fast routine to return exactly what these return,
 bit for bit: connection_trace as a loop over the cyclic triples, the
 Jet2 product as one expression per component (every temporary a fresh
-array), value_bounds as a recursive
-interval walk of its own, and the tokenizer that re-strips the rest of
+array), the compiled enclosures (JetProgram.bounds) as a recursive
+interval walk of their own, and the tokenizer that re-strips the rest of
 the source before every token.  assert_same_bits compares a result with
 its reference; assert_untouched checks that a call leaves its input
 arrays as they were.
@@ -83,8 +83,9 @@ def assert_untouched(call, *inputs):
 
 
 def reference_bounds(e, a=1):
-    """value_bounds by a recursive walk of its own: None when some node has
-    no finite enclosure."""
+    """compile_jets((e,), a).bounds[0] by a recursive walk of its own: None
+    when some node has no finite enclosure, or a is too large for a float
+    (which the compiler rejects)."""
     try:
         return _enclose(e, float(a))
     except ArithmeticError:

@@ -16,7 +16,7 @@ import loopcs.geometry
 import loopcs.oracle
 from bitwise_references import assert_same_bits, assert_untouched, cyclic_connection_trace
 from loopcs.chern_simons import (BLOCK, IMAG_TOLERANCE, MAX_S, SAMPLES_PER_PERIOD, CSConfig,
-                                 CSReport, NonFiniteClassError, NonFiniteDensityError,
+                                 NonFiniteClassError, NonFiniteDensityError,
                                  ResidueConventionError, _constant_chain, connection_trace,
                                  cs_class, cs_density, reduce_mod_z, sweep)
 from loopcs.expressions import EvalDomainError, JetProgram, evaluate, parse_expression
@@ -264,19 +264,26 @@ FAST_HARMONIC = "2+sin(alpha)+0.1*cos(128*alpha)"
 UNCERTIFIED = "2+sin(sin(alpha))"
 
 
-def test_fast_harmonic_keeps_full_circle_ladder(monkeypatch):
-    # the fast harmonic and the uncertified metric both start the ladder on
-    # the report grid, and reading .densities adds no density samples
+def test_report_densities_are_one_read_of_the_report_grid(monkeypatch):
+    # whether the ladder starts on the report grid (the fast harmonic, whose
+    # first level is capped at N, and the uncertified metric) or not,
+    # reading .densities evaluates the report grid once, as one cs_density
+    # call on it
     sizes = _count_density_samples(monkeypatch)
-    for lam, certificate in ((FAST_HARMONIC, (1, 128)), (UNCERTIFIED, None)):
+    n = CFG.quadrature.n
+    for lam, certificate, ladder in (("2+sin(alpha)", (1, 1), [65]),
+                                     (FAST_HARMONIC, (1, 128), [n + 1]),
+                                     (UNCERTIFIED, None, [n + 1])):
         m = BergerMetric(parse_expression(lam), parse_expression("1"),
                          parse_expression("2-cos(alpha)"))
         assert m.certificate == certificate
         sizes.clear()
         report = cs_class(m, CFG)
-        assert sum(sizes) == report.samples_evaluated == CFG.quadrature.n + 1
-        assert report.densities.size == CFG.quadrature.n + 1
-        assert sum(sizes) == CFG.quadrature.n + 1
+        assert sizes == ladder and report.samples_evaluated == sum(ladder)
+        sizes.clear()
+        assert_same_bits(report.densities, cs_density(m, CFG, circle_grid(n)))
+        assert sizes == [n + 1]
+        assert report.densities is report.densities and sizes == [n + 1]
 
 
 @pytest.mark.parametrize("m", [
@@ -304,6 +311,19 @@ def test_rejected_metric_raises_from_one_density_call(monkeypatch):
     with pytest.raises(ValueError, match="lam is not positive at alpha=0.001726"):
         cs_class(m, CSConfig(quadrature=QuadratureSpec(n=1024)))
     assert sizes == [SAMPLES_PER_PERIOD + 1]
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_small_report_grid_keeps_the_certified_period(n):
+    # a first level of 64 samples per period is capped at the report grid's
+    # N, but stays on one period: over the whole circle T_N and T_N/2 of
+    # the built-in family sample every period at the same phase when |a| is
+    # a multiple of N, and agree on a wrong value
+    cfg = CSConfig(quadrature=QuadratureSpec(n=n))
+    for a in (1, 2, 8, 16, 4096):
+        want = cs_class(builtin_family(a), CFG).integral
+        got = cs_class(builtin_family(a), cfg).integral
+        assert abs(got - want) <= 1e-12 * abs(want), (a, got, want)
 
 
 @pytest.mark.parametrize("a", [4096, 8192, 12288])
@@ -612,7 +632,8 @@ def assert_rows_are_one_class_value_each(a_values, cfg):
     ((1, 2, 3, 8, 32, 256, 4096, -3), CFG),
     # 70 rows: a batch holds at most BLOCK // 65 = 63 of them
     (tuple(range(-5, 0)) + tuple(range(1, 66)), CFG),
-    # the ladder starts on the report grid, whose densities each row keeps
+    # a report grid of N = 16 caps each row's first level at 16 samples per
+    # period, and its densities are read on demand
     ((1, 2, 3, 8, 32, -3), CSConfig(quadrature=QuadratureSpec(n=16))),
 ], ids=["family", "two_batches", "report_grid"])
 def test_sweep_rows_are_one_class_value_each(a_values, cfg):
@@ -794,8 +815,7 @@ def test_report_stays_frozen_and_compares_equal():
     m = builtin_family(8)
     report, again = cs_class(m, CFG), cs_class(m, CFG)
     assert report == again and repr(report) == repr(again)
-    assert [f.name for f in dataclasses.fields(CSReport)][-1] == "_grid_densities"
-    for name in ("integral", "verdict", "metric", "samples_evaluated", "_grid_densities"):
+    for name in ("integral", "verdict", "metric", "samples_evaluated"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(report, name, None)
     assert report.alphas is report.alphas and report.densities is report.densities

@@ -229,6 +229,22 @@ def test_bad_metrics_exit_codes(capsys):
         assert len(err) == 1 and err[0].startswith(prefix), err
 
 
+HUGE_A = str(10 ** 400)
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "--family", "paper", "--a", HUGE_A],
+    ["compute", "--lambda", "2+sin(a*alpha)/4", "--mu", "1", "--nu", "1", "--a", HUGE_A],
+    # a constant tree at such an a is rejected too
+    ["compute", "--lambda", "2", "--mu", "1", "--nu", "1", "--a", HUGE_A],
+    ["sweep", "--a", f"2,{HUGE_A}"],
+], ids=["paper", "custom", "constant", "sweep"])
+def test_parameter_too_large_for_a_float_exits_1(capsys, args):
+    assert run(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the parameter a is too large for a float"]
+
+
 def test_overflowing_parameter_power_is_not_finite(capsys):
     # a^400 at a = 8 folds to inf: one error line, not an OverflowError
     assert run(["compute", "--lambda", "a^400", "--mu", "1", "--nu", "1", "--a", "8"]) == 1

@@ -10,9 +10,9 @@ evaluate folds constants, keeps linear arguments symbolic and shares
 sin/cos arrays.  Two oracles that do none of that check it: a plain
 recursive walker that makes every node a Jet2 (oracle_evaluate below),
 and central finite differences of evaluate's own values and first
-derivatives.  value_bounds must hold every value evaluate gives on a
-fine grid, and equal the enclosure of a recursive walk of its own
-(tests/bitwise_references.py).  Skipped when hypothesis, which loopcs does not depend on,
+derivatives.  The compiled enclosure (JetProgram.bounds) must hold every
+value evaluate gives on a fine grid, and equal the enclosure of a
+recursive walk of its own (tests/bitwise_references.py).  Skipped when hypothesis, which loopcs does not depend on,
 is absent.
 """
 import operator
@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 
 from loopcs.expressions import (Add, Alpha, Cos, Div, EvalDomainError, Expr, Mul,
-                                Num, ParamA, Pow, Sin, Sub, _trig, derivative, evaluate,
-                                parse_expression, value_bounds)
+                                Num, ParamA, Pow, Sin, Sub, _trig, compile_jets, derivative,
+                                evaluate, parse_expression)
 from bitwise_references import reference_bounds
 from loopcs.jets import Jet2
 from loopcs.verify import random_scale_expression
@@ -187,7 +187,7 @@ BOUND_ALPHAS = np.concatenate([BOUND_GRID, [np.nextafter(2.0 * np.pi, 0.0), 1e-3
 
 
 def assert_bound_holds(e: Expr, a: int):
-    bound = value_bounds(e, a)
+    bound = compile_jets((e,), a).bounds[0]
     # the compile walk's enclosure is the recursive walk's, bit for bit
     assert repr(bound) == repr(reference_bounds(e, a))
     if bound is None:

@@ -8,8 +8,8 @@ import pytest
 
 from bitwise_references import reference_bounds, reference_tokenize
 from loopcs.expressions import (Add, Alpha, Div, EvalDomainError, Expr, Mul, Num, ParamA,
-                                ParseError, Pow, Sub, _Compiler, _tokenize, derivative,
-                                evaluate, parse_expression, value_bounds)
+                                ParseError, Pow, Sub, _Compiler, _tokenize, compile_jets,
+                                derivative, evaluate, parse_expression)
 from loopcs.geometry import BergerMetric, builtin_family
 from loopcs.verify import random_scale_expression
 
@@ -134,7 +134,7 @@ def test_pole_in_denominator_and_numerator_reports_the_denominator():
 def test_value_bounds_of_the_builtin_family():
     for a in (2, 8, 32, 4096, -3):
         m = builtin_family(a)
-        lam, mu, nu = (value_bounds(e, a) for e in (m.lam, m.mu, m.nu))
+        lam, mu, nu = compile_jets((m.lam, m.mu, m.nu), a).bounds
         assert lam == (1.0, 1.0)
         # |(1/a) cos sin| <= 1/|a|, and nu in [1, 3], each widened by a few ulps
         assert 2.0 - 1.0 / abs(a) - 1e-14 < mu[0] <= 2.0 - 1.0 / abs(a)
@@ -152,7 +152,7 @@ def test_value_bounds_hold_the_real_value():
                      (Div(x, Num(3.0)), Fraction(0.1) / 3),
                      (Pow(x, 3), Fraction(0.1) ** 3),
                      (Pow(Num(-0.1), -3), Fraction(-0.1) ** -3)):
-        lo, hi = value_bounds(e)
+        lo, hi = compile_jets((e,)).bounds[0]
         assert lo < exact < hi, e
 
 
@@ -162,18 +162,18 @@ def test_value_bounds_that_prove_nothing():
     # holding NaN depend on its position)
     for e in (Mul(Num(1.0), Num(nan)), Mul(Num(nan), Num(1.0)),
               Mul(Alpha(), Num(nan)), parse_expression("2+sin(alpha)") * Num(nan)):
-        assert value_bounds(e) is None
-    assert value_bounds(parse_expression("a^400"), 8) is None     # overflows
-    assert value_bounds(parse_expression("a^400-a^400"), 8) is None
-    assert value_bounds(parse_expression("2+sin(alpha+a^400)"), 8) is None
-    assert value_bounds(parse_expression("a^400"), 2) is not None
+        assert compile_jets((e,)).bounds[0] is None
+    assert compile_jets((parse_expression("a^400"),), 8).bounds[0] is None     # overflows
+    assert compile_jets((parse_expression("a^400-a^400"),), 8).bounds[0] is None
+    assert compile_jets((parse_expression("2+sin(alpha+a^400)"),), 8).bounds[0] is None
+    assert compile_jets((parse_expression("a^400"),), 2).bounds[0] is not None
     for src, a in (("1/(a-2)", 2), ("1/(1-cos(alpha))^2", 1), ("1/(0.5+cos(alpha))", 1),
                    ("(sin(alpha))^-2", 1), ("1/(alpha-1)", 1)):
-        assert value_bounds(parse_expression(src), a) is None, src
+        assert compile_jets((parse_expression(src),), a).bounds[0] is None, src
     # enclosures that reach 0 or below: not a proof of positivity
     for src in ("0.5+cos(alpha)", "1-2*sin(512*alpha)^2", "cos(alpha)^2",
                 "1-2*cos(alpha-0.001)^2000000000", "1.5+sin(alpha)-0.8*sin(alpha)"):
-        lo, hi = value_bounds(parse_expression(src))
+        lo, hi = compile_jets((parse_expression(src),)).bounds[0]
         assert lo <= 0.0 < hi, src
 
 
@@ -194,9 +194,15 @@ def test_value_bounds_match_the_recursive_walk():
         ("1-2*cos(alpha-0.001)^2000000000", 1), ("1.5+sin(alpha)-0.8*sin(alpha)", 1),
         ("2+(1/a)*cos(a*alpha)*sin(a*alpha)", -3), ("a", 10 ** 400), ("2", 10 ** 400))]
     for e, a in cases:
-        assert repr(value_bounds(e, a)) == repr(reference_bounds(e, a)), (str(e), a)
-    # an a too large for a float encloses nothing, whether or not a shows
-    assert value_bounds(Num(2.0), 10 ** 400) is None
+        if abs(a) < 10 ** 400:
+            got = compile_jets((e,), a).bounds[0]
+            assert repr(got) == repr(reference_bounds(e, a)), (str(e), a)
+            continue
+        # an a too large for a float encloses nothing, and the compiler
+        # rejects it whether or not a shows
+        assert reference_bounds(e, a) is None
+        with pytest.raises(ValueError, match="the parameter a is too large for a float"):
+            compile_jets((e,), a)
 
 
 def _nodes(e):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import loopcs.geometry
-from loopcs.expressions import alpha_frequencies, parse_expression, value_bounds
+from loopcs.expressions import compile_jets, parse_expression
 from loopcs.geometry import BergerMetric, builtin_family, round_metric
 from loopcs.oracle import (christoffel_koszul, christoffel_table, log_rate_jets,
                            sigma0_connection, structure_constants)
@@ -189,13 +189,13 @@ def test_proved_metrics_pass_the_grid_check():
         assert m.scale_bounds is not None, m
         m._check_grid()
         for e, (lo, hi) in zip((m.lam, m.mu, m.nu), m.scale_bounds):
-            assert (lo, hi) == value_bounds(e, m.a) and 0.0 < lo <= hi
+            assert (lo, hi) == compile_jets((e,), m.a).bounds[0] and 0.0 < lo <= hi
 
 
 @pytest.mark.parametrize("src", ["alpha", "sin(0.5*alpha)", "sin(sin(alpha))",
                                  "sin(alpha^2)"])
 def test_no_frequency_certificate(src):
-    assert alpha_frequencies(parse_expression(src)) is None
+    assert compile_jets((parse_expression(src),)).frequencies is None
 
 
 def test_frequency_certificate():

@@ -34,7 +34,8 @@ def test_two_runs_write_identical_bytes(tmp_path):
                  "round | scale_bounds |", "round | pickled scale_jets |",
                  "sweep (2, 8) row 1 | report.samples_evaluated |",
                  "family a=8 | deep-copied certificate |", "tree ",
-                 "cli sweep --a 2,8 --samples 16", "| file density_a8.csv |"):
+                 "cli sweep --a 2,8 --samples 16", "| file density_a8.csv |",
+                 "cli compute --family paper --a 16 --samples 16 | stdout |"):
         assert any(item in line for line in lines), item
 
 

@@ -44,8 +44,8 @@ import loopcs.geometry as geometry
 import loopcs.oracle as oracle
 from loopcs import verify
 # the originals: replace rebinds names in loopcs modules only
-from loopcs.chern_simons import (CSConfig, _class_report, _constant_chain, _ladder_start,
-                                 cs_class, cs_density, reduce_mod_z)
+from loopcs.chern_simons import (SAMPLES_PER_PERIOD, CSConfig, _class_report, _constant_chain,
+                                 _ladder_start, cs_class, cs_density, reduce_mod_z)
 from loopcs.expressions import (Alpha, Cos, Mul, Num, ParamA, Sin, Sub, _Compiler, derivative,
                                 stack_constants)
 from loopcs.forms import MatrixForm, ScalarForm, merge_sign
@@ -125,6 +125,14 @@ def truncating_mod_z(value):
 def ladder_over_half_period(m, spec):
     g, n = _ladder_start(m, spec)
     return 2 * g, n
+
+
+def ladder_capped_to_the_circle(m, spec):
+    # a first level past the report grid's N falls back to the whole circle
+    g, n = _ladder_start(m, spec)
+    if m.certificate is not None and SAMPLES_PER_PERIOD * m.certificate[1] // g > n:
+        return 1, spec.n
+    return g, n
 
 
 # -- quadrature
@@ -311,6 +319,9 @@ MUTANTS = [
     ("ladder over half the certified period",
      lambda mp: replace(mp, _ladder_start, ladder_over_half_period),
      ("s_linearity", "quadrature_stability")),
+    ("capped ladder falls back to the whole circle",
+     lambda mp: replace(mp, _ladder_start, ladder_capped_to_the_circle),
+     ("quadrature_stability",)),
     ("trapezoid weight h on the end points",
      lambda mp: replace(mp, integrate_circle, end_weights_one),
      ("quadrature_exactness", "s_linearity", "quadrature_stability")),

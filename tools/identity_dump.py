@@ -26,7 +26,8 @@ Corpus:
 - the repr of the parsed tree of each of the 696 custom_cli expressions
   of seeds 1-29;
 - CLI exit code, stdout, stderr and output bytes of ``compute`` (paper and
-  custom metrics) and ``sweep``, with and without --report-out and
+  custom metrics, a report grid smaller than 64 samples per period, an a
+  too large for a float) and ``sweep``, with and without --report-out and
   --density-out, run in a fresh directory under relative file names.
 
 An array is written as its dtype, shape and the SHA-256 of its bytes, so
@@ -204,10 +205,14 @@ def cli_runs(quick: bool) -> list:
     outs = ["--report-out", "report.json", "--density-out", "density.csv"]
     runs = [["compute", "--family", "paper", "--a", "2"],
             ["compute", "--family", "paper", "--a", "2", *outs],
-            ["sweep", "--a", "2,8", "--samples", "16", *outs]]
+            ["sweep", "--a", "2,8", "--samples", "16", *outs],
+            # a report grid below 64 samples per period of the family
+            ["compute", "--family", "paper", "--a", "16", "--samples", "16"]]
     if quick:
         return runs
     runs += [["compute", "--family", "paper", "--a", str(a), *outs] for a in (8, 32, 4096, -3)]
+    # an a too large for a float
+    runs += [["compute", "--family", "paper", "--a", str(10 ** 400)]]
     runs += [["sweep", "--a", "1,2,3,8", *outs], ["sweep", "--a", "2,4,8"],
              ["sweep", "--a", "2,4,8", "--report-out", "report.json"],
              ["sweep", "--a", "2,4,8", "--density-out", "density.csv"]]
