@@ -46,19 +46,17 @@ Every kernel step is elementwise, so the samples are bit-identical to a
 whole-grid evaluation.  An error in any block falls back to that whole-grid
 evaluation, so the error names the grid's first failing scale and alpha,
 or the first failing op in program order, as it would unblocked.  Smaller
-grids (every ladder level of a certified class, a 4097-point report grid)
-run the kernel once.  A class value is one integrate_circle call
-(:mod:`loopcs.quadrature`) over one period 2*pi/g, rescaled to [0, 2*pi],
-which equals the integral over the whole circle.  When the metric
-carries a frequency certificate (g, K) (BergerMetric.certificate: scales
-2*pi/g periodic, sin/cos arguments of alpha-frequency at most K), the
-ladder starts at SAMPLES_PER_PERIOD samples per period of the K-th
-harmonic, or at the report grid's N if that is fewer: a default class
-value of the built-in family costs 65 density samples for a in {2, 8,
-32}.  Only a metric without a certificate is integrated over the whole
-circle, starting on the report grid.  The report grid itself
-(CSReport.alphas, .densities) is evaluated the first time it is read, by
-one cs_density call on that grid.
+grids (most ladder levels, a 4097-point report grid) run the kernel once.
+A class value is one integrate_circle call (:mod:`loopcs.quadrature`)
+over one period 2*pi/g, rescaled to [0, 2*pi], which equals the integral
+over the whole circle.  The metric's frequency certificate (g, K)
+(BergerMetric.certificate) alone sizes the ladder: its first level is
+SAMPLES_PER_PERIOD samples per period of the K-th harmonic, whatever the
+report grid's N (65 samples for the built-in family), and raises past
+MAX_SAMPLES.  The K of a nested argument counts only its linear
+frequencies; the ladder's doublings carry the rest.  The report grid
+(CSReport.alphas, .densities) only reports: it is evaluated the first
+time it is read, by one cs_density call on that grid.
 
 sweep computes its class values in batches: every member of the built-in
 family runs one program structure (its constants aside) and starts its
@@ -67,7 +65,7 @@ integrate_circle call, each level one cs_density call over the rows still
 refining.  cs_class is the one-row case of that code, and a row's
 samples, sums and report have the bits of its one-row run.
 
-A certified class value samples 65 points, so it costs one kernel pass
+A class value of the family samples 65 points, so it costs one kernel pass
 plus a fixed number of numpy and Python calls around it, not per-sample
 arithmetic, and a batch of up to 63 rows shares those calls.  The
 wrappers therefore make only the calls their result needs: cs_density
@@ -88,7 +86,8 @@ import numpy as np
 
 from .geometry import BergerMetric, MetricRows, builtin_family
 from .jets import Jet2
-from .quadrature import QuadratureSpec, circle_grid, integrate_circle
+from .quadrature import (MAX_SAMPLES, QuadratureConvergenceError, QuadratureSpec, circle_grid,
+                         integrate_circle)
 
 # Constants of the transgression expansion for the first (l=2) class:
 # TP = 2 * int_0^1 P(theta ^ phi_t) dt splits into a curvature trace and a
@@ -114,13 +113,12 @@ IMAG_TOLERANCE = 1e-10
 # Sobolev exponents s must lie below this bound (CSConfig)
 MAX_S = 2.0 ** 1023
 
-# First ladder level of a certified metric, in samples per period of its
-# highest harmonic K.  The density's harmonics decay exponentially past K,
-# so T_64 and T_32 of one period both resolve it (for the built-in family
-# T_32 is within 4e-15 relative of a 40-digit value, a up to 4096), and
-# their difference is a true error estimate.  A grid over the whole circle
-# has no such guarantee: when g is a multiple of its N, T_N and T_{N/2}
-# sample every period at the same phase and agree on a wrong value.
+# First ladder level, in samples per period of the metric's highest
+# harmonic K.  The density's harmonics decay exponentially past K, so T_64
+# and T_32 of one period both resolve it (for the built-in family T_32 is
+# within 4e-15 relative of a 40-digit value, a up to 4096), and their
+# difference is a true error estimate.  A level of the report grid's N
+# aliases when K is a multiple of N: T_N and T_{N/2} agree on a wrong value.
 SAMPLES_PER_PERIOD = 64
 
 # Samples per block of a large density grid (cs_density).  On a 2^15+1
@@ -401,22 +399,23 @@ def reduce_mod_z(value: float) -> float:
     return 0.0 if frac == 1.0 else frac
 
 
-def _ladder_start(m: BergerMetric, spec: QuadratureSpec) -> tuple[int, int]:
-    """(g, n): the ladder runs over one period 2*pi/g and starts at n
-    samples.  A certificate (g, K) gives n = SAMPLES_PER_PERIOD samples per
-    period of the K-th harmonic, capped at the report grid's N, which keeps
-    the work bounded by spec.n << spec.max_refinements.  Without a
-    certificate the period is the whole circle and n is N."""
-    if m.certificate is None:
-        return 1, spec.n
+def _ladder_start(m: BergerMetric) -> tuple[int, int]:
+    """(g, n): the ladder runs over one period 2*pi/g of the certificate
+    (g, K) and starts at n = max(16, SAMPLES_PER_PERIOD * K // g) samples,
+    whatever the report grid's N.  An n past MAX_SAMPLES raises."""
     g, K = m.certificate
-    return g, min(max(16, SAMPLES_PER_PERIOD * K // g), spec.n)
+    n = max(16, SAMPLES_PER_PERIOD * K // g)
+    if n > MAX_SAMPLES:
+        raise QuadratureConvergenceError(
+            f"the frequency certificate (g, K) = ({g}, {K}) needs a first ladder level of "
+            f"{n} samples per period, past the cap 2**20 = {MAX_SAMPLES}")
+    return g, n
 
 
 @lru_cache(maxsize=32)
 def _ladder_spec(n: int, tol: float, max_refinements: int) -> QuadratureSpec:
     """The ladder's QuadratureSpec, built and validated once per key: n
-    takes few values (a report grid's N, or SAMPLES_PER_PERIOD * K / g)."""
+    (SAMPLES_PER_PERIOD * K / g) takes few values."""
     return QuadratureSpec(n, tol, max_refinements)
 
 
@@ -495,15 +494,16 @@ def _class_reports(metrics: list, periods: list, n: int, cfg: CSConfig) -> list:
 def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
     """Integrate the density, form (s/4)*integral, reduce mod Z, decide.
 
-    The integral is one ladder over the period 2*pi/g from _ladder_start,
-    rescaled to [0, 2*pi]; cfg.quadrature gives its tolerance and doubling
-    cap.  The report's densities are evaluated on the report grid when
-    first read.  The verdict is "nontrivial" when the reduced value keeps at
-    least the integrality tolerance away from the integers, and
-    "indeterminate" otherwise (never coerced to a trivial/nontrivial claim
-    the numerics cannot support).  The one-row case of sweep's batches.
+    The integral is one ladder over the period 2*pi/g from the metric's
+    certificate (_ladder_start), rescaled to [0, 2*pi]; cfg.quadrature
+    gives its tolerance and doubling cap, and its n sizes only the report
+    grid, whose densities are evaluated when first read.  The verdict is
+    "nontrivial" when the reduced value keeps at least the integrality
+    tolerance away from the integers, and "indeterminate" otherwise (never
+    coerced to a trivial/nontrivial claim the numerics cannot support).
+    The one-row case of sweep's batches.
     """
-    g, n = _ladder_start(m, cfg.quadrature)
+    g, n = _ladder_start(m)
     return _class_reports([m], [g], n, cfg)[0]
 
 
@@ -520,13 +520,12 @@ def sweep(a_values, cfg: CSConfig = CSConfig()):
     metrics = [builtin_family(a) for a in a_values]
     if not metrics:
         return []
-    spec = cfg.quadrature
-    n = _ladder_start(metrics[0], spec)[1]
+    n = _ladder_start(metrics[0])[1]
     size = BLOCK // (n + 1)
     reports = []
     for start in range(0, len(metrics), size):
         batch = metrics[start:start + size]
-        periods = [_ladder_start(m, spec)[0] for m in batch]
+        periods = [_ladder_start(m)[0] for m in batch]
         try:
             reports += _class_reports(batch, periods, n, cfg)
         except Exception:

@@ -3,12 +3,13 @@
 Exit codes: 0 success, 1 configuration error (bad flags or config file,
 an s outside (1/2, 2**1023), a non-finite ladder tolerance, an
 integrality tolerance outside (0, 1/2), an a too large for a float, a
-metric that is not positive, not periodic or has a pole, or an output
-file that cannot be written), 2 expression parse error (including a
-constant power that overflows a float), 3 numerical error (quadrature
-non-convergence, a non-finite density, a class value (s/4) * integral
-that overflows a float, or a constant chain with an imaginary part), 4
-invariant-suite failure.
+metric that is not positive, not provably 2*pi-periodic or has a pole,
+or an output file that cannot be written), 2 expression parse error
+(including a constant power that overflows a float), 3 numerical error
+(quadrature non-convergence, a first ladder level past 2**20 samples, a
+non-finite density, a class value (s/4) * integral that overflows a
+float, or a constant chain with an imaginary part), 4 invariant-suite
+failure.
 
 The density CSV holds every value exactly as '%.17g' % value prints it,
 formatted in numpy for up to 2**16 rows at a time (_format_g17).  The
@@ -79,8 +80,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--samples", type=int, default=None,
                    help=f"report grid N, even, from 16 to {MAX_SAMPLES}: the "
                         f"density CSV has N+1 rows (default {default.quadrature.n}); "
-                        "also the first ladder level of a metric whose trees "
-                        "give no period, and its cap for the others (see README)")
+                        "the integral's samples come from the metric alone (see README)")
     p.add_argument("--tol", type=float, default=None,
                    help="absolute tolerance on |T_N - T_N/2| of the trapezoid "
                         f"ladder (default {default.quadrature.tol})")

@@ -3,9 +3,10 @@
 Node kinds: number, alpha, a, +, -, *, /, integer power, sin, cos.  The
 grammar does not force 2*pi-periodicity in alpha (``alpha`` may appear
 outside a trig function, or as ``sin(0.5*alpha)``).  A period is read off
-trees whose every sin/cos argument is an integer multiple of alpha plus a
-constant (JetProgram.frequencies); :class:`~loopcs.geometry.BergerMetric`
-rejects the other trees when their jets at 0 and 2*pi disagree.  Trees
+trees in which alpha shows only in sin/cos arguments, each linear one an
+integer multiple of alpha plus a constant (JetProgram.frequencies;
+``sin(sin(64*alpha))`` is 2*pi/64-periodic), and
+:class:`~loopcs.geometry.BergerMetric` rejects the other trees.  Trees
 are immutable; operators on nodes build new trees, so metric families
 like ``2 + (1/a)*cos(a*alpha)*sin(a*alpha)`` can be written once and
 evaluated for any a.  The operators and the parser fold constants as they
@@ -379,9 +380,10 @@ class JetProgram:
     no more arrays at a time than a recursive walk would.
 
     frequencies and bounds are what the compile walk read off the trees:
-    the |k| of their sin/cos arguments k*alpha + c, k != 0 (None when no
-    period can be read off), and per tree an enclosure (lo, hi) of its
-    values over the circle (None when some node has no finite one).
+    the |k| of their linear sin/cos arguments k*alpha + c, k != 0 (None
+    when alpha shows outside a sin/cos argument or some k is no integer),
+    and per tree an enclosure (lo, hi) of its values over the circle (None
+    when some node has no finite one).
 
     Programs that differ in their constants only, as every member of the
     built-in family does (a enters as the constants k = a, 1/a, -a^2,
@@ -544,8 +546,7 @@ class _Compiler:
         self.ops = []      # (fn, constants, input registers)
         self.last = [0]    # by register, the op that reads it last
         self.shared = {}   # register by (kind, k, c)
-        self.frequencies = frozenset()   # None once alpha shows outside sin/cos
-        self.trig_depth = 0              # sin/cos arguments the walk is inside
+        self.frequencies = frozenset()   # None once a tree shows no period
 
     def walk(self, e: Expr) -> tuple:
         """(the compiled subtree, its enclosure or None)"""
@@ -555,8 +556,6 @@ class _Compiler:
         if kind is ParamA:
             return (0.0, self.a), (self.a, self.a)
         if kind is Alpha:
-            if not self.trig_depth:
-                self.frequencies = None
             return (1.0, 0.0), _CIRCLE_BOX
         rule = _RULES.get(kind)
         if rule is None:
@@ -589,6 +588,7 @@ class _Compiler:
         k, c = x
         if k == 0.0:
             return self.emit(_constant_jet, (c,))
+        self.frequencies = None   # alpha outside a sin/cos argument
         return self.once(("jet", k, c), _line_jet, (k,), self.line(k, c))
 
     def binary(self, e: Add | Sub | Mul):
@@ -637,13 +637,11 @@ class _Compiler:
         return self.emit(_power, (k,), base), box
 
     def trig(self, e: Sin | Cos):
-        self.trig_depth += 1
         (arg, box), sin = self.walk(e.arg), type(e) is Sin
-        self.trig_depth -= 1
         # a non-finite argument would make the value NaN
         box = None if box is None else _TRIG_BOX
         if type(arg) is not tuple:
-            self.frequencies = None
+            # sin and cos keep the period of their argument
             return self.emit(Jet2.sin if sin else Jet2.cos, (), arg), box
         k, c = arg
         if not k.is_integer():

@@ -20,13 +20,13 @@ A BergerMetric compiles its three scale trees once into a jet program
 (expressions.compile_jets, which rejects an a too large for a float).
 That one walk also reads off the frequency certificate and the trees'
 interval enclosures over the circle (JetProgram.frequencies and .bounds),
-and every scale_jets call only runs the program.  The constructor proves
-the scales positive from those enclosures when it can: a certified
-metric whose enclosures (BergerMetric.scale_bounds) all have a positive
-lower end is positive and finite at every alpha, and is built without
+and every scale_jets call only runs the program.  The constructor
+rejects trees without a certificate as not provably 2*pi-periodic, and
+proves the scales positive from the enclosures when it can: a metric
+whose enclosures (BergerMetric.scale_bounds) all have a positive lower
+end is positive and finite at every alpha, and is built without
 evaluating anything.  Every other metric runs its program once on a
-fixed 1025-point grid, which checks positivity and finiteness there and,
-for an uncertified metric, periodicity from the jets at 0 and 2*pi.  A
+fixed 1025-point grid, which checks positivity and finiteness there.  A
 copy of a metric (pickle, copy.copy, copy.deepcopy) is rebuilt by the
 constructor from the trees and a, so it compiles its own program and is
 proved or checked as the original was; the program itself is never
@@ -54,9 +54,6 @@ from .expressions import (Alpha, Cos, Div, Expr, JetProgram, Mul, Num, ParamA, S
                           compile_jets, stack_constants)
 from .jets import Number
 
-# relative agreement demanded of the scale jets at alpha = 0 and 2*pi
-PERIODICITY_TOLERANCE = 1e-9
-
 # the constructor's check points, alpha = 0 and 2*pi included, for metrics
 # the scale bounds do not prove; read-only, since every metric shares it
 _CHECK_GRID = np.linspace(0.0, 2.0 * np.pi, 1025)
@@ -72,16 +69,14 @@ class BergerMetric:
     what that walk read off the trees:
 
     - certificate: (g, K) (JetProgram.frequencies): the scales are 2*pi/g
-      periodic, and K is the largest alpha-frequency of their sin/cos
-      arguments.  None when some tree shows no period; constant scales
-      give (1, 0).
+      periodic, and K is the largest alpha-frequency of their linear
+      sin/cos arguments; constant scales give (1, 0).  Never None: trees
+      that show no period raise ValueError.
     - scale_bounds: enclosures (lo, hi) of lam, mu, nu over alpha in
-      [0, 2*pi] (JetProgram.bounds) when they prove the metric: it
-      has a certificate and every scale has lo > 0 (the bounds are
-      finite).  Then the scales are positive and finite at every alpha,
-      and the constructor samples nothing.  None otherwise: the
-      constructor's 1025-point grid decides, and it checks an uncertified
-      metric's periodicity too.
+      [0, 2*pi] (JetProgram.bounds) when they prove the metric: every
+      scale has lo > 0 (the bounds are finite).  Then the scales are
+      positive and finite at every alpha, and the constructor samples
+      nothing.  None otherwise: the constructor's 1025-point grid decides.
     """
 
     lam: Expr
@@ -96,24 +91,23 @@ class BergerMetric:
         program = compile_jets((self.lam, self.mu, self.nu), self.a)
         found, bounds = program.frequencies, program.bounds
         if found is None:
-            certificate = None
-        else:
-            certificate = (math.gcd(*found), max(found)) if found else (1, 0)
-        # the enclosures prove the metric when it has a certificate and
-        # every scale's lower end is positive
-        if certificate is None or any(b is None or not b[0] > 0.0 for b in bounds):
+            name = next(name for name in ("lam", "mu", "nu")
+                        if compile_jets((getattr(self, name),), self.a).frequencies is None)
+            raise ValueError(f"{name} is not provably 2*pi-periodic: every alpha must sit "
+                             "in a sin/cos argument k*alpha + c with integer k")
+        certificate = (math.gcd(*found), max(found)) if found else (1, 0)
+        # the enclosures prove the metric when every lower end is positive
+        if any(b is None or not b[0] > 0.0 for b in bounds):
             bounds = None
         self.__dict__.update(_scales=program, certificate=certificate, scale_bounds=bounds)
-        # proved periodic, positive and finite at every alpha, or else sampled
+        # proved positive and finite at every alpha, or else sampled
         if bounds is None:
             self._check_grid()
 
     def _check_grid(self):
         """The checks on the fixed 1025-point grid: positivity (in
-        scale_jets), finiteness and, without a certificate, periodicity."""
-        # points 0 and 1024 (alpha = 0 and 2*pi) feed the periodicity check
+        scale_jets) and finiteness on [0, 2*pi)."""
         grid = _CHECK_GRID
-        names = ("lam", "mu", "nu")
         # a scale that overflows or turns NaN is reported below, not warned of
         with np.errstate(invalid="ignore", over="ignore"):
             jets = self.scale_jets(grid)
@@ -121,23 +115,9 @@ class BergerMetric:
         # where all three are
         top = np.maximum(np.maximum(jets[0].v, jets[1].v), jets[2].v)
         if not np.isfinite(np.broadcast_to(top, grid.shape)[:-1]).all():
-            for name, jet in zip(names, jets):
+            for name, jet in zip(("lam", "mu", "nu"), jets):
                 if not np.all(np.isfinite(np.broadcast_to(jet.v, grid.shape)[:-1])):
                     raise ValueError(f"{name} is not finite on [0, 2*pi)")
-        if self.certificate is not None:
-            return
-        # the circle quadrature is spectral only for periodic integrands: with
-        # no period read off the trees, the (v, d1, d2) jets at 0 and 2*pi
-        # must agree, relative to the largest jet entry of the metric
-        # (rounding in 2*pi grows with the frequency)
-        end_jets = [np.array([np.broadcast_to(x, grid.shape)[[0, -1]]
-                              for x in (jet.v, jet.d1, jet.d2)]) for jet in jets]
-        allowed = PERIODICITY_TOLERANCE * max(1.0, max(np.max(np.abs(j)) for j in end_jets))
-        for name, j in zip(names, end_jets):
-            gap = float(np.max(np.abs(j[:, 1] - j[:, 0])))
-            if not gap <= allowed:
-                raise ValueError(f"{name} is not 2*pi-periodic: its jets at 0 and "
-                                 f"2*pi differ by {gap:.3e}")
 
     def __reduce__(self):
         # every copy (pickle, copy, deepcopy) is rebuilt by the constructor,

@@ -10,8 +10,8 @@ The first level costs no extra samples beyond the n + 1 grid values: T_n
 uses all of them and T_{n/2} the even-index subset, and T_n is returned
 once |T_n - T_{n/2}| < tol.  Otherwise each doubling evaluates only the n
 new midpoints.  integrate_circle is the one entry: every class value is
-integrated through it, over one period rescaled to [0, 2*pi] when the
-metric's trees give one, and a batch of class values (chern_simons.sweep)
+integrated through it, over the period its metric's certificate gives,
+rescaled to [0, 2*pi], and a batch of class values (chern_simons.sweep)
 is one call whose integrand returns a row of samples per class.
 
 A class value samples only a few dozen points, so its fixed per-call cost
@@ -45,10 +45,12 @@ MAX_SAMPLES = 2 ** 20
 
 
 class QuadratureConvergenceError(ArithmeticError):
-    """Refinement cap hit before successive estimates agreed."""
+    """Refinement cap hit before successive estimates agreed, or a first
+    level past MAX_SAMPLES, which leaves no estimates (None)."""
 
-    def __init__(self, message: str, last: float, previous: float):
-        super().__init__(f"{message} (last two estimates: {previous!r}, {last!r})")
+    def __init__(self, message: str, last: float | None = None, previous: float | None = None):
+        super().__init__(message if last is None
+                         else f"{message} (last two estimates: {previous!r}, {last!r})")
         self.last = last
         self.previous = previous
 

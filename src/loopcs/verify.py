@@ -22,7 +22,7 @@ one guards:
   and its reduction mod Z;
 - density_reality: the constant chain kappa(s) is the real number +1;
 - quadrature_stability: the certified period, against the whole circle,
-  and a first level capped by a small report grid;
+  and a first level that no small report grid caps;
 - sweep_rows: sweep's batched class values, against one cs_class per a.
 
 For every check, tests/test_mutants.py holds a mutation under which the
@@ -250,8 +250,8 @@ def check_quadrature_stability(_: np.random.Generator) -> CheckResult:
     """The class integral, taken over one certified period, against the
     ladder over the whole circle from the report grid, which ignores the
     certificate.  The last metric mixes the frequencies 2 and 3, so its
-    period is their gcd, not the largest.  And a = 32 at N = 32, whose first
-    level is capped at N samples of one period, against its default N."""
+    period is their gcd, not the largest.  And K = 128 at N = 16, which a
+    first level capped at N would alias, against its default N."""
     cfg = CSConfig()
     mixed = BergerMetric(Num(2.0) + Sin(Num(2.0) * Alpha()), Num(2.0) + Cos(Num(3.0) * Alpha()),
                          Num(1.0))
@@ -259,12 +259,13 @@ def check_quadrature_stability(_: np.random.Generator) -> CheckResult:
     for m in [builtin_family(2), builtin_family(8), builtin_family(32), mixed]:
         circle = integrate_circle(lambda x: cs_density(m, cfg, x), cfg.quadrature)
         worst = max(worst, abs(cs_class(m, cfg).integral - circle))
-    m = builtin_family(32)
-    capped = cs_class(m, CSConfig(quadrature=QuadratureSpec(n=32))).integral
-    worst = max(worst, abs(capped - cs_class(m, cfg).integral))
+    fast = BergerMetric(Num(2.0) + Sin(Alpha()) + Num(0.1) * Cos(Num(128.0) * Alpha()),
+                        Num(1.0), Num(2.0) - Cos(Alpha()))
+    small = cs_class(fast, CSConfig(quadrature=QuadratureSpec(n=16))).integral
+    worst = max(worst, abs(small - cs_class(fast, cfg).integral))
     return CheckResult("per-period integral matches the full circle", worst < 1e-8,
                        f"max |I_period - I_circle| {worst:.2e} over a in {{2, 8, 32}}, one "
-                       f"metric of frequencies 2 and 3 and a = 32 at N = 32 (tol 1e-8)")
+                       f"metric of frequencies 2 and 3 and K = 128 at N = 16 (tol 1e-8)")
 
 
 # Two sweeps.  In the first every |a| divides the first a, so each row is

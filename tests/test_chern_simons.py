@@ -258,22 +258,22 @@ def test_class_samples_one_period_and_reads_grid_lazily(a, monkeypatch):
 
 
 # a fast harmonic: 64 samples per period of the 128th harmonic, over the
-# one period 2*pi, would be more than the report grid's 4097 samples
+# one period 2*pi, are more than the report grid's 4097 samples
 FAST_HARMONIC = "2+sin(alpha)+0.1*cos(128*alpha)"
-# no certificate: sin(sin(alpha)) has no integer alpha-frequency
-UNCERTIFIED = "2+sin(sin(alpha))"
+# a non-linear sin argument keeps its period: certified (1, 1)
+NESTED = "2+sin(sin(alpha))"
 
 
 def test_report_densities_are_one_read_of_the_report_grid(monkeypatch):
-    # whether the ladder starts on the report grid (the fast harmonic, whose
-    # first level is capped at N, and the uncertified metric) or not,
-    # reading .densities evaluates the report grid once, as one cs_density
+    # the ladder's levels come from the certificate alone, more samples
+    # than the report grid's (the fast harmonic) or fewer; reading
+    # .densities then evaluates the report grid once, as one cs_density
     # call on it
     sizes = _count_density_samples(monkeypatch)
     n = CFG.quadrature.n
     for lam, certificate, ladder in (("2+sin(alpha)", (1, 1), [65]),
-                                     (FAST_HARMONIC, (1, 128), [n + 1]),
-                                     (UNCERTIFIED, None, [n + 1])):
+                                     (FAST_HARMONIC, (1, 128), [64 * 128 + 1]),
+                                     (NESTED, (1, 1), [65])):
         m = BergerMetric(parse_expression(lam), parse_expression("1"),
                          parse_expression("2-cos(alpha)"))
         assert m.certificate == certificate
@@ -290,9 +290,9 @@ def test_report_densities_are_one_read_of_the_report_grid(monkeypatch):
     builtin_family(8),
     BergerMetric(parse_expression(FAST_HARMONIC), parse_expression("1"),
                  parse_expression("2-cos(alpha)")),
-    BergerMetric(parse_expression(UNCERTIFIED), parse_expression("1"),
+    BergerMetric(parse_expression(NESTED), parse_expression("1"),
                  parse_expression("2-cos(alpha)")),
-], ids=["certified", "fast_harmonic", "uncertified"])
+], ids=["certified", "fast_harmonic", "nested"])
 def test_every_class_is_one_integrate_circle_call(m, monkeypatch):
     calls = {"integrate_circle": 0}
     monkeypatch.setattr(loopcs.chern_simons, "integrate_circle",
@@ -315,15 +315,51 @@ def test_rejected_metric_raises_from_one_density_call(monkeypatch):
 
 @pytest.mark.parametrize("n", [16, 32])
 def test_small_report_grid_keeps_the_certified_period(n):
-    # a first level of 64 samples per period is capped at the report grid's
-    # N, but stays on one period: over the whole circle T_N and T_N/2 of
-    # the built-in family sample every period at the same phase when |a| is
-    # a multiple of N, and agree on a wrong value
+    # the first level is 64 samples per period of the K-th harmonic over
+    # one period, whatever the report grid's N: over the whole circle T_N
+    # and T_N/2 of the built-in family sample every period at the same
+    # phase when |a| is a multiple of N, and a first level capped at N
+    # leaves the fast harmonic less than two samples per period
     cfg = CSConfig(quadrature=QuadratureSpec(n=n))
-    for a in (1, 2, 8, 16, 4096):
-        want = cs_class(builtin_family(a), CFG).integral
-        got = cs_class(builtin_family(a), cfg).integral
-        assert abs(got - want) <= 1e-12 * abs(want), (a, got, want)
+    fast = BergerMetric(parse_expression(FAST_HARMONIC), parse_expression("1"),
+                        parse_expression("2-cos(alpha)"))
+    for m in [builtin_family(a) for a in (1, 2, 8, 16, 4096)] + [fast]:
+        want = cs_class(m, CFG).integral
+        got = cs_class(m, cfg).integral
+        assert abs(got - want) <= 1e-12 * abs(want), (m, got, want)
+
+
+REFERENCE_POINTS = 2 ** 18
+
+
+def trapezoid_reference(m: BergerMetric) -> float:
+    """Plain periodic trapezoid of cs_density at REFERENCE_POINTS points
+    over the whole circle, in chunks: independent of loopcs.quadrature and
+    of the certificate."""
+    h = 2.0 * math.pi / REFERENCE_POINTS
+    total = 0.0
+    for start in range(0, REFERENCE_POINTS, 2 ** 15):
+        alpha = h * np.arange(start, start + 2 ** 15, dtype=float)
+        total += float(np.sum(cs_density(m, CFG, alpha)))
+    return h * total
+
+
+@pytest.mark.parametrize("lam, mu", [
+    # a fast harmonic K at and past the report grid's N = 4096, whose
+    # first level was once capped at N, where T_N and T_N/2 alias
+    ("2+sin(alpha)+0.1*cos(2048*alpha)", "1"),
+    ("2+sin(alpha)+0.1*cos(4096*alpha)", "1"),
+    ("2+sin(alpha)+0.1*cos(8192*alpha)", "1"),
+    # nested arguments of inner amplitude 20 and 150: K counts only the
+    # linear frequency inside, and the ladder's doublings carry the rest
+    ("2+0.5*sin(20*sin(alpha)+0.3)", "1.5+cos(alpha)/2"),
+    ("2+0.5*cos(150*sin(alpha)+0.3)", "1"),
+])
+def test_class_integral_matches_a_plain_trapezoid(lam, mu):
+    m = BergerMetric(parse_expression(lam), parse_expression(mu),
+                     parse_expression("2-cos(alpha)"))
+    got, want = cs_class(m, CFG).integral, trapezoid_reference(m)
+    assert abs(got - want) <= 1e-10 * abs(want), (got, want)
 
 
 @pytest.mark.parametrize("a", [4096, 8192, 12288])
@@ -465,8 +501,8 @@ def test_metric_constructor_evaluates_each_tree_once(monkeypatch):
         (round_metric, 0),
         # positive, but its one interval over the circle reaches below 0
         (lambda: _custom("1.5+sin(alpha)-0.8*sin(alpha)"), 1),
-        # provably positive, but uncertified: the grid checks its periodicity
-        (lambda: _custom("2+sin(sin(alpha))"), 1),
+        # a nested argument: certified and provably positive
+        (lambda: _custom(NESTED), 0),
     ]:
         trees.clear()
         runs["evaluate"] = 0

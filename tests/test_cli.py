@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import loopcs.cli
 from loopcs import verify
 from loopcs.chern_simons import CSConfig, ResidueConventionError, cs_class
-from loopcs.cli import main
+from loopcs.cli import main, parse_metric_exprs
 from loopcs.expressions import parse_expression
 from loopcs.geometry import BergerMetric, builtin_family
 from loopcs.quadrature import MAX_SAMPLES, QuadratureConvergenceError, QuadratureSpec
@@ -347,8 +347,8 @@ def test_help_names_the_library_defaults(capsys, monkeypatch, default):
 
 
 def test_certified_metrics_accepted(capsys):
-    # periodic scales whose jets at 0 and 2*pi differ by rounding in
-    # 2*pi times the frequency
+    # high frequencies, whose jets at 0 and 2*pi differ by rounding in 2*pi
+    # times the frequency
     for scale in ("2+sin(3000*alpha)", "2+cos(4096*alpha)"):
         assert run(["compute", "--lambda", scale, "--mu", "2", "--nu", "3"]) == 0
     capsys.readouterr()
@@ -380,11 +380,13 @@ def test_report_says_how_the_metric_was_accepted(tmp_path):
                 "--nu", "2+cos(3*alpha)", "--report-out", str(path)]) == 0
     report = json.loads(path.read_text())
     assert (report["certificate"], report["scale_bounds"]) == ([1, 3], None)
-    # uncertified: the grid checks periodicity as well
+    # a nested argument: certified by the frequency inside it, and proved
     assert run(["compute", "--lambda", "2+sin(sin(alpha))", "--mu", "1", "--nu", "1",
                 "--report-out", str(path)]) == 0
     report = json.loads(path.read_text())
-    assert (report["certificate"], report["scale_bounds"]) == (None, None)
+    m = parse_metric_exprs("2+sin(sin(alpha))", "1", "1")
+    assert report["certificate"] == [1, 1] and m.scale_bounds is not None
+    assert report["scale_bounds"] == [list(b) for b in m.scale_bounds]
 
 
 def test_grid_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
@@ -563,12 +565,51 @@ def test_outputs_to_devnull(capsys, flag):
 @pytest.mark.parametrize("lam", ["2+sin(alpha+a^400)", "2+cos(a^400*alpha)"])
 def test_non_finite_scale_prints_one_line_and_no_warning(capsys, lam):
     # numpy reports the inf/NaN arithmetic through warnings; none may reach
-    # stderr before the one error line
+    # stderr before the one error line.  The frequency a^400 = inf is no
+    # integer, so the second scale is rejected before it is evaluated
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(["compute", "--lambda", lam, "--mu", "1", "--nu", "1", "--a", "8"])
     assert code == 1
-    assert capsys.readouterr().err == "error: lam is not finite on [0, 2*pi)\n"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0] == ("error: lam is not finite on [0, 2*pi)" if "sin" in lam
+                      else "error: lam is not provably 2*pi-periodic: every alpha must sit "
+                           "in a sin/cos argument k*alpha + c with integer k")
+
+
+@pytest.mark.parametrize("lam", ["alpha", "2+sin(0.5*alpha)^2", "2+alpha^2-alpha^2"])
+def test_unproven_period_is_one_error_line(capsys, lam):
+    # periodic or not, a scale with alpha outside a sin/cos argument or a
+    # non-integer frequency has no certificate, and the run does not start
+    assert run(["compute", "--lambda", lam, "--mu", "1", "--nu", "2-cos(alpha)"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: lam is not provably 2*pi-periodic: every alpha must "
+                                "sit in a sin/cos argument k*alpha + c with integer k"]
+
+
+def test_first_level_past_the_sample_cap_exits_3(capsys):
+    # K = 20000 asks for 64 * 20000 = 1280000 samples on its first level,
+    # whatever --samples says, and the ladder refuses to start past 2**20
+    for samples in ([], ["--samples", "16"]):
+        assert run(["compute", "--lambda", "2+sin(alpha)+0.1*cos(20000*alpha)", "--mu", "1",
+                    "--nu", "2-cos(alpha)", *samples]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "numerical error: the frequency certificate (g, K) = (1, 20000) needs a first "
+            f"ladder level of 1280000 samples per period, past the cap 2**20 = {MAX_SAMPLES}"]
+
+
+@pytest.mark.parametrize("samples", ["16", "32", "64"])
+def test_nested_harmonic_is_not_aliased_by_a_small_report_grid(capsys, samples):
+    # sin(64 alpha) is 0 at every point of these report grids; the ladder
+    # samples the certified period 2*pi/64 instead, and the integral is 0
+    assert run(["compute", "--lambda", "2+sin(sin(64*alpha))", "--mu", "1",
+                "--nu", "2-cos(alpha)", "--samples", samples]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(", indeterminate\n"), out
 
 
 def test_sweep(tmp_path, capsys):

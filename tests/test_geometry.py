@@ -165,10 +165,13 @@ def test_positivity_enforced():
 
 
 def test_periodicity_enforced():
-    for scale in ("1+0.1*alpha", "2+sin(0.5*alpha)"):
+    # no certificate, no metric: alpha outside a sin/cos argument, or a
+    # non-integer frequency, even where the scale is periodic after all
+    for scale in ("1+0.1*alpha", "2+sin(0.5*alpha)", "alpha", "2+sin(0.5*alpha)^2",
+                  "2+alpha^2-alpha^2"):
         with pytest.raises(ValueError) as err:
             metric(scale, "1", "2-cos(alpha)")
-        assert "periodic" in str(err.value)
+        assert str(err.value).startswith("lam is not provably 2*pi-periodic")
     for a in range(1, 65):
         builtin_family(a)
     round_metric()
@@ -192,8 +195,7 @@ def test_proved_metrics_pass_the_grid_check():
             assert (lo, hi) == compile_jets((e,), m.a).bounds[0] and 0.0 < lo <= hi
 
 
-@pytest.mark.parametrize("src", ["alpha", "sin(0.5*alpha)", "sin(sin(alpha))",
-                                 "sin(alpha^2)"])
+@pytest.mark.parametrize("src", ["alpha", "sin(0.5*alpha)", "sin(alpha^2)"])
 def test_no_frequency_certificate(src):
     assert compile_jets((parse_expression(src),)).frequencies is None
 
@@ -203,9 +205,17 @@ def test_frequency_certificate():
     for a in (1, 2, 7, 32, 4096, -8):
         assert builtin_family(a).certificate == (abs(a), abs(a))
     assert round_metric().certificate == (1, 0)
-    # periodic, but no period can be read off the tree: the numeric test
-    # at 0 and 2*pi accepts it
-    assert metric("2+sin(sin(alpha))").certificate is None
+
+
+@pytest.mark.parametrize("src, want", [
+    pytest.param(src, want, id=src) for src, want in [
+        ("sin(sin(alpha))", (1, 1)),
+        ("sin(sin(64*alpha))", (64, 64)),
+        ("cos(3*sin(4*alpha)+sin(6*alpha))", (2, 6))]])
+def test_nested_frequency_certificate(src, want):
+    # a sin/cos of a non-linear argument keeps the argument's period, and
+    # K counts the linear frequencies inside it
+    assert metric(f"2+{src}").certificate == want
 
 
 def test_metric_pickles_without_its_compiled_programs():

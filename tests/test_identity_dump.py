@@ -35,7 +35,9 @@ def test_two_runs_write_identical_bytes(tmp_path):
                  "sweep (2, 8) row 1 | report.samples_evaluated |",
                  "family a=8 | deep-copied certificate |", "tree ",
                  "cli sweep --a 2,8 --samples 16", "| file density_a8.csv |",
-                 "cli compute --family paper --a 16 --samples 16 | stdout |"):
+                 "cli compute --family paper --a 16 --samples 16 | stdout |",
+                 "cli compute --lambda 2+sin(sin(64*alpha)) --mu 1 --nu 2-cos(alpha) "
+                 "--samples 16 | stdout |"):
         assert any(item in line for line in lines), item
 
 

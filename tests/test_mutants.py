@@ -44,7 +44,7 @@ import loopcs.geometry as geometry
 import loopcs.oracle as oracle
 from loopcs import verify
 # the originals: replace rebinds names in loopcs modules only
-from loopcs.chern_simons import (SAMPLES_PER_PERIOD, CSConfig, _class_report, _constant_chain,
+from loopcs.chern_simons import (CSConfig, _class_report, _class_reports, _constant_chain,
                                  _ladder_start, cs_class, cs_density, reduce_mod_z)
 from loopcs.expressions import (Alpha, Cos, Mul, Num, ParamA, Sin, Sub, _Compiler, derivative,
                                 stack_constants)
@@ -122,17 +122,14 @@ def truncating_mod_z(value):
     return value - int(value)
 
 
-def ladder_over_half_period(m, spec):
-    g, n = _ladder_start(m, spec)
+def ladder_over_half_period(m):
+    g, n = _ladder_start(m)
     return 2 * g, n
 
 
-def ladder_capped_to_the_circle(m, spec):
-    # a first level past the report grid's N falls back to the whole circle
-    g, n = _ladder_start(m, spec)
-    if m.certificate is not None and SAMPLES_PER_PERIOD * m.certificate[1] // g > n:
-        return 1, spec.n
-    return g, n
+def first_level_capped_at_n(metrics, periods, n, cfg):
+    # the ladder starts at no more than the report grid's N samples
+    return _class_reports(metrics, periods, min(n, cfg.quadrature.n), cfg)
 
 
 # -- quadrature
@@ -319,8 +316,8 @@ MUTANTS = [
     ("ladder over half the certified period",
      lambda mp: replace(mp, _ladder_start, ladder_over_half_period),
      ("s_linearity", "quadrature_stability")),
-    ("capped ladder falls back to the whole circle",
-     lambda mp: replace(mp, _ladder_start, ladder_capped_to_the_circle),
+    ("first level capped at the report grid's N",
+     lambda mp: replace(mp, _class_reports, first_level_capped_at_n),
      ("quadrature_stability",)),
     ("trapezoid weight h on the end points",
      lambda mp: replace(mp, integrate_circle, end_weights_one),

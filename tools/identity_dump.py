@@ -27,8 +27,10 @@ Corpus:
   of seeds 1-29;
 - CLI exit code, stdout, stderr and output bytes of ``compute`` (paper and
   custom metrics, a report grid smaller than 64 samples per period, an a
-  too large for a float) and ``sweep``, with and without --report-out and
-  --density-out, run in a fresh directory under relative file names.
+  too large for a float, a harmonic K = 4096 at the default N, a nested
+  argument at N = 16 and a metric with no period certificate) and
+  ``sweep``, with and without --report-out and --density-out, run in a
+  fresh directory under relative file names.
 
 An array is written as its dtype, shape and the SHA-256 of its bytes, so
 signed zeros count; a float as float.hex; an evaluation that raises as
@@ -207,12 +209,20 @@ def cli_runs(quick: bool) -> list:
             ["compute", "--family", "paper", "--a", "2", *outs],
             ["sweep", "--a", "2,8", "--samples", "16", *outs],
             # a report grid below 64 samples per period of the family
-            ["compute", "--family", "paper", "--a", "16", "--samples", "16"]]
+            ["compute", "--family", "paper", "--a", "16", "--samples", "16"],
+            # a nested argument, sin(64 alpha) = 0 on every report-grid point
+            ["compute", "--lambda", "2+sin(sin(64*alpha))", "--mu", "1", "--nu",
+             "2-cos(alpha)", "--samples", "16"]]
     if quick:
         return runs
     runs += [["compute", "--family", "paper", "--a", str(a), *outs] for a in (8, 32, 4096, -3)]
     # an a too large for a float
     runs += [["compute", "--family", "paper", "--a", str(10 ** 400)]]
+    # a harmonic K at the default report grid's N, and a metric whose
+    # trees give no period
+    runs += [["compute", "--lambda", "2+sin(alpha)+0.1*cos(4096*alpha)", "--mu", "1",
+              "--nu", "2-cos(alpha)"],
+             ["compute", "--lambda", "2+alpha^2-alpha^2", "--mu", "1", "--nu", "2-cos(alpha)"]]
     runs += [["sweep", "--a", "1,2,3,8", *outs], ["sweep", "--a", "2,4,8"],
              ["sweep", "--a", "2,4,8", "--report-out", "report.json"],
              ["sweep", "--a", "2,4,8", "--density-out", "density.csv"]]
