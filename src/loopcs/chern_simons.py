@@ -33,9 +33,9 @@ rejected.
 
 cs_density is a pure function of (metric, config, alpha) and vectorizes
 over alpha grids; every density sample passes through it.  Its metric
-may also be a geometry.MetricRows of several metrics and alpha a
-(rows, n) array, row i for metric i: one program run, one
-connection_trace pass and one finiteness test for all of them.  A 1-D grid of
+may also be a geometry.FamilyRows of several members of the built-in
+family and alpha a (rows, n) array, row i for member i: one program run,
+one connection_trace pass and one finiteness test for all of them.  A 1-D grid of
 at least 2 * BLOCK points is evaluated in len // BLOCK equal blocks of
 BLOCK to 2 * BLOCK - 1 points, each written in place into one output
 array: the kernel's temporaries then stay small enough to be reused from
@@ -58,12 +58,12 @@ frequencies; the ladder's doublings carry the rest.  The report grid
 (CSReport.alphas, .densities) only reports: it is evaluated the first
 time it is read, by one cs_density call on that grid.
 
-sweep computes its class values in batches: every member of the built-in
-family runs one program structure (its constants aside) and starts its
-ladder at one n, so consecutive metrics are the rows of one
-integrate_circle call, each level one cs_density call over the rows still
-refining.  cs_class is the one-row case of that code, and a row's
-samples, sums and report have the bits of its one-row run.
+sweep computes its class values in batches and builds no metric: the
+family's template program, compiled once, is bound to a batch's a as one
+column (geometry.FamilyRows), and every member starts its ladder at one
+n, so consecutive members are the rows of one integrate_circle call,
+each level one cs_density call over the rows still refining.  A row's
+samples, sums and report have the bits of cs_class on its metric.
 
 A class value of the family samples 65 points, so it costs one kernel pass
 plus a fixed number of numpy and Python calls around it, not per-sample
@@ -84,7 +84,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import BergerMetric, MetricRows, builtin_family
+from .geometry import BergerMetric, FamilyRows, builtin_family, family_members
 from .jets import Jet2
 from .quadrature import (MAX_SAMPLES, QuadratureConvergenceError, QuadratureSpec, circle_grid,
                          integrate_circle)
@@ -163,7 +163,9 @@ class CSReport:
     """Result of one class computation.
 
     alphas and densities are the report grid circle_grid(quadrature_n) and
-    cs_density on it, evaluated the first time they are read and kept.
+    cs_density on it, evaluated the first time they are read and kept.  A
+    sweep row is given no metric (None): its metric is builtin_family(a),
+    built the same way.
     """
 
     metric: BergerMetric
@@ -186,10 +188,19 @@ class CSReport:
         # the fields go straight into the instance dict, as in Jet2: the
         # generated frozen __init__ calls object.__setattr__ once per field
         self.__dict__.update(
-            metric=metric, config=config, integral=integral, class_value=class_value,
+            config=config, integral=integral, class_value=class_value,
             mod_z=mod_z, nontrivial=nontrivial, verdict=verdict, s=s, a=a,
             max_imag=max_imag, quadrature_n=quadrature_n,
             samples_evaluated=samples_evaluated)
+        if metric is not None:
+            self.__dict__["metric"] = metric
+
+    def __getattr__(self, name: str):
+        # reached only for a name the instance dict lacks
+        if name != "metric":
+            raise AttributeError(f"'CSReport' object has no attribute {name!r}")
+        metric = self.__dict__["metric"] = builtin_family(self.a)
+        return metric
 
     @property
     def distance_to_integers(self) -> float:
@@ -347,7 +358,7 @@ def _blocked_density(m: BergerMetric, scale: float, alpha):
     return f
 
 
-def cs_density(m: BergerMetric | MetricRows, cfg: CSConfig, alpha):
+def cs_density(m: BergerMetric | FamilyRows, cfg: CSConfig, alpha):
     """The secondary-class density f = Re kappa(s) * T_conn at alpha (scalar,
     ndarray, or a list or tuple of floats, taken as an array); every
     density sample passes here.
@@ -399,11 +410,11 @@ def reduce_mod_z(value: float) -> float:
     return 0.0 if frac == 1.0 else frac
 
 
-def _ladder_start(m: BergerMetric) -> tuple[int, int]:
+def _ladder_start(certificate: tuple) -> tuple[int, int]:
     """(g, n): the ladder runs over one period 2*pi/g of the certificate
     (g, K) and starts at n = max(16, SAMPLES_PER_PERIOD * K // g) samples,
     whatever the report grid's N.  An n past MAX_SAMPLES raises."""
-    g, K = m.certificate
+    g, K = certificate
     n = max(16, SAMPLES_PER_PERIOD * K // g)
     if n > MAX_SAMPLES:
         raise QuadratureConvergenceError(
@@ -419,10 +430,10 @@ def _ladder_spec(n: int, tol: float, max_refinements: int) -> QuadratureSpec:
     return QuadratureSpec(n, tol, max_refinements)
 
 
-def _class_report(m: BergerMetric, cfg: CSConfig, integral: float, samples: int,
-                  max_imag: float) -> CSReport:
-    """The report of m's class value: (s/4) * integral reduced mod Z, and
-    its verdict."""
+def _class_report(m: BergerMetric | None, a: int, cfg: CSConfig, integral: float,
+                  samples: int, max_imag: float) -> CSReport:
+    """The report of the class value of m (of builtin_family(a) if None):
+    (s/4) * integral reduced mod Z, and its verdict."""
     value = cfg.s / 4.0 * integral
     if not math.isfinite(value):
         raise NonFiniteClassError(
@@ -440,33 +451,33 @@ def _class_report(m: BergerMetric, cfg: CSConfig, integral: float, samples: int,
         nontrivial=nontrivial,
         verdict="nontrivial" if nontrivial else "indeterminate",
         s=cfg.s,
-        a=m.a,
+        a=a,
         max_imag=max_imag,
         quadrature_n=cfg.quadrature.n,
         samples_evaluated=samples,
     )
 
 
-def _class_reports(metrics: list, periods: list, n: int, cfg: CSConfig) -> list:
-    """The reports of metrics whose programs differ in their constants only
-    and whose ladders all start at n samples, metric i's over its period
-    2*pi/periods[i] (_ladder_start): one integrate_circle call over all of
-    them as rows.
+def _class_reports(rows: BergerMetric | FamilyRows, periods: list, n: int,
+                   cfg: CSConfig) -> list:
+    """The reports of one metric or of the family's rows, whose ladders all
+    start at n samples, row i's over its period 2*pi/periods[i]
+    (_ladder_start): one integrate_circle call over all of them as rows.
 
     Each ladder level is one cs_density call: one program run over a
-    (rows, n + 1) alpha with the metrics' constants stacked (MetricRows),
-    one connection_trace pass and one finiteness test.  Only the rows that
-    have not converged take the next doubling.  One metric is the one-row
-    case: its own constants are the stacked ones, so it runs its own
+    (rows, n + 1) alpha (FamilyRows binds the rows' a as one column), one
+    connection_trace pass and one finiteness test.  Only the rows that
+    have not converged take the next doubling.  One metric runs its own
     program on a 1-D alpha, and cs_class is that case.  Every sample, sum
-    and report field of a row has the bits of that one-row run.
+    and report field of a row has the bits of that one-metric run.
     """
     spec = cfg.quadrature
-    count = len(metrics)
-    if count == 1:
-        rows, g = metrics[0], periods[0]
+    count = len(periods)
+    if type(rows) is FamilyRows:
+        g = np.array(periods, float)[:, None]
+        members = [(None, a) for a, _, _ in rows.members]
     else:
-        rows, g = MetricRows(metrics), np.array(periods, float)[:, None]
+        g, members = periods[0], [(rows, rows.a)]
     imag = abs(_constant_chain(cfg.s).imag)
     samples, max_abs = [0] * count, [0.0] * count
 
@@ -474,7 +485,7 @@ def _class_reports(metrics: list, periods: list, n: int, cfg: CSConfig) -> list:
         # x in [0, 2*pi] covers one period 2*pi/g of each row
         evaluated, period = rows, g
         if live is not None and live.size < count:
-            evaluated, period = rows.take(live), g[live]
+            evaluated, period = FamilyRows([rows.members[i] for i in live]), g[live]
         f = cs_density(evaluated, cfg, x / period).reshape(-1, x.size)
         which = range(count) if live is None else live.tolist()
         for i in which:
@@ -487,8 +498,8 @@ def _class_reports(metrics: list, periods: list, n: int, cfg: CSConfig) -> list:
         return f
 
     integrals = integrate_circle(density, _ladder_spec(n, spec.tol, spec.max_refinements))
-    return [_class_report(m, cfg, integral, samples[i], imag * max_abs[i])
-            for i, (m, integral) in enumerate(zip(metrics, integrals))]
+    return [_class_report(m, a, cfg, integral, samples[i], imag * max_abs[i])
+            for i, ((m, a), integral) in enumerate(zip(members, integrals))]
 
 
 def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
@@ -501,37 +512,36 @@ def cs_class(m: BergerMetric, cfg: CSConfig = CSConfig()) -> CSReport:
     "nontrivial" when the reduced value keeps at least the integrality
     tolerance away from the integers, and "indeterminate" otherwise (never
     coerced to a trivial/nontrivial claim the numerics cannot support).
-    The one-row case of sweep's batches.
+    The one-metric case of _class_reports.
     """
-    g, n = _ladder_start(m)
-    return _class_reports([m], [g], n, cfg)[0]
+    g, n = _ladder_start(m.certificate)
+    return _class_reports(m, [g], n, cfg)[0]
 
 
 def sweep(a_values, cfg: CSConfig = CSConfig()):
     """One report per parameter of the built-in family, computed in
-    batches.  Every metric is built before the first class value, so a zero
-    a raises before any class is computed.  Every member of the family runs
-    one program structure (its constants aside) and starts its ladder at
-    one n, so the metrics are cut, in order, into batches of
-    BLOCK // (n + 1) rows (63 at n = 64), and each batch is one
-    _class_reports call.  Should a batch raise, its metrics run one at a
-    time through cs_class, in order, so the first failing metric raises its
-    own error as a loop of cs_class calls would."""
-    metrics = [builtin_family(a) for a in a_values]
-    if not metrics:
+    batches, with no metric built (a report's is built when first read).
+    Every a is checked first (family_members), so an a that builtin_family
+    rejects raises before any class is computed.  Every certificate is
+    (|a|, |a|), so every ladder starts at one n, and the members are cut,
+    in order, into batches of BLOCK // (n + 1) rows (63 at n = 64), each
+    one _class_reports call over FamilyRows.  Should a batch raise, its
+    members run one at a time through cs_class, in order, so the first
+    failing one raises as a loop of cs_class calls would."""
+    members = family_members(a_values)
+    if not members:
         return []
-    n = _ladder_start(metrics[0])[1]
+    starts = [_ladder_start(certificate) for _, _, certificate in members]
+    n = starts[0][1]
     size = BLOCK // (n + 1)
     reports = []
-    for start in range(0, len(metrics), size):
-        batch = metrics[start:start + size]
-        periods = [_ladder_start(m)[0] for m in batch]
+    for i in range(0, len(members), size):
+        batch = members[i:i + size]
         try:
-            reports += _class_reports(batch, periods, n, cfg)
+            reports += _class_reports(FamilyRows(batch), [g for g, _ in starts[i:i + size]],
+                                      n, cfg)
         except Exception:
             # whatever a batch raised, the rows alone raise (or not) as a
             # loop of cs_class calls would, as cs_density's blocks fall back
-            if len(batch) == 1:
-                raise
-            reports += [cs_class(m, cfg) for m in batch]
+            reports += [cs_class(builtin_family(a), cfg) for a, _, _ in batch]
     return reports

@@ -27,9 +27,11 @@ s, c = np.sin, np.cos pair per distinct argument (the built-in family's
 three scales need one of each).  A constant adds to or scales a jet as a
 scalar; only the remaining nodes propagate Jet2s.  ``evaluate`` compiles
 and runs a fresh program; a BergerMetric compiles its trees once and runs
-that program on every grid.  Programs that differ only in their constants
-(every member of the built-in family) run as one over a (rows, n) alpha,
-each differing constant a (rows, 1) column (``stack_constants``).
+that program on every grid.  ``compile_template`` compiles trees once with
+a left free (the built-in family's): a constant the walk forms from a
+keeps the float operations that formed it, and ``bind`` forms it again at
+any a, a (rows, 1) column of them included, so a bound program has the
+bits of compile_jets at that a, row by row.
 
 The one walk yields three things per tree, so a BergerMetric visits each
 node of its trees once: the jet ops, the alpha-frequencies of its sin/cos
@@ -53,8 +55,9 @@ Whitespace is insignificant; numbers are decimal literals.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -385,10 +388,8 @@ class JetProgram:
     and per tree an enclosure (lo, hi) of its values over the circle (None
     when some node has no finite one).
 
-    Programs that differ in their constants only, as every member of the
-    built-in family does (a enters as the constants k = a, 1/a, -a^2,
-    ...), run as one: a call with the constants of stack_constants
-    evaluates each program on its row of a (rows, n) alpha.
+    A program bound to a (rows, 1) column of a (bind) evaluates row i of
+    a (rows, n) alpha at a[i].
     """
 
     def __init__(self, ops: list, last: list, outputs: tuple,
@@ -399,44 +400,17 @@ class JetProgram:
         for i in outputs:   # no op number is 0: an output is never dropped
             last[i] = 0
 
-    def __call__(self, alpha: Number, constants: Optional[tuple] = None) -> tuple:
-        """The jets of the trees at alpha; constants, one tuple per op,
-        replaces the program's own (stack_constants)."""
+    def __call__(self, alpha: Number) -> tuple:
+        """The jets of the trees at alpha."""
         regs = [alpha] * (len(self.fns) + 1)
         read, last = regs.__getitem__, self.last
-        ops = zip(self.fns, self.constants if constants is None else constants, self.ins)
+        ops = zip(self.fns, self.constants, self.ins)
         for out, (fn, c, ins) in enumerate(ops, 1):
             regs[out] = fn(*c, *map(read, ins))
             for i in ins:
                 if last[i] == out:
                     regs[i] = None
         return tuple(map(read, self.outputs))
-
-
-def stack_constants(programs) -> list:
-    """The constants of programs that differ in their constants only, for
-    one run over their rows, op by op.  A constant with the same bits in
-    every row stays as it is (0.0 and -0.0 differ), so one row's constants
-    are its own; one that differs becomes a (rows, 1) float column, which a
-    row of alpha meets element by element as the scalar would.  A constant that is no number
-    (a pole's message) and differs between rows makes the column raise
-    ValueError."""
-    count = len(programs)
-    # the rows of each constant, in op order
-    rows = list(zip(*(itertools.chain.from_iterable(p.constants) for p in programs)))
-    flat = [values[0] for values in rows]
-    varying = [i for i, values in enumerate(rows)
-               if values.count(values[0]) != count
-               or values[0] == 0.0 and len({math.copysign(1.0, x) for x in values}) > 1]
-    if varying:
-        # one array holds every varying column
-        for i, column in zip(varying, np.array([rows[i] for i in varying], float)[:, :, None]):
-            flat[i] = column
-    stacked, start = [], 0
-    for constants in programs[0].constants:
-        stacked.append(tuple(flat[start:start + len(constants)]))
-        start += len(constants)
-    return stacked
 
 
 def compile_jets(trees: tuple, a: int = 1) -> JetProgram:
@@ -450,6 +424,62 @@ def compile_jets(trees: tuple, a: int = 1) -> JetProgram:
         bounds.append(box)
     return JetProgram(compiler.ops, compiler.last, tuple(outputs), compiler.frequencies,
                       tuple(bounds))
+
+
+class _OfA(float):
+    """A constant formed from a by compile_template's walk: its value at
+    a = 2 and its form, the operations that formed it: None for a itself,
+    else (op, *operands).  Only + - * / and negation keep a form, and the
+    equal forms of one walk are one object (forms, by repr, which tells
+    floats apart)."""
+
+    def __new__(cls, value: float, form, forms: dict):
+        self = float.__new__(cls, value)
+        self.form, self.forms = form, forms
+        return self
+
+
+def _lift(op):
+    def lifted(*args):
+        forms = next(x.forms for x in args if type(x) is _OfA)
+        form = (op, *[x.form if type(x) is _OfA else float(x) for x in args])
+        return _OfA(op(*map(float, args)), forms.setdefault(repr(form), form), forms)
+    return lifted
+
+
+for _op in (operator.add, operator.sub, operator.mul, operator.truediv):
+    setattr(_OfA, f"__{_op.__name__}__", _lift(_op))
+    setattr(_OfA, f"__r{_op.__name__}__", lambda x, y, f=_lift(_op): f(y, x))
+_OfA.__neg__ = _lift(operator.neg)
+
+
+@functools.lru_cache(maxsize=1)
+def compile_template(trees: tuple) -> JetProgram:
+    """compile_jets(trees, a) with a free, for bind, cached by the trees:
+    walked at a = 2, for trees whose walk picks the same ops at every a
+    (the built-in family's).  The enclosure of a tree that reads a is the
+    function of a that forms it, and forms holds the walk's forms in the
+    order it made them, each after its operands."""
+    forms = {}
+    template = compile_jets(trees, _OfA(2.0, None, forms))
+    template.forms = tuple(forms.values())
+    return template
+
+
+def bind(template: JetProgram, a) -> JetProgram:
+    """template at a, a float or a (rows, 1) column of them: each form of
+    its walk formed again at a, once, so row i of a run on a (rows, n)
+    alpha has the bits of compile_jets at a[i].  Its frequencies and
+    bounds stay the template's."""
+    at = {id(None): a}
+    with np.errstate(over="ignore", invalid="ignore"):   # silent, as float operations are
+        for form in template.forms:
+            at[id(form)] = form[0](*[x if type(x) is float else at[id(x)] for x in form[1:]])
+    program = object.__new__(JetProgram)
+    program.__dict__.update(vars(template), constants=tuple([
+        tuple([at[id(c.form)] if type(c) is _OfA else c for c in constants])
+        for constants in template.constants]))
+    return program
 
 
 # The op functions of a JetProgram, called as fn(*constants, *inputs).  Each
@@ -540,7 +570,7 @@ class _Compiler:
 
     def __init__(self, a: int):
         try:
-            self.a = float(a)
+            self.a = a if type(a) is _OfA else float(a)
         except OverflowError:
             raise ValueError("the parameter a is too large for a float") from None
         self.ops = []      # (fn, constants, input registers)
@@ -554,13 +584,24 @@ class _Compiler:
         if kind is Num:
             return (0.0, e.value), _number_box(e.value)
         if kind is ParamA:
-            return (0.0, self.a), (self.a, self.a)
+            a = self.a
+            return (0.0, a), ((a, a) if type(a) is float else lambda x: (x, x))
         if kind is Alpha:
             return (1.0, 0.0), _CIRCLE_BOX
         rule = _RULES.get(kind)
         if rule is None:
             raise TypeError(f"unknown node {kind.__name__}")
         return rule(self, e)
+
+    def box(self, rule, *args):
+        # rule(*args), or in compile_template's walk, where an enclosure is
+        # a function of a, the function of a that applies rule
+        if type(self.a) is not _OfA or not any(map(callable, args)):
+            return rule(*args)
+        f = [b if callable(b) else (lambda a, b=b: b) for b in args]
+        if len(f) == 1:
+            return lambda a: rule(f[0](a))
+        return lambda a: rule(f[0](a), f[1](a))
 
     def emit(self, fn, constants: tuple, *ins) -> int:
         self.ops.append((fn, constants, ins))
@@ -593,7 +634,7 @@ class _Compiler:
 
     def binary(self, e: Add | Sub | Mul):
         (l, lbox), (r, rbox), kind = self.walk(e.left), self.walk(e.right), type(e)
-        box = _BOXES[kind](lbox, rbox)
+        box = self.box(_BOXES[kind], lbox, rbox)
         if type(l) is tuple and type(r) is tuple:
             if kind is Add:
                 return (l[0] + r[0], l[1] + r[1]), box
@@ -623,11 +664,11 @@ class _Compiler:
             self.emit(_nonzero, (f"division by zero in '{e.den}'",), den)
             num, num_box = self.walk(e.num)
             x = self.emit(Jet2.__truediv__, (), self.jet(num), den)
-        return x, _quotient_box(num_box, den_box)
+        return x, self.box(_quotient_box, num_box, den_box)
 
     def power(self, e: Pow):
         (base, box), k = self.walk(e.base), e.exponent
-        box = _power_box(box, k)
+        box = self.box(_power_box, box, k)
         if type(base) is tuple and base[0] == 0.0 and (base[1] != 0.0 or k >= 0):
             with np.errstate(all="ignore"):   # an overflow folds to inf
                 return (0.0, float(np.float64(base[1]) ** k)), box
@@ -639,7 +680,7 @@ class _Compiler:
     def trig(self, e: Sin | Cos):
         (arg, box), sin = self.walk(e.arg), type(e) is Sin
         # a non-finite argument would make the value NaN
-        box = None if box is None else _TRIG_BOX
+        box = self.box(lambda b: None if b is None else _TRIG_BOX, box)
         if type(arg) is not tuple:
             # sin and cos keep the period of their argument
             return self.emit(Jet2.sin if sin else Jet2.cos, (), arg), box

@@ -16,7 +16,7 @@ left-invariant on the S^3 factor, so spatial derivatives of all these
 quantities vanish identically.  Rank-3 tables of them index the frame
 labels 1..4 by 0-based array axes (loopcs.oracle builds them).
 
-A BergerMetric compiles its three scale trees once into a jet program
+A BergerMetric built from trees compiles them once into a jet program
 (expressions.compile_jets, which rejects an a too large for a float).
 That one walk also reads off the frequency certificate and the trees'
 interval enclosures over the circle (JetProgram.frequencies and .bounds),
@@ -31,9 +31,9 @@ copy of a metric (pickle, copy.copy, copy.deepcopy) is rebuilt by the
 constructor from the trees and a, so it compiles its own program and is
 proved or checked as the original was; the program itself is never
 pickled.  scale_jets tests positivity on real alpha only: complex scales
-are not ordered.  MetricRows evaluates metrics whose programs share one
-structure as the rows of one program run, with one positivity test over
-all of them; BergerMetric.scale_jets is its one-metric case.
+are not ordered.  The built-in family compiles its trees once, with a
+free (expressions.compile_template): builtin_family binds an a into that
+template, and FamilyRows a column of them, one member per row.
 
 The class path reads only the scale jets of one scale_jets call: its
 kernel (chern_simons.connection_trace) forms the log-rates lam'/lam and
@@ -50,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import (Alpha, Cos, Div, Expr, JetProgram, Mul, Num, ParamA, Sin, Sub,
-                          compile_jets, stack_constants)
+from .expressions import (Alpha, Cos, Div, Expr, JetProgram, Mul, Num, ParamA, Sin, Sub, bind,
+                          compile_jets, compile_template)
 from .jets import Number
 
 # the constructor's check points, alpha = 0 and 2*pi included, for metrics
@@ -85,9 +85,6 @@ class BergerMetric:
     a: int = 1
 
     def __post_init__(self):
-        # set as plain attributes, not cached properties: every constructor
-        # reads all three, and before Python 3.12 a cached_property's first
-        # read takes a lock
         program = compile_jets((self.lam, self.mu, self.nu), self.a)
         found, bounds = program.frequencies, program.bounds
         if found is None:
@@ -95,12 +92,16 @@ class BergerMetric:
                         if compile_jets((getattr(self, name),), self.a).frequencies is None)
             raise ValueError(f"{name} is not provably 2*pi-periodic: every alpha must sit "
                              "in a sin/cos argument k*alpha + c with integer k")
-        certificate = (math.gcd(*found), max(found)) if found else (1, 0)
-        # the enclosures prove the metric when every lower end is positive
+        self._accept(program, (math.gcd(*found), max(found)) if found else (1, 0), bounds)
+
+    def _accept(self, program: JetProgram, certificate: tuple, bounds: tuple):
+        # set as plain attributes, not cached properties: every constructor
+        # reads all three, and before Python 3.12 a cached_property's first
+        # read takes a lock.  The enclosures prove the metric when every
+        # lower end is positive; else the fixed grid is sampled.
         if any(b is None or not b[0] > 0.0 for b in bounds):
             bounds = None
         self.__dict__.update(_scales=program, certificate=certificate, scale_bounds=bounds)
-        # proved positive and finite at every alpha, or else sampled
         if bounds is None:
             self._check_grid()
 
@@ -125,15 +126,13 @@ class BergerMetric:
         return type(self), (self.lam, self.mu, self.nu, self.a)
 
     def scale_jets(self, alpha: Number):
-        """Jets of (lam, mu, nu) at alpha from one run of the program the
-        trees were compiled into once, per metric: the one-metric case of
-        scale_jets."""
+        """Jets of (lam, mu, nu) at alpha from one run of the metric's
+        program: the one-metric case of scale_jets."""
         return scale_jets(self._scales, alpha)
 
 
-def scale_jets(program: JetProgram, alpha: Number, constants: list | None = None):
-    """Jets of (lam, mu, nu) at alpha from one run of program (with the
-    stacked constants of MetricRows over a (rows, n) alpha, if given).
+def scale_jets(program: JetProgram, alpha: Number):
+    """Jets of (lam, mu, nu) at alpha from one run of program.
 
     One test checks all three scales positive at every point (a
     constructor's fixed grid can miss a fast oscillation); only when it
@@ -141,7 +140,7 @@ def scale_jets(program: JetProgram, alpha: Number, constants: list | None = None
     fault, in row-major order.  Positivity is a property of the real
     circle: complex scales, at an alpha off the real axis, are not
     tested."""
-    jets = program(alpha, constants)
+    jets = program(alpha)
     # fmin, unlike minimum, skips a NaN scale, so a negative one beside it
     # still shows
     low = np.fmin(np.fmin(jets[0].v, jets[1].v), jets[2].v)
@@ -154,44 +153,70 @@ def scale_jets(program: JetProgram, alpha: Number, constants: list | None = None
     return jets
 
 
-class MetricRows:
-    """Metrics whose programs share one structure, as the rows of one
-    evaluation: scale_jets on a (rows, n) alpha runs the first metric's
-    program once with every metric's constants stacked (stack_constants),
-    row i of alpha for metrics[i], and tests positivity once over all rows.
-    A row of the result has the bits of that metric's own scale_jets on
-    that row of alpha."""
-
-    def __init__(self, metrics: list, constants: list | None = None):
-        self.metrics = metrics
-        self._program = metrics[0]._scales
-        self._constants = (stack_constants([m._scales for m in metrics])
-                           if constants is None else constants)
-
-    def take(self, indices: np.ndarray) -> "MetricRows":
-        """The rows of the index array indices, their stacked constants
-        taken from these rather than stacked again."""
-        return MetricRows([self.metrics[i] for i in indices],
-                          [tuple(c[indices] if type(c) is np.ndarray else c for c in op)
-                           for op in self._constants])
-
-    def scale_jets(self, alpha: Number):
-        return scale_jets(self._program, alpha, self._constants)
-
-
 # the built-in one-parameter family: lam = 1, mu = 2 + (1/a) cos(a alpha)
 # sin(a alpha), nu = 2 - cos(a alpha); a is carried symbolically so one tree
-# serves every parameter value
+# serves every parameter value (builtin_family)
 _LAM = Num(1.0)
 _MU = 2.0 + Div(Num(1.0), ParamA()) * Cos(Mul(ParamA(), Alpha())) * Sin(Mul(ParamA(), Alpha()))
 _NU = Sub(Num(2.0), Cos(Mul(ParamA(), Alpha())))
+_PROVED_A = 2.0 ** 1021
+
+
+def _member(a) -> tuple:
+    """(a, float(a), certificate (|a|, |a|)) of the family's member a;
+    ValueError for a = 0 and for an a past the float range."""
+    a = int(a)
+    if a == 0:
+        raise ValueError("family parameter a must be a nonzero integer")
+    try:
+        x = float(a)
+    except OverflowError:
+        raise ValueError("the parameter a is too large for a float") from None
+    return a, x, (abs(int(x)),) * 2
+
+
+def family_members(a_values) -> list:
+    """_member of each a, in order, raising as builtin_family(a) would: a
+    member the enclosures may not prove builds its metric here."""
+    members = []
+    for a in a_values:
+        members.append(_member(a))
+        if not abs(members[-1][1]) < _PROVED_A:
+            builtin_family(a)
+    return members
+
+
+class FamilyRows:
+    """Members of the family (family_members) as the rows of one program
+    run, with no metric built: the family's template bound to the (rows, 1)
+    column of their a.  Row i of scale_jets on a (rows, n) alpha has the
+    bits of builtin_family(a_i).scale_jets on that row."""
+
+    def __init__(self, members: list):
+        self.members = members
+        self._scales = bind(compile_template((_LAM, _MU, _NU)),
+                            np.array([x for _, x, _ in members])[:, None])
+
+    def scale_jets(self, alpha: Number):
+        return scale_jets(self._scales, alpha)
 
 
 def builtin_family(a: int) -> BergerMetric:
-    """The built-in oscillating family of Berger-type metrics."""
-    if a == 0:
-        raise ValueError("family parameter a must be a nonzero integer")
-    return BergerMetric(_LAM, _MU, _NU, a=int(a))
+    """The built-in oscillating family of Berger-type metrics: its template
+    bound to a, with certificate (|a|, |a|) and the template's enclosures
+    at a, each with the bits of BergerMetric(_LAM, _MU, _NU, a).
+
+    The family is positive for every nonzero integer a (mu >= 1.5, nu >=
+    1), and its enclosures prove that for every |a| below _PROVED_A, where
+    a * 2*pi stays finite: mu's is widest at |a| = 1, where its lower end
+    is 0.9999999999999992."""
+    a, x, certificate = _member(a)
+    template = compile_template((_LAM, _MU, _NU))
+    m = object.__new__(BergerMetric)
+    m.__dict__.update(lam=_LAM, mu=_MU, nu=_NU, a=a)
+    m._accept(bind(template, x), certificate,
+              tuple(b(x) if callable(b) else b for b in template.bounds))
+    return m
 
 
 def round_metric() -> BergerMetric:

@@ -37,7 +37,8 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Largest sample count a spec accepts.  The report grid's N + 1 points are
+# Largest sample count a spec accepts and a ladder level reaches (a level
+# of n samples holds n + 1 floats).  The report grid's N + 1 points are
 # evaluated and may be written as a CSV of N + 1 rows; at 2**20 that is a
 # 41 MB file and a run of seconds, well short of an array numpy refuses
 # or a machine cannot hold.
@@ -45,8 +46,8 @@ MAX_SAMPLES = 2 ** 20
 
 
 class QuadratureConvergenceError(ArithmeticError):
-    """Refinement cap hit before successive estimates agreed, or a first
-    level past MAX_SAMPLES, which leaves no estimates (None)."""
+    """Refinement cap or MAX_SAMPLES hit before successive estimates
+    agreed; a first level past MAX_SAMPLES leaves no estimates (None)."""
 
     def __init__(self, message: str, last: float | None = None, previous: float | None = None):
         super().__init__(message if last is None
@@ -106,7 +107,7 @@ def integrate_circle(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> fl
     T_{n/2} to spec.tol; otherwise doubles n, evaluating f only at the new
     midpoints, up to spec.max_refinements times.  Raises
     QuadratureConvergenceError (carrying the last two estimates) if the cap
-    is reached first.
+    is reached first, or if the next level would pass MAX_SAMPLES.
 
     f may integrate several rows at once: on the grid it returns samples
     of shape (rows, n + 1), and the result is the list of the rows'
@@ -138,6 +139,10 @@ def integrate_circle(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> fl
         if doublings == spec.max_refinements:
             raise QuadratureConvergenceError("trapezoid refinement did not converge",
                                              last=last[live[0]], previous=previous[live[0]])
+        if 2 * n > MAX_SAMPLES:
+            raise QuadratureConvergenceError(
+                f"the next ladder level of {2 * n} samples would pass the cap 2**20 = "
+                f"{MAX_SAMPLES}", last=last[live[0]], previous=previous[live[0]])
         midpoints = h * (np.arange(n) + 0.5)
         new = _sample(f, midpoints, np.array(live)) if rows else _sample(f, midpoints)[None]
         n, h = 2 * n, 0.5 * h

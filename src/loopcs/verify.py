@@ -23,7 +23,8 @@ one guards:
 - density_reality: the constant chain kappa(s) is the real number +1;
 - quadrature_stability: the certified period, against the whole circle,
   and a first level that no small report grid caps;
-- sweep_rows: sweep's batched class values, against one cs_class per a.
+- sweep_rows: sweep's batched class values and builtin_family's metrics,
+  against one cs_class per a on the family's trees compiled at a.
 
 For every check, tests/test_mutants.py holds a mutation under which the
 whole suite runs and that check alone fails.
@@ -39,6 +40,7 @@ import numpy as np
 from .chern_simons import CSConfig, _constant_chain, cs_class, cs_density, sweep
 from .expressions import Alpha, Cos, Expr, Num, Sin, evaluate
 from .forms import MatrixForm, basis_indices, evaluate3, trace, wedge
+from . import geometry
 from .geometry import BergerMetric, builtin_family
 from .oracle import (christoffel_koszul, christoffel_table, leading_order_density,
                      sigma0_connection, sigma_minus1_connection_beta,
@@ -279,23 +281,27 @@ REPORT_FIELDS = ("integral", "class_value", "mod_z", "nontrivial", "verdict", "s
 
 
 def _outcome(run) -> list:
-    """The report fields of each report run() returns (repr, so every
-    float bit shows), or the error it raises."""
+    """The report fields, and the metric's certificate and scale bounds, of
+    each report run() returns (repr, so every float bit shows), or the
+    error it raises."""
     try:
-        return [repr([getattr(r, f) for f in REPORT_FIELDS]) for r in run()]
+        return [repr([getattr(r, f) for f in REPORT_FIELDS]
+                     + [r.metric.certificate, r.metric.scale_bounds]) for r in run()]
     except Exception as exc:
         return [f"raises {type(exc).__name__}: {exc}"]
 
 
 def check_sweep_rows(_: np.random.Generator) -> CheckResult:
-    """sweep computes its class values a batch of rows at a time, with the
-    metrics' constants stacked; it must return, field by field and bit for
-    bit, what one cs_class call per a returns, or raise what the first
-    failing call raises."""
+    """sweep computes its class values a batch of rows at a time, the
+    family's template bound to the rows' a, and builtin_family binds it too;
+    they must give, field by field and bit for bit, what one cs_class call
+    per a on the family's trees compiled at a gives, or raise what the
+    first failing call raises."""
     cfg = CSConfig()
+    trees = (geometry._LAM, geometry._MU, geometry._NU)
     differ = [a_values for a_values in SWEEPS
               if _outcome(lambda: sweep(a_values, cfg))
-              != _outcome(lambda: [cs_class(builtin_family(a), cfg) for a in a_values])]
+              != _outcome(lambda: [cs_class(BergerMetric(*trees, a), cfg) for a in a_values])]
     return CheckResult("sweep rows equal one class value per a", not differ,
                        f"sweeps that differ from one cs_class per a: {differ} of {SWEEPS}")
 

@@ -474,14 +474,18 @@ def test_large_integral_ladder_converges():
 
 
 def _recording_compiles(monkeypatch) -> list:
+    # the trees of every compile: of a metric's (geometry) and of the
+    # family's template (expressions)
     trees = []
-    original = loopcs.geometry.compile_jets
+    original = loopcs.expressions.compile_jets
 
     def recording(e, a=1):
         trees.append(e)
         return original(e, a)
 
     monkeypatch.setattr(loopcs.geometry, "compile_jets", recording)
+    monkeypatch.setattr(loopcs.expressions, "compile_jets", recording)
+    loopcs.expressions.compile_template.cache_clear()
     return trees
 
 
@@ -491,32 +495,37 @@ def _custom(lam: str) -> BergerMetric:
 
 def test_metric_constructor_evaluates_each_tree_once(monkeypatch):
     # a metric whose scale bounds prove it evaluates nothing; any other one
-    # runs its compiled program once, on the 1025-point grid
+    # runs its compiled program once, on the 1025-point grid.  The family
+    # compiles its trees once per cache, a metric of trees once per metric
     trees = _recording_compiles(monkeypatch)
     runs = {"evaluate": 0}
     monkeypatch.setattr(JetProgram, "__call__",
                         _counting(runs, "evaluate", JetProgram.__call__))
-    for build, grid_runs in [
-        (lambda: builtin_family(8), 0),
-        (round_metric, 0),
+    family = (loopcs.geometry._LAM, loopcs.geometry._MU, loopcs.geometry._NU)
+    for build, compiled, grid_runs in [
+        (lambda: builtin_family(8), [family], 0),
+        (lambda: builtin_family(-3), [], 0),
+        (round_metric, None, 0),
         # positive, but its one interval over the circle reaches below 0
-        (lambda: _custom("1.5+sin(alpha)-0.8*sin(alpha)"), 1),
+        (lambda: _custom("1.5+sin(alpha)-0.8*sin(alpha)"), None, 1),
         # a nested argument: certified and provably positive
-        (lambda: _custom(NESTED), 0),
+        (lambda: _custom(NESTED), None, 0),
     ]:
         trees.clear()
         runs["evaluate"] = 0
         m = build()
-        assert trees == [(m.lam, m.mu, m.nu)]
+        assert trees == ([(m.lam, m.mu, m.nu)] if compiled is None else compiled)
         assert runs == {"evaluate": grid_runs}
         assert (m.scale_bounds is None) == bool(grid_runs)
 
 
 def test_scale_trees_compile_once_per_metric(monkeypatch):
+    # the family compiles once per cache and a metric of trees once: class
+    # values, sweeps and further members walk no tree again
     trees = _recording_compiles(monkeypatch)
-    m = builtin_family(8)
+    m, custom = builtin_family(8), _custom("2+sin(alpha)")
     first = cs_class(m, CFG).integral
-    assert trees == [(m.lam, m.mu, m.nu)]
+    assert trees == [(m.lam, m.mu, m.nu), (custom.lam, custom.mu, custom.nu)]
 
     def no_walk(self, e):
         raise AssertionError("a compiled metric walked its trees again")
@@ -524,7 +533,9 @@ def test_scale_trees_compile_once_per_metric(monkeypatch):
     monkeypatch.setattr(loopcs.expressions._Compiler, "walk", no_walk)
     m.scale_jets(np.linspace(0.0, 2 * np.pi, 33))
     assert cs_class(m, CFG).integral == first
-    assert trees == [(m.lam, m.mu, m.nu)]
+    cs_class(custom, CFG)
+    assert [r.metric for r in sweep((3, 8, -5), CFG)] == [builtin_family(a) for a in (3, 8, -5)]
+    assert len(trees) == 2
 
 
 def test_scale_jets_share_one_sin_cos_pair(monkeypatch):
@@ -687,11 +698,25 @@ def test_sweep():
         sweep([2, 0], CFG)
 
 
+def test_sweep_builds_no_metric_until_one_is_read(monkeypatch):
+    built = []
+    original = loopcs.chern_simons.builtin_family
+    monkeypatch.setattr(loopcs.chern_simons, "builtin_family",
+                        lambda a: built.append(a) or original(a))
+    reports = sweep((2, -3, 8), CFG)
+    assert built == []
+    assert reports[1].metric == builtin_family(-3) and built == [-3]
+    assert reports[1].metric is reports[1].metric and built == [-3]
+    assert repr(reports[2]) == repr(cs_class(builtin_family(8), CFG)) and built == [-3, 8]
+    with pytest.raises(AttributeError):
+        reports[0].nothing
+
+
 def test_a_batch_that_raises_reruns_its_rows_alone(monkeypatch):
     def broken(self, alpha):
         raise ValueError("a stacked run failed")
 
-    monkeypatch.setattr(loopcs.geometry.MetricRows, "scale_jets", broken)
+    monkeypatch.setattr(loopcs.geometry.FamilyRows, "scale_jets", broken)
     assert_rows_are_one_class_value_each((2, 8, 32), CFG)
 
 

@@ -602,6 +602,28 @@ def test_first_level_past_the_sample_cap_exits_3(capsys):
             f"ladder level of 1280000 samples per period, past the cap 2**20 = {MAX_SAMPLES}"]
 
 
+def test_sweep_of_an_overflowing_a_prints_one_line_and_no_warning(capsys):
+    # -a*a overflows for |a| = 10**200, so the density is not finite; the
+    # binding of the batch's a column warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["sweep", "--a", f"2,{10 ** 200}"]) == 3
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ["numerical error: density is not finite at 65 of 65 samples; "
+                                "the metric overflows or hits a pole"]
+
+
+def test_doubling_past_the_sample_cap_exits_3(capsys):
+    # certificate (1, 16000): a first level of 1024000 samples, where T_n
+    # and T_n/2 differ by ~2.6e14, so the ladder would double past 2**20
+    lam = "2+sin(alpha)+0.5*sin(5000*sin(16000*alpha))"
+    assert run(["compute", "--lambda", lam, "--mu", "1", "--nu", "2-cos(alpha)"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("numerical error: the next ladder level of 2048000 samples would "
+                          f"pass the cap 2**20 = {MAX_SAMPLES} (last two estimates: "), err
+
+
 @pytest.mark.parametrize("samples", ["16", "32", "64"])
 def test_nested_harmonic_is_not_aliased_by_a_small_report_grid(capsys, samples):
     # sin(64 alpha) is 0 at every point of these report grids; the ladder

@@ -45,4 +45,5 @@ def test_two_runs_match_the_checked_in_table(tmp_path):
     # the stages the table records
     stages = {stage for stage, _ in want}
     assert stages == {"cs_class a=2", "cs_class a=8", "cs_class a=32", "cs_class a=4096",
-                      "sweep (2, 8, 32)", "density block a=8", "custom_cli seed 1 slot 0"}
+                      "sweep (2, 8, 32)", "builtin_family(8)", "density block a=8",
+                      "custom_cli seed 1 slot 0"}

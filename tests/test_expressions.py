@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import loopcs.expressions
 from bitwise_references import reference_bounds, reference_tokenize
 from loopcs.expressions import (Add, Alpha, Div, EvalDomainError, Expr, Mul, Num, ParamA,
                                 ParseError, Pow, Sub, _Compiler, _tokenize, compile_jets,
@@ -225,11 +226,17 @@ def test_metric_constructor_walks_each_node_once(monkeypatch):
         return walk(self, e)
 
     monkeypatch.setattr(_Compiler, "walk", counting)
+    # the family's first member compiles its template, and the others walk
+    # nothing
+    loopcs.expressions.compile_template.cache_clear()
     for build in (lambda: builtin_family(8), lambda: BergerMetric(*rational)):
         visits.clear()
         m = build()
         assert m.scale_bounds is not None and m.certificate is not None
         assert visits == Counter(id(n) for e in (m.lam, m.mu, m.nu) for n in _nodes(e))
+    visits.clear()
+    builtin_family(-3)
+    assert not visits
 
 
 CONSTANT_SOURCES = ["2+sin(1)*cos(alpha)", "sin(1+2)", "cos(sin(0.5))*alpha",

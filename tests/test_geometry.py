@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+import loopcs
 import loopcs.geometry
 from loopcs.expressions import compile_jets, parse_expression
 from loopcs.geometry import BergerMetric, builtin_family, round_metric
@@ -256,6 +257,41 @@ def test_every_copy_is_rebuilt_by_the_constructor(monkeypatch, build, duplicate)
 def test_family_parameter_zero_rejected():
     with pytest.raises(ValueError):
         builtin_family(0)
+
+
+def _bits(x):
+    # a float by its hex, signed zeros apart, and its type
+    return (type(x), x.hex()) if isinstance(x, float) else (type(x), x)
+
+
+def test_builtin_family_is_the_compiled_family_bit_for_bit():
+    # the compiler is the binding's oracle: the same ops, constants,
+    # certificate and enclosures as the family's trees compiled at a
+    family = (loopcs.geometry._LAM, loopcs.geometry._MU, loopcs.geometry._NU)
+    for a in [*range(-300, 0), *range(1, 301), 4096, 10 ** 6, 2 ** 53 + 1, 3 ** 40]:
+        got, want = builtin_family(a), BergerMetric(*family, a)
+        assert (got._scales.fns, got._scales.ins) == (want._scales.fns, want._scales.ins)
+        assert ([[_bits(c) for c in op] for op in got._scales.constants]
+                == [[_bits(c) for c in op] for op in want._scales.constants]), a
+        assert [_bits(g) for g in got.certificate] == [_bits(g) for g in want.certificate], a
+        assert ([[_bits(x) for x in box] for box in got.scale_bounds]
+                == [[_bits(x) for x in box] for box in want.scale_bounds]), a
+
+
+def test_family_enclosures_prove_every_member_below_the_bound():
+    # below 2**1021 a member needs no grid check, so sweep builds no metric
+    # for it; past the bound its grid check may raise, in sweep too
+    top = int(np.nextafter(loopcs.geometry._PROVED_A, 0.0))
+    for a in (1, -1, top, -top):
+        assert builtin_family(a).scale_bounds is not None
+    with pytest.raises(ValueError, match="mu is not finite"):
+        builtin_family(2 ** 1022)
+    for a_values in ([2, 2 ** 1022, 0], [2, 0, 2 ** 1022], [2, 10 ** 400, 2 ** 1022]):
+        with pytest.raises(ValueError) as swept:
+            loopcs.sweep(a_values)
+        with pytest.raises(ValueError) as built:
+            [builtin_family(a) for a in a_values]
+        assert str(swept.value) == str(built.value)
 
 
 def test_batched_tables_match_pointwise():

@@ -46,10 +46,9 @@ from loopcs import verify
 # the originals: replace rebinds names in loopcs modules only
 from loopcs.chern_simons import (CSConfig, _class_report, _class_reports, _constant_chain,
                                  _ladder_start, cs_class, cs_density, reduce_mod_z)
-from loopcs.expressions import (Alpha, Cos, Mul, Num, ParamA, Sin, Sub, _Compiler, derivative,
-                                stack_constants)
+from loopcs.expressions import Alpha, Cos, Mul, Num, ParamA, Sin, Sub, _Compiler, _lift, derivative
 from loopcs.forms import MatrixForm, ScalarForm, merge_sign
-from loopcs.geometry import builtin_family
+from loopcs.geometry import builtin_family, family_members
 from loopcs.jets import Jet2
 from loopcs.quadrature import QuadratureSpec, integrate_circle
 
@@ -122,14 +121,14 @@ def truncating_mod_z(value):
     return value - int(value)
 
 
-def ladder_over_half_period(m):
-    g, n = _ladder_start(m)
+def ladder_over_half_period(certificate):
+    g, n = _ladder_start(certificate)
     return 2 * g, n
 
 
-def first_level_capped_at_n(metrics, periods, n, cfg):
+def first_level_capped_at_n(rows, periods, n, cfg):
     # the ladder starts at no more than the report grid's N samples
-    return _class_reports(metrics, periods, min(n, cfg.quadrature.n), cfg)
+    return _class_reports(rows, periods, min(n, cfg.quadrature.n), cfg)
 
 
 # -- quadrature
@@ -203,9 +202,16 @@ def cos_derivative_unsigned(e):
     return derivative(e)
 
 
-def rows_of_row_zero(programs):
-    # every row of a group runs with the first row's constants
-    return stack_constants(programs[:1] * len(programs))
+def rows_of_row_zero(a_values):
+    # every member's row binds the first member's a; each keeps its own a
+    # and certificate
+    members = family_members(a_values)
+    return [(a, members[0][1], certificate) for a, _, certificate in members]
+
+
+def reciprocal_of_abs(x, y):
+    # the template forms y / a as y / |a|
+    return _lift(lambda p, q: p / abs(q))(y, x)
 
 
 # -- oracle
@@ -341,8 +347,11 @@ MUTANTS = [
      lambda mp: replace(mp, expressions._subtracted_from,
                         lambda c, j: Jet2(c - j.v, j.d1, j.d2)),
      ("density_traces_oracle",)),
-    ("a group reads row 0's constants for every row",
-     lambda mp: replace(mp, stack_constants, rows_of_row_zero), ("sweep_rows",)),
+    ("every row binds row 0's a",
+     lambda mp: replace(mp, family_members, rows_of_row_zero), ("sweep_rows",)),
+    ("the family's 1/a bound as 1/|a|",
+     lambda mp: mp.setattr(expressions._OfA, "__rtruediv__", reciprocal_of_abs),
+     ("sweep_rows",)),
     ("jet product with u'v' once in d2",
      lambda mp: replace(mp, Jet2.__mul__, product_d2_once), ("density_traces_oracle",)),
     ("jet quotient with q1 once in q2",
@@ -408,10 +417,11 @@ CHECKS = {_name(check): check for check in verify.ALL_CHECKS}
 
 
 def _fresh_caches():
-    # a metric's rate program is cached by the metric's trees: a program
-    # compiled under a mutation must not outlive it, nor one compiled
-    # before it serve it
+    # a metric's rate program and the family's template are cached by
+    # their trees: a program compiled under a mutation must not outlive
+    # it, nor one compiled before it serve it
     oracle._rate_program.cache_clear()
+    expressions.compile_template.cache_clear()
 
 
 def run_row(apply, checks):

@@ -14,7 +14,9 @@ Stages, each run once to fill the caches a warm run finds, then measured:
 
 - ``cs_class a=A``: cs_class of the built-in family at a in {2, 8, 32,
   4096}, the metric built beforehand;
-- ``sweep (2, 8, 32)``: one sweep call, its three metrics included;
+- ``sweep (2, 8, 32)``: one sweep call, its three metrics included (a
+  sweep that builds no metric for its rows builds none here either);
+- ``builtin_family(8)``: the constructor of the built-in family at a = 8;
 - ``density block a=8``: cs_density of the family at a = 8 on one
   4096-point block of uniform alphas, as the blocked grid path runs it;
 - ``custom_cli seed 1 slot 0``: one in-process ``loopcs compute`` of the
@@ -124,6 +126,7 @@ def stages(loopcs) -> list:
         m = loopcs.builtin_family(a)
         out.append((f"cs_class a={a}", lambda m=m: loopcs.cs_class(m, cfg)))
     out.append((f"sweep {SWEEP}", lambda: loopcs.sweep(SWEEP, cfg)))
+    out.append(("builtin_family(8)", lambda: loopcs.builtin_family(8)))
     m8 = loopcs.builtin_family(8)
     out.append(("density block a=8",
                 lambda: loopcs.cs_density(

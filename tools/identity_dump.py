@@ -21,16 +21,19 @@ Corpus:
   complex alpha on and off the real axis;
 - every cs_class report field, the report grid and its densities included,
   and the report's repr;
-- every report field of sweep over the built-in family's a above and over
-  the benchmark's A_POOL, each sweep as one call;
+- every report field of sweep over the built-in family's a above, over
+  the benchmark's A_POOL and over a = 1..1000, each sweep as one call, and
+  each row's metric (its certificate and scale_bounds), read after the
+  sweep has returned;
 - the repr of the parsed tree of each of the 696 custom_cli expressions
   of seeds 1-29;
 - CLI exit code, stdout, stderr and output bytes of ``compute`` (paper and
   custom metrics, a report grid smaller than 64 samples per period, an a
   too large for a float, a harmonic K = 4096 at the default N, a nested
   argument at N = 16 and a metric with no period certificate) and
-  ``sweep``, with and without --report-out and --density-out, run in a
-  fresh directory under relative file names.
+  ``sweep`` (also with an a whose -a*a overflows), with and without
+  --report-out and --density-out, run in a fresh directory under relative
+  file names.
 
 An array is written as its dtype, shape and the SHA-256 of its bytes, so
 signed zeros count; a float as float.hex; an evaluation that raises as
@@ -166,13 +169,18 @@ def report_lines(name, report):
 
 
 def sweep_lines(loopcs, quick: bool):
-    for a_values in ((2, 8),) if quick else (FAMILY, workloads().A_POOL):
+    sweeps = ((2, 8),) if quick else (FAMILY, workloads().A_POOL, range(1, 1001))
+    for a_values in sweeps:
         name = f"sweep {a_values}"
         reports = attempt(loopcs.sweep, a_values)
         if isinstance(reports, Exception):
             yield f"{name} | {fingerprint(reports)}"
             continue
         for n, report in enumerate(reports):
+            # the metric first: a sweep may build it only when it is read
+            yield f"{name} row {n} | metric certificate | {fingerprint(report.metric.certificate)}"
+            yield (f"{name} row {n} | metric scale_bounds | "
+                   f"{fingerprint(report.metric.scale_bounds)}")
             yield from report_lines(f"{name} row {n}", report)
 
 
@@ -223,6 +231,8 @@ def cli_runs(quick: bool) -> list:
     runs += [["compute", "--lambda", "2+sin(alpha)+0.1*cos(4096*alpha)", "--mu", "1",
               "--nu", "2-cos(alpha)"],
              ["compute", "--lambda", "2+alpha^2-alpha^2", "--mu", "1", "--nu", "2-cos(alpha)"]]
+    # an a whose -a*a overflows: the density is not finite
+    runs += [["sweep", "--a", f"2,{10 ** 200}"]]
     runs += [["sweep", "--a", "1,2,3,8", *outs], ["sweep", "--a", "2,4,8"],
              ["sweep", "--a", "2,4,8", "--report-out", "report.json"],
              ["sweep", "--a", "2,4,8", "--density-out", "density.csv"]]
